@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
@@ -27,7 +28,6 @@ import numpy as np
 from . import analytic
 from .discretize import (
     GridSpec,
-    GridSpec as _GridSpec,
     GridError,
     RecurrenceError,
     SumRuleError,
@@ -36,7 +36,14 @@ from .discretize import (
     build_radial_vacuum,
     build_scalar_toy,
 )
-from .dynamics import FitWindowError, SolverSpec, compare_routes, fit_decay_rate, integrate
+from .dynamics import (
+    FitWindowError,
+    IntegrationError,
+    SolverSpec,
+    compare_routes,
+    fit_decay_rate,
+    integrate,
+)
 from .geometry import DipoleGeometry
 from .model import (
     AtomDipole,
@@ -69,8 +76,11 @@ _EXIT_VALIDATION = 1
 _EXIT_NUMERICAL = 2
 _EXIT_IO = 3
 
+# LinAlgError subclasses ValueError, so this tuple is matched before the
+# validation errors.
 _NUMERICAL_ERRORS = (InversionError, SumRuleError, RecurrenceError,
-                     FitWindowError, PoleError, RegimeError)
+                     FitWindowError, PoleError, RegimeError, IntegrationError,
+                     np.linalg.LinAlgError)
 
 
 # ---------------------------------------------------------------------------
@@ -170,7 +180,7 @@ class RunConfig:
 
     def build_grid(self) -> GridSpec:
         try:
-            return _GridSpec(**self.grid)
+            return GridSpec(**self.grid)
         except TypeError as exc:
             raise ConfigError(f"bad grid section: {exc}") from exc
 
@@ -537,13 +547,24 @@ def _sweep_point(args):
     return row
 
 
-def _run_sweep(config: RunConfig, jobs: int = 1):
+def _pool_size(jobs: int, n_tasks: int) -> int:
+    """Worker processes for n_tasks: at most one per task and per CPU.
+
+    The pool starts all its workers up front, so an unbounded request
+    would start that many processes.
+    """
+    if jobs < 1:
+        raise ConfigError(f"jobs must be at least 1, got {jobs}")
+    return min(jobs, n_tasks, os.cpu_count() or 1)
+
+
+def _run_sweep(config: RunConfig, workers: int):
     parameter = config.sweep["parameter"]
     values = config.sweep["values"]
     tasks = [(config.to_dict(), parameter, v, i)
              for i, v in enumerate(values)]
-    if jobs > 1 and len(tasks) > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             rows = list(pool.map(_sweep_point, tasks))
     else:
         rows = [_sweep_point(t) for t in tasks]
@@ -582,11 +603,13 @@ _RUNNERS = {
 
 def run(config: RunConfig, out_dir: Path, jobs: int = 1) -> dict:
     """Execute the configured scenario and persist all artifacts."""
+    n_tasks = len(config.sweep["values"]) if config.sweep is not None else 1
+    workers = _pool_size(jobs, n_tasks)
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
 
     if config.scenario == "sweep":
-        header, rows, summary, report, plot = _run_sweep(config, jobs=jobs)
+        header, rows, summary, report, plot = _run_sweep(config, workers)
     else:
         header, rows, summary, report, plot = _RUNNERS[config.scenario](config)
 
@@ -630,10 +653,7 @@ def _parse_args(argv):
 def _load_config(args) -> RunConfig:
     data: dict = {}
     if args.config is not None:
-        try:
-            raw = Path(args.config).read_text()
-        except OSError:
-            raise
+        raw = Path(args.config).read_text()
         try:
             data = json.loads(raw)
         except json.JSONDecodeError as exc:

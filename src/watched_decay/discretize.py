@@ -286,7 +286,18 @@ def _detector_form_factor(omegas: np.ndarray, omega0: float,
 
 def build_full_3d(system: PhysicalSystem, grid: GridSpec,
                   renormalize_shift: bool = True) -> DiscreteModel:
-    """Full wave-vector grid with polarizations and detector phases."""
+    """Full wave-vector field with detectors, kept to its coupled modes.
+
+    At each radial frequency the emitter and the A detector atoms couple
+    only to the span of their own coupling vectors over directions and
+    polarizations; every other mode of that degenerate shell stays empty.
+    The angular quadrature (n_theta x n_phi directions, two polarizations)
+    gives the shell's (1 + A) x (1 + A) Gram matrix of those vectors, and
+    its eigendecomposition gives one mode per eigenvalue above the
+    numerical-rank cutoff.  This is a unitary change of basis inside the
+    shell, so every kernel sum and the dynamics are those of the full
+    per-direction grid; a shell holds at most 1 + A modes.
+    """
     if not system.detector_atoms:
         raise GridError("full-3d model needs at least one detector atom")
     om_r, w_r = _frequency_grid(
@@ -323,22 +334,29 @@ def build_full_3d(system: PhysicalSystem, grid: GridSpec,
     k_hats = np.asarray(k_hats)                         # (D, 3)
     dir_weights = np.asarray(dir_weights)               # (D,)
 
-    mu_a = system.mu_a
     radial = np.sqrt(om_r**3 * w_r / (4.0 * math.pi**2))   # (R,)
-    # Mode index runs radial-major: (R, D) flattened.
     amp = radial[:, None] * np.sqrt(dir_weights)[None, :]   # (R, D)
-    alphas = (-1j) * mu_a * amp * dir_atom[None, :]
-
     positions = np.asarray([atom.position for atom in atoms])  # (A, 3)
     # Phase exp(i k . r_i): k = omega * k_hat in natural units.
     kdotr = om_r[:, None, None] * (k_hats @ positions.T)[None, :, :]  # (R,D,A)
     form = _detector_form_factor(om_r, system.omega0, grid.detector_band)
-    factors = (-1j) * (amp * form[:, None])[:, :, None] \
-        * dir_det[None, :, :] * np.exp(1j * kdotr)
 
-    omegas = np.repeat(om_r, dir_atom.size)
-    alphas = alphas.reshape(-1)
-    factors = factors.reshape(-1, n_atoms)
+    # Coupling vectors over directions, emitter first: u[r, 0] = alpha and
+    # u[r, i] = f_i at radial node r.
+    u = np.empty((om_r.size, 1 + n_atoms, dir_atom.size), dtype=complex)
+    u[:, 0] = (-1j) * system.mu_a * amp * dir_atom[None, :]
+    u[:, 1:] = ((-1j) * (amp * form[:, None])[:, :, None]
+                * dir_det[None, :, :] * np.exp(1j * kdotr)).transpose(0, 2, 1)
+    gram = u @ np.conj(u).transpose(0, 2, 1)             # (R, 1+A, 1+A)
+    lam, vecs = np.linalg.eigh(gram)
+    # Rank cutoff of numpy.linalg.matrix_rank, per shell.
+    keep = lam > lam[:, -1:] * (1 + n_atoms) * np.finfo(float).eps
+    # Column m of couplings[r] is the coupling vector of shell mode m, so
+    # that couplings[r] @ couplings[r]^H reproduces gram[r].
+    couplings = vecs * np.sqrt(np.where(keep, lam, 0.0))[:, None, :]
+    alphas = couplings[:, 0, :][keep]
+    factors = couplings[:, 1:, :].transpose(0, 2, 1)[keep]   # (K, A)
+    omegas = np.repeat(om_r, keep.sum(axis=1))
 
     om_c, w_c = _channel_grid(system.omega_i, system.omega0,
                               grid.channel_cut, grid.n_channels,

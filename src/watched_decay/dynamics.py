@@ -34,6 +34,10 @@ class FitWindowError(ValueError):
     """Decay-rate fit window unusable."""
 
 
+class IntegrationError(RuntimeError):
+    """The ODE solver stopped before reaching the requested horizon."""
+
+
 @dataclass(frozen=True)
 class SolverSpec:
     rtol: float = 1e-9
@@ -154,7 +158,7 @@ def integrate(model: DiscreteModel, t_max: float,
                     t_eval=t_eval, rtol=solver.rtol, atol=solver.atol,
                     max_step=solver.max_step)
     if not sol.success:
-        raise RuntimeError(f"integration failed: {sol.message}")
+        raise IntegrationError(f"integration failed: {sol.message}")
 
     a0 = sol.y[0]
     if solver.rotating_frame:

@@ -218,13 +218,14 @@ def dipole_factor_l(p_a, p_d, r_hat) -> float:
 
 def angular_average_l2(order: int | None = None,
                        samples: int | None = None,
-                       seed: int | None = None) -> float:
+                       seed: int | None = None) -> float | tuple[float, float]:
     """Average of l^2 over independent uniform orientations.
 
     Deterministic product quadrature by default (``order`` Gauss-Legendre
     nodes per polar angle); pass ``samples`` (+ ``seed``) for the Monte Carlo
-    cross-check instead.  The closed-form limit of the isotropic average is
-    2/9 = 1/3 - 2/9 + 1/9 by moment algebra on the unit sphere.
+    cross-check instead, which returns (mean, standard error) like
+    ``analytic.shell_reduction_mc``.  The closed-form limit of the isotropic
+    average is 2/9 = 1/3 - 2/9 + 1/9 by moment algebra on the unit sphere.
     """
     if samples is not None:
         rng = np.random.default_rng(seed)
@@ -236,7 +237,9 @@ def angular_average_l2(order: int | None = None,
         a, b, r = unit(samples), unit(samples), unit(samples)
         l = (np.sum(a * b, axis=1)
              - np.sum(r * a, axis=1) * np.sum(r * b, axis=1))
-        return float(np.mean(l * l))
+        l_sq = l * l
+        return (float(np.mean(l_sq)),
+                float(np.std(l_sq, ddof=1) / math.sqrt(samples)))
 
     if order is None:
         order = 12

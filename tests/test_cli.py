@@ -1,11 +1,15 @@
 import json
 import math
+import os
 
+import numpy as np
 import pytest
 
+from watched_decay import cli, dynamics
 from watched_decay.cli import (
     ConfigError,
     RunConfig,
+    _pool_size,
     apply_override,
     main,
     run,
@@ -171,6 +175,53 @@ def test_main_numerical_failure(tmp_path, capsys):
                  "--set", "grid.n_modes=60"])
     assert code == 2
     assert json.loads(capsys.readouterr().err)["error"] == "SumRuleError"
+
+
+def test_main_integration_failure(tmp_path, capsys, monkeypatch):
+    class Failed:
+        success = False
+        message = "step size too small"
+
+    monkeypatch.setattr(dynamics, "solve_ivp", lambda *a, **k: Failed())
+    code = main(["toy", "--out", str(tmp_path / "o")])
+    assert code == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err == {"error": "IntegrationError",
+                   "message": "integration failed: step size too small",
+                   "exit_code": 2}
+
+
+def test_main_linalg_failure(tmp_path, capsys, monkeypatch):
+    # LinAlgError subclasses ValueError but is a numerical failure.
+    def singular(*args, **kwargs):
+        raise np.linalg.LinAlgError("eigenvalues did not converge")
+
+    monkeypatch.setattr(cli, "build_scalar_toy", singular)
+    code = main(["toy", "--out", str(tmp_path / "o")])
+    assert code == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "LinAlgError"
+    assert err["exit_code"] == 2
+
+
+def test_pool_size_is_bounded():
+    cpus = os.cpu_count() or 1
+    assert _pool_size(1, 8) == 1
+    assert _pool_size(10_000, 3) == min(3, cpus)
+    assert _pool_size(10_000, 10_000) == cpus
+    assert _pool_size(2, 1) == 1
+    for jobs in (0, -4):
+        with pytest.raises(ConfigError):
+            _pool_size(jobs, 4)
+
+
+def test_main_rejects_nonpositive_jobs(tmp_path, capsys):
+    code = main(["shell", "--out", str(tmp_path / "o"), "--jobs", "0",
+                 "--set", "shell.n_samples=10"])
+    assert code == 1
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "ConfigError"
+    assert not (tmp_path / "o").exists()
 
 
 def test_main_io_failure(tmp_path, capsys):

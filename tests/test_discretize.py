@@ -1,8 +1,11 @@
+import cmath
+import dataclasses
 import io
 import math
 
 import numpy as np
 import pytest
+from numpy.polynomial.legendre import leggauss
 
 from watched_decay.discretize import (
     DiscreteModel,
@@ -11,6 +14,8 @@ from watched_decay.discretize import (
     RecurrenceError,
     SumRuleError,
     ToySpec,
+    _detector_form_factor,
+    _frequency_grid,
     build_full_3d,
     build_radial_vacuum,
     build_scalar_toy,
@@ -18,7 +23,10 @@ from watched_decay.discretize import (
     dump_model_csv,
     recurrence_time,
 )
+from watched_decay.dynamics import integrate
+from watched_decay.geometry import _orthonormal_transverse
 from watched_decay.model import AtomDipole, DetectorAtom, PhysicalSystem
+from watched_decay.resolvent import ww_pole
 
 ZHAT = np.array([0.0, 0.0, 1.0])
 XHAT = np.array([1.0, 0.0, 0.0])
@@ -173,38 +181,45 @@ def test_full3d_requires_detector():
         build_full_3d(make_system(), GridSpec())
 
 
+def shell_sums(model, values):
+    """Per-radial-shell sums of values, with the shell frequencies."""
+    om, shell = np.unique(model.mode_omegas, return_inverse=True)
+    return om, np.bincount(shell, weights=values, minlength=om.size)
+
+
 def test_full3d_mode_count(small_full3d):
+    # A shell keeps one mode per independent coupling vector: the emitter's
+    # alone where the detector band has rolled off, at most 1 + A inside.
     model, grid = small_full3d
-    assert model.n_modes == grid.n_modes * grid.n_theta * grid.n_phi * 2
+    om, per_shell = shell_sums(model, np.ones(model.n_modes))
+    assert om.size == grid.n_modes
+    outside = np.abs(om - 1.0) > 2.0 * grid.detector_band
+    assert np.all(per_shell[outside] == 1)
+    assert np.all(per_shell[~outside] <= 1 + model.n_atoms)
     assert model.n_atoms == 1
     assert model.n_channels == grid.n_channels
 
 
 def test_full3d_vacuum_density_matches_radial(small_full3d):
-    # Summing |alpha_k|^2 over directions at each radial node reproduces the
+    # Summing |alpha_k|^2 over the modes of each radial shell reproduces the
     # radial coupling density (gamma/2 pi)(omega/omega0)^3 * w.
     model, grid = small_full3d
-    n_dir = grid.n_theta * grid.n_phi * 2
-    per_radial = np.abs(model.mode_alphas.reshape(grid.n_modes, n_dir)) ** 2
+    om, per_radial = shell_sums(model, np.abs(model.mode_alphas) ** 2)
     h = 4.0 / grid.n_modes
-    om = model.mode_omegas.reshape(grid.n_modes, n_dir)[:, 0]
     expected = (0.01 / (2.0 * math.pi)) * om**3 * h
-    np.testing.assert_allclose(per_radial.sum(axis=1), expected, rtol=1e-12)
+    np.testing.assert_allclose(per_radial, expected, rtol=1e-12)
 
 
 def test_full3d_polarization_completeness(small_full3d):
-    # Per radial node, summing the detector-factor magnitudes over
-    # polarizations and directions gives the transverse average 2/3 of the
-    # scalar weight (detector dipole fixed, form factor inside the band).
+    # Per radial shell, summing the detector-factor magnitudes over its
+    # modes gives the transverse average 2/3 of the scalar weight (detector
+    # dipole fixed, form factor inside the band).
     model, grid = small_full3d
-    n_dir = grid.n_theta * grid.n_phi * 2
-    om = model.mode_omegas.reshape(grid.n_modes, n_dir)[:, 0]
+    om, f_sq = shell_sums(model, np.abs(model.detector_factors[:, 0]) ** 2)
     idx = int(np.argmin(np.abs(om - 1.0)))  # inside the response band
-    f_sq = np.abs(model.detector_factors[:, 0]
-                  .reshape(grid.n_modes, n_dir)[idx]) ** 2
     h = 4.0 / grid.n_modes
     scalar_weight = om[idx] ** 3 * h / (4.0 * math.pi**2)
-    assert f_sq.sum() == pytest.approx(
+    assert f_sq[idx] == pytest.approx(
         scalar_weight * (8.0 * math.pi / 3.0), rel=1e-10)
 
 
@@ -223,14 +238,98 @@ def test_full3d_factorized_coupling_is_rank_one(small_full3d):
 
 def test_full3d_detector_band_limits_coupling(small_full3d):
     model, grid = small_full3d
-    n_dir = grid.n_theta * grid.n_phi * 2
-    om = model.mode_omegas.reshape(grid.n_modes, n_dir)[:, 0]
-    f_sq = np.abs(model.detector_factors[:, 0]) ** 2
-    per_radial = f_sq.reshape(grid.n_modes, n_dir).sum(axis=1)
+    om, per_radial = shell_sums(
+        model, np.abs(model.detector_factors[:, 0]) ** 2)
     outside = np.abs(om - 1.0) > 2.0 * grid.detector_band
     assert np.all(per_radial[outside] == 0.0)
     inside = np.abs(om - 1.0) <= grid.detector_band
     assert np.all(per_radial[inside] > 0.0)
+
+
+def per_direction_modes(system, grid):
+    """Reference layout: one mode per radial node, direction, polarization.
+
+    Test oracle for build_full_3d, which must be a unitary change of basis
+    inside each frequency shell of this model.
+    """
+    om_r, w_r = _frequency_grid(grid.scheme, 0.0, system.omega0,
+                                grid.omega_cut, grid.n_modes)
+    form = _detector_form_factor(om_r, system.omega0, grid.detector_band)
+    x, w_x = leggauss(grid.n_theta)
+    w_phi = 2.0 * math.pi / grid.n_phi
+    directions = []
+    for xi, wxi in zip(x, w_x):
+        st = math.sqrt(1.0 - xi * xi)
+        for j in range(grid.n_phi):
+            phi = j * w_phi
+            k_hat = np.array([st * math.cos(phi), st * math.sin(phi), xi])
+            for eps in _orthonormal_transverse(k_hat):
+                directions.append((k_hat, eps, wxi * w_phi))
+    omegas, alphas, factors = [], [], []
+    for om, w, ff in zip(om_r, w_r, form):
+        for k_hat, eps, w_dir in directions:
+            amp = math.sqrt(om**3 * w * w_dir / (4.0 * math.pi**2))
+            omegas.append(om)
+            alphas.append(-1j * system.mu_a * amp
+                          * np.dot(system.atom_dipole.dipole_dir, eps))
+            factors.append([
+                -1j * amp * ff * atom.mu_c_scale
+                * np.dot(atom.dipole_dir, eps)
+                * cmath.exp(1j * om * np.dot(k_hat, atom.position))
+                for atom in system.detector_atoms])
+    return np.array(omegas), np.array(alphas), np.array(factors)
+
+
+def shell_grams(model):
+    """Per-shell Gram matrices of the (emitter, detector) coupling vectors."""
+    om, shell = np.unique(model.mode_omegas, return_inverse=True)
+    u = np.column_stack((model.mode_alphas, model.detector_factors))
+    gram = np.zeros((om.size, u.shape[1], u.shape[1]), dtype=complex)
+    np.add.at(gram, shell, u[:, :, None] * np.conj(u)[:, None, :])
+    return om, gram
+
+
+def test_full3d_matches_per_direction_oracle(small_full3d):
+    model, grid = small_full3d
+    omegas, alphas, factors = per_direction_modes(detector_system(), grid)
+    oracle = dataclasses.replace(model, mode_omegas=omegas,
+                                 mode_alphas=alphas, detector_factors=factors)
+    assert model.n_modes < oracle.n_modes
+
+    om, gram = shell_grams(model)
+    om_ref, gram_ref = shell_grams(oracle)
+    np.testing.assert_array_equal(om, om_ref)
+    scale = np.max(np.abs(gram_ref), axis=(1, 2))
+    assert np.all(np.max(np.abs(gram - gram_ref), axis=(1, 2))
+                  <= 1e-12 * scale)
+
+    assert abs(ww_pole(model)["u"] - ww_pole(oracle)["u"]) < 1e-12
+
+    t = np.linspace(0.0, min(50.0, model.t_rec), 101)
+    a0 = integrate(model, t[-1], t_eval=t).a0
+    a0_ref = integrate(oracle, t[-1], t_eval=t).a0
+    assert np.max(np.abs(a0 - a0_ref)) < 1e-8
+
+
+def test_full3d_collinear_couplings_keep_one_mode_per_shell():
+    # A detector at the emitter with the same dipole couples through the
+    # emitter's own vector, so each shell's Gram matrix has rank one and the
+    # rank cutoff must drop the rounding-level second eigenvalue.
+    grid = GridSpec(n_modes=60, scheme="uniform", n_theta=6, n_phi=4,
+                    n_channels=20, channel_scheme="uniform",
+                    detector_band=0.0)
+    system = make_system(atom_dipole=AtomDipole(ZHAT), detector_atoms=(
+        DetectorAtom(position=np.zeros(3), dipole_dir=ZHAT),))
+    model = build_full_3d(system, grid)
+    assert model.n_modes == grid.n_modes
+    omegas, alphas, factors = per_direction_modes(system, grid)
+    oracle = dataclasses.replace(model, mode_omegas=omegas,
+                                 mode_alphas=alphas, detector_factors=factors)
+    _, gram = shell_grams(model)
+    _, gram_ref = shell_grams(oracle)
+    scale = np.max(np.abs(gram_ref), axis=(1, 2))
+    assert np.all(np.max(np.abs(gram - gram_ref), axis=(1, 2))
+                  <= 1e-12 * scale)
 
 
 def test_full3d_band_disabled():
