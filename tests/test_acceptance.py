@@ -26,8 +26,10 @@ from watched_decay.discretize import (
     build_scalar_toy,
 )
 from watched_decay.dynamics import (
+    AmplitudeState,
     SolverSpec,
     compare_routes,
+    derivative,
     fit_decay_rate,
     integrate,
 )
@@ -185,7 +187,9 @@ def test_criterion_2_detector_slowing(toy_runs, full3d_runs):
     report(2, ok, "; ".join(details))
 
 
-def test_criterion_3_route_equivalence(toy_runs, full3d_runs):
+@pytest.fixture(scope="module")
+def route_runs(toy_runs, full3d_runs):
+    """compare_routes on criterion 3's models, 201 times each."""
     system = PhysicalSystem(gamma=GAMMA, omega_i=0.3, beta=0.0)
     models = {
         "vacuum-1d": build_radial_vacuum(
@@ -195,17 +199,77 @@ def test_criterion_3_route_equivalence(toy_runs, full3d_runs):
                                                  beta_toy=BETA, r=3.0)),
         "full3d-detector": full3d_runs["offnode"]["model"],
     }
-    details = []
-    ok = True
+    out = {}
     for name, model in models.items():
         assert model.size <= 2000
         t_end = FULL3D_T if model.kind == "full3d" else 0.8 * model.t_rec
         t_grid = np.linspace(0.0, t_end, 201)
-        comp = compare_routes(model, t_grid)
+        out[name] = (model, compare_routes(model, t_grid))
+    return out
+
+
+def test_criterion_3_route_equivalence(route_runs):
+    details = []
+    ok = True
+    for name, (_, comp) in route_runs.items():
         ok = ok and comp.max_abs_diff < 1e-6
         details.append(f"{name}: {comp.max_abs_diff:.2e}")
     report(3, ok, "max |A0_ode - A0_bromwich| (need < 1e-6): "
            + ", ".join(details))
+
+
+def hermitian_generator(model):
+    """H with d/dt (a0, a_k, a_c) = -i H (a0, a_k, a_c), lab frame."""
+    n_k, n_c = model.n_modes, model.n_channels
+    k = np.arange(1, 1 + n_k)
+    c = np.arange(1 + n_k, model.size)
+    H = np.zeros((model.size, model.size), dtype=complex)
+    H[0, 0] = model.omega_a
+    H[0, k] = model.mode_alphas
+    H[k, 0] = np.conj(model.mode_alphas)
+    H[k, k] = model.mode_omegas
+    H[c, c] = np.tile(model.channel_omegas, model.n_atoms)
+    # a_c is stored atom-major: (atom i, channel m) at 1 + n_k + i * n_c + m.
+    coupling = (np.conj(model.detector_factors)[:, :, None]
+                * model.channel_mu).reshape(n_k, -1)
+    H[1:1 + n_k, 1 + n_k:] = coupling
+    H[1 + n_k:, 1:1 + n_k] = coupling.conj().T
+    return H
+
+
+def exact_a0(model, t):
+    """a0(t) = sum_n |V_0n|^2 exp(-i lambda_n t) from the eigenbasis of H."""
+    lam, vec = np.linalg.eigh(hermitian_generator(model))
+    return np.exp(-1j * np.outer(t, lam)) @ (np.abs(vec[0]) ** 2)
+
+
+@pytest.mark.parametrize("name", ["vacuum-1d", "toy", "toy-retarded"])
+def test_route_monitors_bound_exact_error(route_runs, name):
+    model, comp = route_runs[name]
+    # The oracle's generator is the one the ODE integrates.
+    rng = np.random.default_rng(3)
+    y = rng.normal(size=model.size) + 1j * rng.normal(size=model.size)
+    state = AmplitudeState(
+        a0=complex(y[0]), a_k=y[1:1 + model.n_modes],
+        a_c=y[1 + model.n_modes:].reshape(model.n_atoms, model.n_channels))
+    dy = derivative(state, model)
+    np.testing.assert_allclose(
+        -1j * hermitian_generator(model) @ y,
+        np.concatenate(([dy.a0], dy.a_k, dy.a_c.reshape(-1))), atol=1e-12)
+
+    exact = exact_a0(model, comp.times)
+    bromwich_err = np.max(np.abs(comp.a0_resolvent - exact))
+    assert bromwich_err <= comp.inversion_info["error_estimate"]
+    traj = integrate(model, float(comp.times[-1]), t_eval=comp.times)
+    np.testing.assert_array_equal(traj.a0, comp.a0_ode)
+    assert np.max(np.abs(traj.a0 - exact)) <= np.max(np.abs(traj.norm_drift))
+
+
+def test_bromwich_initial_value(route_runs):
+    # t = 0 takes the contour sum like every other time; exactly, a0(0) = 1.
+    _, comp = route_runs["vacuum-1d"]
+    assert comp.times[0] == 0.0
+    assert abs(comp.a0_resolvent[0] - 1.0) < 1e-10
 
 
 #: Printed angular average of l^2 for the spherical shell.

@@ -130,6 +130,25 @@ def test_shell_mc_reproducible_and_matches_isotropic_formula():
     assert abs(mean1 - u_iso) < 4.0 * err1
 
 
+def test_shell_mc_matches_per_sample_draws():
+    # Each sample draws its n_atoms directions, then its n_atoms dipoles;
+    # 600 samples cross a chunk boundary of the vectorized draw.
+    n_atoms, z, beta, n_samples = 7, 1.3, 0.05, 600
+    rng = np.random.default_rng(5)
+    values = []
+    for _ in range(n_samples):
+        r_hat, p_d = rng.normal(size=(2, n_atoms, 3))
+        r_hat /= np.linalg.norm(r_hat, axis=1, keepdims=True)
+        p_d /= np.linalg.norm(p_d, axis=1, keepdims=True)
+        l = p_d[:, 2] - r_hat[:, 2] * np.sum(r_hat * p_d, axis=1)
+        values.append(1.0 - 2.25 * beta * (math.sin(z) / z) ** 2
+                      * float(np.sum(l * l)))
+    mean, stderr = shell_reduction_mc(n_atoms, z, beta, n_samples, seed=5)
+    assert mean == pytest.approx(np.mean(values), rel=1e-14)
+    assert stderr == pytest.approx(np.std(values, ddof=1)
+                                   / math.sqrt(n_samples), rel=1e-10)
+
+
 def test_l2_average_constants():
     assert L2_AVERAGE_PRINTED == pytest.approx(2.0 / 7.0)
     assert L2_AVERAGE_ISOTROPIC == pytest.approx(2.0 / 9.0)

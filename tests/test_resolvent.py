@@ -19,6 +19,7 @@ from watched_decay.resolvent import (
     PoleError,
     PropagatorSet,
     RegimeError,
+    _phase_sums,
     invert_laplace,
     k_discrete,
     kernels_continuum,
@@ -301,6 +302,45 @@ def test_invert_value_at_zero_is_initial_value():
     vals, _ = invert_laplace(lambda s: 1.0 / (s + 1.0j),
                              np.array([0.0, 1.0]))
     assert vals[0] == pytest.approx(1.0, abs=1e-8)
+
+
+def direct_phase_sums(g, h, t, inner_max):
+    """Oracle: one exponential per (time, node) pair."""
+    omegas = (np.arange(g.size) - g.size // 2) * h
+    phase = np.exp(1j * np.outer(t, omegas))
+    inner = np.abs(omegas) <= inner_max
+    return phase @ np.where(inner, g, 0.0), phase @ np.where(inner, 0.0, g)
+
+
+@pytest.mark.parametrize("uniform_t", [True, False])
+@pytest.mark.parametrize("n_nodes", [1, 2, 10007, 63**2 - 1, 64**2 + 1])
+def test_phase_sums_match_direct_sum(n_nodes, uniform_t):
+    rng = np.random.default_rng(n_nodes)
+    # Random weights that fall off like the Bromwich integrand, so most of
+    # the sum sits near w = 0 where the block phases must not cancel.
+    j = np.arange(n_nodes) - n_nodes // 2
+    g = (rng.normal(size=n_nodes) + 1j * rng.normal(size=n_nodes)) \
+        / (1.0 + np.abs(j)) ** 3
+    h = math.pi / 37.7
+    t = (np.linspace(0.0, 200.0, 201) if uniform_t
+         else np.sort(rng.uniform(0.0, 200.0, 57)))
+    inner_max = 0.25 * n_nodes * h
+    fast = _phase_sums(g, h, t, inner_max)
+    slow = direct_phase_sums(g, h, t, inner_max)
+    # Relative to sum |g|, the scale of the whole Bromwich sum: the outer
+    # nodes carry phases t w ~ 1e5, whose rounding limits both methods.
+    scale = np.sum(np.abs(g))
+    for got, want in zip(fast, slow):
+        assert np.max(np.abs(got - want)) <= 1e-13 * scale
+
+
+@pytest.mark.parametrize("transform", [lambda s: 2.0 / (s + 1.0),
+                                       lambda s: 1.0 / (s + 1.0) ** 2])
+def test_invert_rejects_non_unit_initial_value(transform):
+    # The fitted reference 1/(s + c) supplies the value at t = 0.
+    with pytest.raises(ValueError, match="unit initial value"):
+        invert_laplace(transform, np.array([0.0, 1.0]),
+                       ContourSpec(strict=False))
 
 
 def test_inversion_self_check_raises_when_starved():
