@@ -55,11 +55,6 @@ def einstein_a(omega0: float, mu_a: float) -> float:
     return 4.0 * omega0**3 * mu_a**2 / 3.0
 
 
-def mu_a_from_gamma(omega0: float, gamma: float) -> float:
-    """Exact inverse of einstein_a."""
-    return math.sqrt(3.0 * gamma / (4.0 * omega0**3))
-
-
 def beta_param(omega0: float, mu_c: float, rho0: float) -> float:
     """Detector response beta = 2 pi omega0^3 mu_c^2 rho(omega0) / 3."""
     if rho0 < 0.0:
@@ -98,7 +93,7 @@ def reduction_single(geom: DipoleGeometry, beta: float,
     z = geom.z
     l = dipole_factor_l(geom.p_a, geom.p_d, geom.r_hat)
     dp = d_func(geom)
-    draw = d_oracle(geom, normalization="raw")
+    draw = d_oracle(geom)
 
     u_general = 1.0 - DEFICIT_COEFF * beta * dp * dp
     u_oracle = 1.0 - DEFICIT_COEFF * beta * draw * draw
@@ -177,8 +172,11 @@ def shell_reduction_mc(n_atoms: int, radius_z: float, beta: float,
     """Monte Carlo average of reduction_multi over uniform shell placements.
 
     Each sample draws n_atoms uniformly on the shell with independent uniform
-    detector dipoles and a fixed emitter dipole.  Returns (mean, stderr).
+    detector dipoles and a fixed emitter dipole.  Returns (mean, stderr);
+    the standard error needs n_samples >= 2.
     """
+    if n_samples < 2:
+        raise ValueError(f"n_samples must be >= 2, got {n_samples}")
     rng = np.random.default_rng(seed)
     p_a = np.array([0.0, 0.0, 1.0])
     sin_term = (math.sin(radius_z) / radius_z) ** 2

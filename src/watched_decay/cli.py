@@ -20,7 +20,7 @@ import math
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -100,6 +100,31 @@ _SYSTEM_DEFAULTS = {
 _SHELL_DEFAULTS = {"n_atoms": 100, "radius_z": 0.5 * math.pi,
                    "n_samples": 10000}
 
+#: Config sections that map one to one onto a dataclass.
+_SPEC_SECTIONS = {"grid": GridSpec, "toy": ToySpec, "solver": SolverSpec}
+
+
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _check_spec_section(name: str, values) -> None:
+    """Reject keys and value types that the section's dataclass does not take.
+
+    A value must have the type of its field's default: bool only for bool,
+    int (not bool) for int, int or float for float, str for str.
+    """
+    if not isinstance(values, dict):
+        raise ConfigError(f"{name} section must be a JSON object")
+    defaults = {f.name: f.default for f in fields(_SPEC_SECTIONS[name])}
+    for key, value in values.items():
+        if key not in defaults:
+            raise ConfigError(f"bad {name} section: unknown key {key!r}")
+        kind = type(defaults[key])
+        if not (_is_number(value) if kind is float else type(value) is kind):
+            raise ConfigError(f"bad {name} section: {key} must be "
+                              f"{kind.__name__}, got {value!r}")
+
 
 @dataclass(eq=True)
 class RunConfig:
@@ -129,6 +154,12 @@ class RunConfig:
                     f"{sorted(SWEEP_PARAMETERS)}, got {param!r}")
             if not isinstance(self.sweep.get("values"), list):
                 raise ConfigError("sweep.values must be a list")
+        for name in _SPEC_SECTIONS:
+            _check_spec_section(name, getattr(self, name))
+        if type(self.seed) is not int:
+            raise ConfigError(f"seed must be an integer, got {self.seed!r}")
+        if not _is_number(self.t_max):
+            raise ConfigError(f"t_max must be a number, got {self.t_max!r}")
 
     def to_dict(self) -> dict:
         return {
@@ -179,22 +210,13 @@ class RunConfig:
         return system
 
     def build_grid(self) -> GridSpec:
-        try:
-            return GridSpec(**self.grid)
-        except TypeError as exc:
-            raise ConfigError(f"bad grid section: {exc}") from exc
+        return GridSpec(**self.grid)
 
     def build_toy(self) -> ToySpec:
-        try:
-            return ToySpec(**self.toy)
-        except TypeError as exc:
-            raise ConfigError(f"bad toy section: {exc}") from exc
+        return ToySpec(**self.toy)
 
     def build_solver(self) -> SolverSpec:
-        try:
-            return SolverSpec(**self.solver)
-        except TypeError as exc:
-            raise ConfigError(f"bad solver section: {exc}") from exc
+        return SolverSpec(**self.solver)
 
 
 def apply_override(config: dict, assignment: str) -> dict:
@@ -249,15 +271,6 @@ def _write_csv(path: Path, header: list[str], rows: list[list]):
     for row in rows:
         lines.append(",".join(_fmt(x) for x in row))
     path.write_text("\n".join(lines) + "\n")
-
-
-def _trajectory_rows(traj) -> list[list]:
-    rows = []
-    for t, a0, p, drift in zip(traj.times, traj.a0, traj.survival,
-                               traj.norm_drift):
-        rows.append([float(t), float(a0.real), float(a0.imag), float(p),
-                     float(1.0 + drift)])
-    return rows
 
 
 def emit_plot_data(result, path: Path):
@@ -326,37 +339,51 @@ def _normalization_section(beta: float) -> list[str]:
 # Scenarios.  Each returns (csv_header, csv_rows, summary, report_lines,
 # plot_payload or None).
 
-def _run_vacuum(config: RunConfig):
-    system = config.build_system()
-    grid = config.build_grid()
+def _run_trajectory(config: RunConfig, build, gamma: float, describe):
+    """Build a model, integrate it to min(t_max, 0.9 t_rec), fit its rate.
+
+    ``build()`` returns the model; ``describe(model, fit)`` returns the
+    scenario's own summary fields, report lines and plot reference rate.
+    The builder and ``integrate`` are looked up as module globals at call
+    time, so wrappers set on this module see both calls.
+    """
     solver = config.build_solver()
-    model = build_radial_vacuum(system, grid)
+    model = build()
     t_max = min(config.t_max, 0.9 * model.t_rec)
     traj = integrate(model, t_max, solver=solver)
-    fit = fit_decay_rate(traj, gamma_expected=system.gamma)
+    fit = fit_decay_rate(traj, gamma_expected=gamma)
+    extra, report, reference_rate = describe(model, fit)
     summary = {
         "fitted_rate": fit.rate, "rate_stderr": fit.stderr,
         "fit_window": list(fit.window), "r_squared": fit.r_squared,
-        "gamma": system.gamma,
-        "relative_rate_error": abs(fit.rate - system.gamma) / system.gamma,
+        "gamma": gamma,
         "max_norm_drift": float(np.max(np.abs(traj.norm_drift))),
-        "t_rec": model.t_rec, "n_modes": model.n_modes,
+        "t_rec": model.t_rec, **extra,
     }
-    report = _report_header(config, system) + [
-        "", f"fitted rate = {fit.rate!r} +/- {fit.stderr!r}",
-        f"configured gamma = {system.gamma!r} "
-        f"(relative error {summary['relative_rate_error']:.3%})",
-    ] + _normalization_section(system.beta)
-    return (["t", "re_a0", "im_a0", "survival", "norm"],
-            _trajectory_rows(traj), summary, report,
-            {"traj": traj, "rate": system.gamma, "name": "trajectory"})
+    rows = [[float(t), float(a0.real), float(a0.imag), float(p),
+             float(1.0 + drift)]
+            for t, a0, p, drift in zip(traj.times, traj.a0, traj.survival,
+                                       traj.norm_drift)]
+    return (["t", "re_a0", "im_a0", "survival", "norm"], rows, summary,
+            report, {"traj": traj, "rate": reference_rate,
+                     "name": "trajectory"})
 
 
-def _single_detector_geometry(system: PhysicalSystem) -> DipoleGeometry:
-    atom = system.detector_atoms[0]
-    return DipoleGeometry(p_a=system.atom_dipole.dipole_dir,
-                          p_d=atom.dipole_dir, r_hat=atom.r_hat,
-                          z=system.omega0 * atom.r)
+def _run_vacuum(config: RunConfig):
+    system = config.build_system()
+    grid = config.build_grid()
+
+    def describe(model, fit):
+        rel = abs(fit.rate - system.gamma) / system.gamma
+        report = _report_header(config, system) + [
+            "", f"fitted rate = {fit.rate!r} +/- {fit.stderr!r}",
+            f"configured gamma = {system.gamma!r} (relative error {rel:.3%})",
+        ] + _normalization_section(system.beta)
+        return ({"relative_rate_error": rel, "n_modes": model.n_modes},
+                report, system.gamma)
+
+    return _run_trajectory(config, lambda: build_radial_vacuum(system, grid),
+                           system.gamma, describe)
 
 
 def _run_single_detector(config: RunConfig):
@@ -365,44 +392,40 @@ def _run_single_detector(config: RunConfig):
         raise ConfigError("single-detector scenario needs one detector atom "
                           "in system.detector_atoms")
     grid = config.build_grid()
-    solver = config.build_solver()
-    model = build_full_3d(system, grid)
-    t_max = min(config.t_max, 0.9 * model.t_rec)
-    traj = integrate(model, t_max, solver=solver)
-    fit = fit_decay_rate(traj, gamma_expected=system.gamma)
+    atom = system.detector_atoms[0]
+    geom = DipoleGeometry(p_a=system.atom_dipole.dipole_dir,
+                          p_d=atom.dipole_dir, r_hat=atom.r_hat,
+                          z=system.omega0 * atom.r)
 
-    geom = _single_detector_geometry(system)
-    red = analytic.reduction_single(geom, system.beta)
-    pole = ww_pole(model)
-    summary = {
-        "fitted_rate": fit.rate, "rate_stderr": fit.stderr,
-        "fit_window": list(fit.window), "r_squared": fit.r_squared,
-        "gamma": system.gamma, "beta": system.beta, "z": geom.z,
-        "u_fitted": fit.rate / system.gamma,
-        "u_discrete_kernels": pole["u"],
-        "u_general": red.u_general, "u_oracle": red.u_oracle,
-        "u_far_field": red.u_far_field, "u_near_field": red.u_near_field,
-        "u_variant_spread": red.discrepancy,
-        "max_norm_drift": float(np.max(np.abs(traj.norm_drift))),
-        "t_rec": model.t_rec,
-    }
-    report = _report_header(config, system) + [
-        "",
-        f"fitted rate = {fit.rate!r} +/- {fit.stderr!r}",
-        f"fitted U = {summary['u_fitted']!r}",
-        f"analytic gamma*U targets at z = {geom.z!r}:",
-        f"  discrete kernels: {system.gamma * pole['u']!r} (U = {pole['u']!r})",
-        f"  printed kernel:   {system.gamma * red.u_general!r} "
-        f"(U = {red.u_general!r})",
-        f"  oracle kernel:    {system.gamma * red.u_oracle!r} "
-        f"(U = {red.u_oracle!r})",
-        f"  far field:        {system.gamma * red.u_far_field!r} "
-        f"(U = {red.u_far_field!r})",
-    ] + _normalization_section(system.beta)
-    return (["t", "re_a0", "im_a0", "survival", "norm"],
-            _trajectory_rows(traj), summary, report,
-            {"traj": traj, "rate": system.gamma * pole["u"],
-             "name": "trajectory"})
+    def describe(model, fit):
+        red = analytic.reduction_single(geom, system.beta)
+        pole = ww_pole(model)
+        u_fitted = fit.rate / system.gamma
+        extra = {
+            "beta": system.beta, "z": geom.z, "u_fitted": u_fitted,
+            "u_discrete_kernels": pole["u"],
+            "u_general": red.u_general, "u_oracle": red.u_oracle,
+            "u_far_field": red.u_far_field, "u_near_field": red.u_near_field,
+            "u_variant_spread": red.discrepancy,
+        }
+        report = _report_header(config, system) + [
+            "",
+            f"fitted rate = {fit.rate!r} +/- {fit.stderr!r}",
+            f"fitted U = {u_fitted!r}",
+            f"analytic gamma*U targets at z = {geom.z!r}:",
+            f"  discrete kernels: {system.gamma * pole['u']!r} "
+            f"(U = {pole['u']!r})",
+            f"  printed kernel:   {system.gamma * red.u_general!r} "
+            f"(U = {red.u_general!r})",
+            f"  oracle kernel:    {system.gamma * red.u_oracle!r} "
+            f"(U = {red.u_oracle!r})",
+            f"  far field:        {system.gamma * red.u_far_field!r} "
+            f"(U = {red.u_far_field!r})",
+        ] + _normalization_section(system.beta)
+        return extra, report, system.gamma * pole["u"]
+
+    return _run_trajectory(config, lambda: build_full_3d(system, grid),
+                           system.gamma, describe)
 
 
 def _run_shell(config: RunConfig):
@@ -442,35 +465,27 @@ def _run_shell(config: RunConfig):
 
 def _run_toy(config: RunConfig):
     toy = config.build_toy()
-    solver = config.build_solver()
-    model = build_scalar_toy(toy)
-    t_max = min(config.t_max, 0.9 * model.t_rec)
-    traj = integrate(model, t_max, solver=solver)
-    fit = fit_decay_rate(traj, gamma_expected=toy.gamma)
-    pole = ww_pole(model)
-    summary = {
-        "fitted_rate": fit.rate, "rate_stderr": fit.stderr,
-        "fit_window": list(fit.window), "r_squared": fit.r_squared,
-        "gamma": toy.gamma, "beta_toy": toy.beta_toy, "r": toy.r,
-        "u_fitted": fit.rate / toy.gamma,
-        "u_discrete_kernels": pole["u"],
-        "analytic_rate": toy.gamma * pole["u"],
-        "max_norm_drift": float(np.max(np.abs(traj.norm_drift))),
-        "t_rec": model.t_rec,
-    }
-    report = _report_header(config, None) + [
-        f"toy parameters: gamma = {toy.gamma!r}, beta_toy = {toy.beta_toy!r},"
-        f" r = {toy.r!r}",
-        "",
-        f"fitted rate = {fit.rate!r} +/- {fit.stderr!r}",
-        f"fitted U = {summary['u_fitted']!r}",
-        f"discrete-kernel U = {pole['u']!r} "
-        f"(analytic rate {summary['analytic_rate']!r})",
-    ]
-    return (["t", "re_a0", "im_a0", "survival", "norm"],
-            _trajectory_rows(traj), summary, report,
-            {"traj": traj, "rate": summary["analytic_rate"],
-             "name": "trajectory"})
+
+    def describe(model, fit):
+        pole = ww_pole(model)
+        u_fitted = fit.rate / toy.gamma
+        analytic_rate = toy.gamma * pole["u"]
+        extra = {"beta_toy": toy.beta_toy, "r": toy.r, "u_fitted": u_fitted,
+                 "u_discrete_kernels": pole["u"],
+                 "analytic_rate": analytic_rate}
+        report = _report_header(config, None) + [
+            f"toy parameters: gamma = {toy.gamma!r}, "
+            f"beta_toy = {toy.beta_toy!r}, r = {toy.r!r}",
+            "",
+            f"fitted rate = {fit.rate!r} +/- {fit.stderr!r}",
+            f"fitted U = {u_fitted!r}",
+            f"discrete-kernel U = {pole['u']!r} "
+            f"(analytic rate {analytic_rate!r})",
+        ]
+        return extra, report, analytic_rate
+
+    return _run_trajectory(config, lambda: build_scalar_toy(toy), toy.gamma,
+                           describe)
 
 
 def _run_compare_routes(config: RunConfig):

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import IO
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
@@ -415,16 +414,3 @@ def build_scalar_toy(params: ToySpec) -> DiscreteModel:
     _check_horizon(t_rec, params.t_max)
     return model
 
-
-def dump_model_csv(model: DiscreteModel, fh: IO[str]):
-    """Plain-text dump: one mode/channel per line for offline inspection."""
-    fh.write("# kind,omega0,t_rec\n")
-    fh.write(f"# {model.kind},{model.omega0!r},{model.t_rec!r}\n")
-    fh.write("record,omega,re_coupling,im_coupling,atom_index\n")
-    for om, al in zip(model.mode_omegas, model.mode_alphas):
-        fh.write(f"mode,{om!r},{al.real!r},{al.imag!r},\n")
-    for i in range(model.n_atoms):
-        for om, f in zip(model.mode_omegas, model.detector_factors[:, i]):
-            fh.write(f"detector_factor,{om!r},{f.real!r},{f.imag!r},{i}\n")
-    for om, mu in zip(model.channel_omegas, model.channel_mu):
-        fh.write(f"channel,{om!r},{mu!r},0.0,\n")

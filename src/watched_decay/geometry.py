@@ -41,10 +41,6 @@ from .model import _as_unit_vector
 
 TWO_PI = 2.0 * math.pi
 
-#: Raw spherical integral divided by d_func for parallel dipoles
-#: perpendicular to the separation axis at z = 0: (8*pi/3) / (5/3).
-ORACLE_MATCH_CONSTANT = 8.0 * math.pi / 5.0
-
 _S_SERIES_CUT = 1e-4
 # The closed form for T cancels three powers of z, so it loses ~3|log10 z|
 # digits; the switchover sits where series truncation and cancellation noise
@@ -154,18 +150,14 @@ def polarization_sum(a, b, k_hat) -> float:
 
 
 def d_oracle(geom: DipoleGeometry, n_theta: int | None = None,
-             n_phi: int = 16, normalization: str = "matched") -> float:
+             n_phi: int = 16) -> float:
     """Spherical-quadrature reconstruction of the angular kernel.
 
     Integrates sum_lambda (p_d.eps)(p_a.eps) exp(-i z k.r_hat) over the unit
     sphere of propagation directions with an explicit transverse polarization
     basis (Gauss-Legendre in cos(theta) x uniform in phi, theta measured from
-    r_hat).  The imaginary part vanishes by symmetry and is dropped.
-
-    normalization:
-      "raw"     - the integral itself;
-      "matched" - divided by ORACLE_MATCH_CONSTANT so the parallel
-                  perpendicular-dipole channel agrees with d_func at z = 0.
+    r_hat).  The imaginary part vanishes by symmetry and is dropped.  Returns
+    the raw integral, which is 2*pi * d_func_half_t.
     """
     if n_theta is None:
         n_theta = max(24, int(geom.z) + 16)
@@ -173,11 +165,7 @@ def d_oracle(geom: DipoleGeometry, n_theta: int | None = None,
     # phi dependence is a trigonometric polynomial of degree <= 2, which the
     # uniform phi rule integrates exactly for n_phi >= 5.
     e3 = geom.r_hat
-    seed = np.zeros(3)
-    seed[int(np.argmin(np.abs(e3)))] = 1.0
-    e1 = np.cross(e3, seed)
-    e1 /= np.linalg.norm(e1)
-    e2 = np.cross(e3, e1)
+    e1, e2 = _orthonormal_transverse(e3)
 
     x, w = leggauss(n_theta)            # x = cos(theta)
     phi = TWO_PI * np.arange(n_phi) / n_phi
@@ -195,16 +183,12 @@ def d_oracle(geom: DipoleGeometry, n_theta: int | None = None,
             pol = (np.dot(geom.p_d, eps1) * np.dot(geom.p_a, eps1)
                    + np.dot(geom.p_d, eps2) * np.dot(geom.p_a, eps2))
             total += wi * w_phi * pol * phase
-    if normalization == "raw":
-        return total
-    if normalization == "matched":
-        return total / ORACLE_MATCH_CONSTANT
-    raise ValueError(f"unknown normalization {normalization!r}")
+    return total
 
 
 def d_consistency_residual(geom: DipoleGeometry, **oracle_kw) -> float:
     """|raw oracle - 2*pi*half-T kernel|: identity check for the quadrature."""
-    raw = d_oracle(geom, normalization="raw", **oracle_kw)
+    raw = d_oracle(geom, **oracle_kw)
     return abs(raw - TWO_PI * d_func_half_t(geom))
 
 

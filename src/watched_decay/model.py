@@ -39,15 +39,6 @@ def _as_unit_vector(v: Sequence[float], name: str) -> np.ndarray:
     return arr
 
 
-@dataclass(frozen=True)
-class UnitSystem:
-    """Marker for the natural-unit convention (hbar = c = 1, omega0 = 1)."""
-
-    hbar: float = 1.0
-    c: float = 1.0
-    omega0: float = 1.0
-
-
 @dataclass(frozen=True, eq=False)
 class AtomDipole:
     """Orientation of the emitting atom's transition dipole."""

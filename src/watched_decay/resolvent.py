@@ -23,14 +23,10 @@ of T N and works on any time grid.  A chirp-z transform would need a
 uniform time grid, and so a second code path for other grids, and scipy's
 czt builds its chirp as w**(k^2/2), whose phase at 773,697 nodes is off
 by up to 1.6e-7 rad.
-
-A fixed-Talbot rule is available for transforms that are smooth on the
-relevant sector (no poles near the imaginary axis).
 """
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -184,43 +180,6 @@ def u_discrete(s, model: DiscreteModel):
     return complex(out[0]) if scalar else out
 
 
-@dataclass(frozen=True)
-class PropagatorSet:
-    """Bound evaluators for the propagator sums of one model."""
-
-    model: DiscreteModel
-
-    def k(self, s):
-        return k_discrete(s, self.model)
-
-    def m_ac(self, s: complex) -> np.ndarray:
-        """(A, C) array of atom->channel propagators."""
-        denom = 1.0 / (complex(s) + 1j * self.model.mode_omegas)
-        J_ac = (denom * self.model.mode_alphas) @ np.conj(
-            self.model.detector_factors)
-        return J_ac[:, None] * self.model.channel_mu[None, :]
-
-    def m_ca(self, s: complex) -> np.ndarray:
-        denom = 1.0 / (complex(s) + 1j * self.model.mode_omegas)
-        J_ca = (denom * np.conj(self.model.mode_alphas)) @ \
-            self.model.detector_factors
-        return J_ca[:, None] * self.model.channel_mu[None, :]
-
-    def n_cc(self, s: complex) -> np.ndarray:
-        """Full (A*C, A*C) channel-channel propagator matrix."""
-        denom = 1.0 / (complex(s) + 1j * self.model.mode_omegas)
-        G = np.einsum("k,ki,kj->ij", denom, self.model.detector_factors,
-                      np.conj(self.model.detector_factors))
-        m = self.model.channel_mu
-        return np.kron(G, np.outer(m, m))
-
-    def l(self, s):
-        s_arr, scalar = _as_s_array(s)
-        out = _chunked_sum(s_arr, self.model.channel_omegas,
-                           self.model.channel_mu**2)
-        return complex(out[0]) if scalar else out
-
-
 @dataclass
 class KernelValues:
     """Continuum kernels I, J, L and the reduction factor they imply."""
@@ -234,16 +193,15 @@ class KernelValues:
 def kernels_continuum(s: complex, geom: DipoleGeometry,
                       system: PhysicalSystem, mode: str = "ww",
                       omega_cut: float = 4.0,
-                      neglect_li: bool = True,
-                      d_variant: str = "printed",
-                      keep_shift: bool = False) -> KernelValues:
+                      d_variant: str = "printed") -> KernelValues:
     """Continuum kernels at s, either pole-approximated or by quadrature.
 
     mode="ww" evaluates the slowly varying kernels at the resonance and
-    discards the principal-value (level-shift) imaginary parts unless
-    keep_shift is set; mode="quadrature" integrates the defining kernels
-    with an upper cutoff.  d_variant chooses the angular kernel entering J:
-    "printed" (d_func) or "oracle" (raw spherical integral).
+    discards the principal-value (level-shift) imaginary parts;
+    mode="quadrature" integrates the defining kernels with an upper cutoff.
+    d_variant chooses the angular kernel entering J: "printed" (d_func) or
+    "oracle" (raw spherical integral).  The L*I term of the denominator is
+    neglected, as in the pole approximation.
     """
     w0 = system.omega0
     mu_c_sq_rho0 = system.mu_c_sq_rho0
@@ -253,23 +211,13 @@ def kernels_continuum(s: complex, geom: DipoleGeometry,
         if d_variant == "printed":
             return d_func(g)
         if d_variant == "oracle":
-            return d_oracle(g, normalization="raw")
+            return d_oracle(g)
         raise ValueError(f"unknown d_variant {d_variant!r}")
 
     if mode == "ww":
         i_val = complex(2.0 * w0**3 / 3.0)
         j_val = complex(w0**3 / (4.0 * math.pi) * d_of(geom.z))
         l_val = complex(math.pi * mu_c_sq_rho0)
-        if keep_shift:
-            # Principal-value parts relative to the cutoff integral; they
-            # feed diagnostics only, never the rates.
-            i_val += 1j * _pv_integral(
-                lambda w: (2.0 / (3.0 * math.pi)) * w**3, w0, 0.0, omega_cut)
-            l_val += 1j * _pv_integral(
-                lambda w: mu_c_sq_rho0 * float(
-                    system.dos.density(w, w0)) / system.dos.normalization
-                if system.dos.normalization else 0.0,
-                w0, system.omega_i, system.dos.omega_cut_c)
     elif mode == "quadrature":
         s = complex(s)
         i_val = _complex_quad(
@@ -286,8 +234,7 @@ def kernels_continuum(s: complex, geom: DipoleGeometry,
     else:
         raise ValueError(f"unknown mode {mode!r}")
 
-    denom = i_val * (1.0 + l_val * i_val) if not neglect_li else i_val
-    u_val = 1.0 - l_val * j_val**2 / denom if denom != 0 else complex("nan")
+    u_val = 1.0 - l_val * j_val**2 / i_val if i_val != 0 else complex("nan")
     return KernelValues(i=i_val, j=j_val, l=l_val, u=u_val)
 
 
@@ -297,19 +244,6 @@ def _complex_quad(f: Callable[[float], complex], a: float, b: float) -> complex:
     im, _ = quad(lambda w: f(w).imag, a, b, limit=400, epsabs=1e-12,
                  epsrel=1e-10)
     return complex(re, im)
-
-
-def _pv_integral(density: Callable[[float], float], w0: float,
-                 a: float, b: float) -> float:
-    """Cauchy principal value of -density(w)/(w - w0) on [a, b]."""
-
-    def reg(w):
-        return -(density(w) - density(w0)) / (w - w0)
-
-    val, _ = quad(reg, a, b, limit=400)
-    if a < w0 < b:
-        val -= density(w0) * math.log((b - w0) / (w0 - a))
-    return val
 
 
 def _max_local_spacing(omegas: np.ndarray, omega0: float,
@@ -326,13 +260,12 @@ def _max_local_spacing(omegas: np.ndarray, omega0: float,
 
 def ww_pole(target, gamma_eval: float | None = None,
             enforce_regime: bool = True) -> dict:
-    """Effective pole of the excited-state resolvent.
+    """Effective pole of the excited-state resolvent of a DiscreteModel.
 
-    target is either a DiscreteModel (kernels summed at s = -i omega0 +
-    gamma_eval) or a KernelValues paired with a system via
-    ``ww_pole_kernels``.  Returns rate (decay of the survival probability),
-    shift (frequency pull, reported only) and u (rate over the same model's
-    vacuum rate).
+    The kernels are summed at s = -i omega0 + gamma_eval; continuum kernels
+    go through ``ww_pole_kernels`` instead.  Returns rate (decay of the
+    survival probability), shift (frequency pull, reported only) and u
+    (rate over the same model's vacuum rate).
     """
     if not isinstance(target, DiscreteModel):
         raise TypeError("ww_pole expects a DiscreteModel; use "
@@ -377,35 +310,12 @@ def ww_pole_kernels(geom: DipoleGeometry, system: PhysicalSystem,
 class ContourSpec:
     """Numerical inverse-transform settings (None means auto)."""
 
-    kind: str = "bromwich"
     sigma: float | None = None
     omega_max: float | None = None
     period_factor: float = 2.5
     tol: float = 1e-8
     max_nodes: int = 2_000_000
-    talbot_m: int = 64
     strict: bool = True
-
-
-def invert_laplace(f: Callable[[np.ndarray], np.ndarray], t_grid,
-                   contour: ContourSpec | None = None,
-                   ) -> tuple[np.ndarray, dict]:
-    """Numerical inverse Laplace transform of a vectorized transform f.
-
-    f must be analytic to the right of the contour and accept an ndarray of
-    complex s.  The Bromwich rule also needs the unit initial value
-    lim s f(s) = 1, which every amplitude resolvent here has.  Returns (values, info); info carries the contour settings
-    and a self-reported error estimate from comparing two truncations.
-    """
-    contour = contour or ContourSpec()
-    t = np.asarray(t_grid, dtype=float)
-    if np.any(t < 0.0):
-        raise ValueError("t must be >= 0")
-    if contour.kind == "talbot":
-        return _invert_talbot(f, t, contour)
-    if contour.kind != "bromwich":
-        raise ValueError(f"unknown contour kind {contour.kind!r}")
-    return _invert_bromwich(f, t, contour)
 
 
 def _phase_sums(g: np.ndarray, h: float, t: np.ndarray,
@@ -439,7 +349,21 @@ def _phase_sums(g: np.ndarray, h: float, t: np.ndarray,
     return inner_sum, outer_sum
 
 
-def _invert_bromwich(f, t: np.ndarray, contour: ContourSpec):
+def invert_laplace(f: Callable[[np.ndarray], np.ndarray], t_grid,
+                   contour: ContourSpec | None = None,
+                   ) -> tuple[np.ndarray, dict]:
+    """Numerical inverse Laplace transform of a vectorized transform f.
+
+    Trapezoidal Bromwich rule.  f must be analytic to the right of the
+    contour, accept an ndarray of complex s and have the unit initial value
+    lim s f(s) = 1, which every amplitude resolvent here has.  Returns
+    (values, info); info carries the contour settings and a self-reported
+    error estimate from comparing two truncations.
+    """
+    contour = contour or ContourSpec()
+    t = np.asarray(t_grid, dtype=float)
+    if np.any(t < 0.0):
+        raise ValueError("t must be >= 0")
     tol = contour.tol
     t_max = float(np.max(t)) if t.size else 1.0
     t_max = max(t_max, 1e-6)
@@ -508,26 +432,3 @@ def _invert_bromwich(f, t: np.ndarray, contour: ContourSpec):
             f"inversion self-check failed: estimated error {err_est:.3g}")
     return values, info
 
-
-def _invert_talbot(f, t: np.ndarray, contour: ContourSpec):
-    """Fixed-Talbot rule; requires f smooth with singularities well left of
-    the contour and the conjugate symmetry f(conj(s)) = conj(f(s))."""
-    M = contour.talbot_m
-    values = np.zeros(t.size, dtype=complex)
-    for idx, ti in enumerate(t):
-        if ti == 0.0:
-            S = 1e8
-            values[idx] = S * np.asarray(f(np.array([S + 0j]))).ravel()[0]
-            continue
-        r = 2.0 * M / (5.0 * ti)
-        theta = (np.arange(1, M) * math.pi) / M
-        cot = np.cos(theta) / np.sin(theta)
-        s_nodes = r * theta * (cot + 1j)
-        tau = theta + (theta * cot - 1.0) * cot
-        fv = np.asarray(f(s_nodes))
-        f_r = np.asarray(f(np.array([r + 0j]))).ravel()[0]
-        summand = np.real(np.exp(s_nodes * ti) * fv * (1.0 + 1j * tau))
-        values[idx] = (r / M) * (0.5 * math.exp(r * ti) * f_r.real
-                                 + float(np.sum(summand)))
-    info = {"kind": "talbot", "m": M, "error_estimate": float("nan")}
-    return values, info

@@ -149,6 +149,12 @@ def test_shell_mc_matches_per_sample_draws():
                                    / math.sqrt(n_samples), rel=1e-10)
 
 
+@pytest.mark.parametrize("n_samples", [0, 1])
+def test_shell_mc_needs_two_samples(n_samples):
+    with pytest.raises(ValueError, match="n_samples"):
+        shell_reduction_mc(10, math.pi / 2.0, 0.01, n_samples, seed=1)
+
+
 def test_l2_average_constants():
     assert L2_AVERAGE_PRINTED == pytest.approx(2.0 / 7.0)
     assert L2_AVERAGE_ISOTROPIC == pytest.approx(2.0 / 9.0)

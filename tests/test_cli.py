@@ -17,9 +17,23 @@ from watched_decay.cli import (
 
 TOY_FAST = {"n_modes": 120, "n_channels": 40}
 
+#: One detector at retardation pi/2 along x, dipole parallel to the emitter's.
+DETECTOR = {"position": [math.pi / 2.0, 0.0, 0.0],
+            "dipole_dir": [0.0, 0.0, 1.0]}
+
 
 def read_summary(out_dir):
     return json.loads((out_dir / "summary.json").read_text())
+
+
+def run_twice(config, tmp_path):
+    """Run config twice; assert identical artifacts, return the results."""
+    run(config, tmp_path / "a")
+    run(config, tmp_path / "b")
+    for name in ("summary.json", "results.csv"):
+        assert (tmp_path / "a" / name).read_bytes() == \
+            (tmp_path / "b" / name).read_bytes(), name
+    return read_summary(tmp_path / "a")["results"]
 
 
 # -- configuration ---------------------------------------------------------
@@ -112,6 +126,23 @@ def test_toy_scenario_trajectory_contract(tmp_path):
     assert ref == pytest.approx(math.exp(-rate * t), rel=1e-12)
 
 
+def test_vacuum_scenario_recovers_gamma(tmp_path):
+    results = run_twice(RunConfig(scenario="vacuum"), tmp_path)
+    # Criterion 1's bound: the fitted vacuum rate is within 3% of gamma.
+    assert abs(results["fitted_rate"] - results["gamma"]) \
+        <= 0.03 * results["gamma"]
+
+
+def test_single_detector_scenario_slows_decay(tmp_path):
+    config = RunConfig(scenario="single-detector",
+                       system={"detector_atoms": [DETECTOR]})
+    results = run_twice(config, tmp_path)
+    assert results["fitted_rate"] < results["gamma"]
+    # Criterion 2's bound: within 10% of gamma times the model's own U.
+    target = results["gamma"] * results["u_discrete_kernels"]
+    assert abs(results["fitted_rate"] - target) <= 0.10 * target
+
+
 def test_byte_identical_reruns(tmp_path):
     config = RunConfig(scenario="toy", toy=TOY_FAST, t_max=40.0, seed=9)
     run(config, tmp_path / "a")
@@ -167,6 +198,31 @@ def test_main_validation_failure(tmp_path, capsys):
     err = json.loads(capsys.readouterr().err)
     assert err["exit_code"] == 1
     assert "omega_i" in err["message"]
+
+
+@pytest.mark.parametrize("scenario, assignment", [
+    ("shell", 'seed="abc"'), ("vacuum", 't_max="x"'),
+    ("vacuum", 'grid.n_modes="abc"'), ("vacuum", "grid.n_modes=null"),
+    ("toy", 'toy.n_modes="abc"'), ("toy", 'solver.rtol="abc"')])
+def test_main_rejects_mistyped_values(tmp_path, capsys, scenario,
+                                      assignment):
+    code = main([scenario, "--out", str(tmp_path / "o"),
+                 "--set", assignment])
+    assert code == 1
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "ConfigError"
+    assert err["exit_code"] == 1
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("n_samples", [0, 1])
+def test_main_rejects_too_few_shell_samples(tmp_path, capsys, n_samples):
+    code = main(["shell", "--out", str(tmp_path / "o"),
+                 "--set", f"shell.n_samples={n_samples}"])
+    assert code == 1
+    err = json.loads(capsys.readouterr().err)
+    assert err["exit_code"] == 1
+    assert "n_samples" in err["message"]
 
 
 def test_main_numerical_failure(tmp_path, capsys):

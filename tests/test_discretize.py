@@ -1,6 +1,5 @@
 import cmath
 import dataclasses
-import io
 import math
 
 import numpy as np
@@ -20,7 +19,6 @@ from watched_decay.discretize import (
     build_radial_vacuum,
     build_scalar_toy,
     check_sum_rule,
-    dump_model_csv,
     recurrence_time,
 )
 from watched_decay.dynamics import integrate
@@ -341,17 +339,3 @@ def test_full3d_band_disabled():
     # (individual directions can still be transverse zeros).
     far = np.abs(model.mode_omegas - 1.0) > 0.5
     assert np.any(np.abs(model.detector_factors[far, 0]) > 1e-6)
-
-
-# -- export ----------------------------------------------------------------
-
-def test_dump_model_csv_roundtrip_counts():
-    model = build_scalar_toy(ToySpec(n_modes=20, n_channels=5))
-    buf = io.StringIO()
-    dump_model_csv(model, buf)
-    lines = buf.getvalue().strip().splitlines()
-    records = [ln.split(",")[0] for ln in lines if not ln.startswith("#")]
-    assert records[0] == "record"
-    assert records.count("mode") == 20
-    assert records.count("detector_factor") == 20
-    assert records.count("channel") == 5

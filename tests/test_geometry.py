@@ -101,7 +101,10 @@ def test_d_func_contact_value_collinear():
 
 
 def test_d_oracle_matched_agrees_at_contact():
-    assert d_oracle(geom(0.0)) == pytest.approx(d_func(geom(0.0)), rel=1e-12)
+    # Parallel dipoles perpendicular to the separation at z = 0: the raw
+    # integral is 8*pi/3 and d_func is 5/3, so they match up to 8*pi/5.
+    assert d_oracle(geom(0.0)) == pytest.approx(
+        8.0 * math.pi / 5.0 * d_func(geom(0.0)), rel=1e-12)
 
 
 @pytest.mark.parametrize("z", [0.0, 0.3, 1.0, math.pi, 7.5, 20.0])
@@ -117,7 +120,7 @@ def test_printed_and_oracle_kernels_disagree_in_general():
     # The discrepancy between the printed kernel and the spherical integral
     # is real; it is reported, not hidden.
     g = geom(1.0)
-    raw = d_oracle(g, normalization="raw")
+    raw = d_oracle(g)
     assert abs(raw - TWO_PI * d_func(g)) > 1e-3
 
 
@@ -127,11 +130,6 @@ def test_half_t_far_field_limit():
     l = dipole_factor_l(g.p_a, g.p_d, g.r_hat)
     assert d_func_half_t(g) == pytest.approx(
         2.0 * l * math.sin(z) / z, rel=2e-3)
-
-
-def test_d_oracle_rejects_unknown_normalization():
-    with pytest.raises(ValueError):
-        d_oracle(geom(1.0), normalization="bogus")
 
 
 # -- angular averages ------------------------------------------------------

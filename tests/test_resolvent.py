@@ -17,7 +17,6 @@ from watched_decay.resolvent import (
     InversionError,
     KernelValues,
     PoleError,
-    PropagatorSet,
     RegimeError,
     _phase_sums,
     invert_laplace,
@@ -83,26 +82,6 @@ def test_k_discrete_continuum_limit():
                0.0, 4.0, limit=400, points=[1.0])[0]
     assert k.real == pytest.approx(ref, rel=1e-6)
     assert k.real == pytest.approx(0.005, rel=0.07)
-
-
-def test_propagator_set_consistency():
-    model = build_scalar_toy(ToySpec(n_modes=40, n_channels=8))
-    props = PropagatorSet(model)
-    s = 0.2 + 0.5j
-    assert props.k(s) == pytest.approx(k_discrete(s, model), abs=1e-15)
-    m_ac = props.m_ac(s)
-    m_ca = props.m_ca(s)
-    n_cc = props.n_cc(s)
-    assert m_ac.shape == (1, 8)
-    assert n_cc.shape == (8, 8)
-    # N factorizes through the same G kernel that the rank-one solve uses.
-    assert np.linalg.matrix_rank(n_cc, tol=1e-12) == 1
-    # L sum and direct evaluation agree.
-    assert props.l(s) == pytest.approx(
-        np.sum(model.channel_mu**2 / (s + 1j * model.channel_omegas)),
-        abs=1e-15)
-    assert np.all(np.isfinite(m_ac))
-    assert np.all(np.isfinite(m_ca))
 
 
 # -- resolvent -------------------------------------------------------------
@@ -200,16 +179,6 @@ def test_quadrature_kernels_approach_ww_values():
                                       rel=0.05)
 
 
-def test_keep_shift_reports_principal_values():
-    system = PhysicalSystem(gamma=0.01, omega_i=0.3, beta=0.05)
-    plain = kernels_continuum(-1.0j, perp_geom(1.0), system)
-    shifted = kernels_continuum(-1.0j, perp_geom(1.0), system,
-                                keep_shift=True)
-    assert plain.i.imag == 0.0
-    assert shifted.i.imag != 0.0
-    assert shifted.i.real == plain.i.real
-
-
 # -- pole approximation ----------------------------------------------------
 
 def test_ww_pole_vacuum_rate():
@@ -287,15 +256,6 @@ def test_invert_two_pole_cosine():
     t = np.linspace(0.0, 30.0, 61)
     vals, _ = invert_laplace(lambda s: s / (s**2 + omega**2), t)
     np.testing.assert_allclose(vals.real, np.cos(omega * t), atol=1e-8)
-
-
-def test_invert_talbot_smooth_transform():
-    t = np.linspace(0.1, 30.0, 30)
-    vals, _ = invert_laplace(lambda s: 1.0 / (s + 0.05),
-                             t, ContourSpec(kind="talbot"))
-    # The fixed-shape contour tightens around the pole at late times, so
-    # the accuracy is a few orders below the Bromwich default.
-    np.testing.assert_allclose(vals.real, np.exp(-0.05 * t), atol=1e-4)
 
 
 def test_invert_value_at_zero_is_initial_value():
