@@ -50,18 +50,6 @@ FAR_FIELD_THRESHOLD = TWO_PI
 NEAR_FIELD_THRESHOLD = 0.1
 
 
-def einstein_a(omega0: float, mu_a: float) -> float:
-    """Vacuum decay rate 4 omega0^3 mu_a^2 / 3."""
-    return 4.0 * omega0**3 * mu_a**2 / 3.0
-
-
-def beta_param(omega0: float, mu_c: float, rho0: float) -> float:
-    """Detector response beta = 2 pi omega0^3 mu_c^2 rho(omega0) / 3."""
-    if rho0 < 0.0:
-        raise ValueError("rho0 must be >= 0")
-    return TWO_PI * omega0**3 * mu_c**2 * rho0 / 3.0
-
-
 @dataclass
 class ReductionReport:
     """All reduction-factor variants for one geometry, plus diagnostics."""
@@ -83,10 +71,7 @@ class ReductionReport:
     oracle_ratio: float = float("nan")
 
 
-def reduction_single(geom: DipoleGeometry, beta: float,
-                     far_threshold: float = FAR_FIELD_THRESHOLD,
-                     near_threshold: float = NEAR_FIELD_THRESHOLD,
-                     ) -> ReductionReport:
+def reduction_single(geom: DipoleGeometry, beta: float) -> ReductionReport:
     """Reduction factor of a single detector atom, all variants."""
     if beta < 0.0:
         raise ValueError("beta must be >= 0")
@@ -104,8 +89,8 @@ def reduction_single(geom: DipoleGeometry, beta: float,
     cos_pd_pa = float(np.dot(geom.p_d, geom.p_a))
     u_near = 1.0 - beta * cos_pd_pa**2
 
-    far_ok = z > far_threshold
-    near_ok = z < near_threshold
+    far_ok = z > FAR_FIELD_THRESHOLD
+    near_ok = z < NEAR_FIELD_THRESHOLD
     variants = [u_general, u_oracle]
     if far_ok:
         variants.append(u_far)
@@ -122,8 +107,8 @@ def reduction_single(geom: DipoleGeometry, beta: float,
     )
 
 
-def reduction_multi(atoms: Sequence[DetectorAtom], p_a, beta: float,
-                    omega0: float = 1.0) -> float:
+def reduction_multi(atoms: Sequence[DetectorAtom], p_a,
+                    beta: float) -> float:
     """Additive far-field reduction factor for many detector atoms.
 
     May drop below zero for N*beta large; that regime is reported as-is with
@@ -193,17 +178,6 @@ def shell_reduction_mc(n_atoms: int, radius_z: float, beta: float,
     mean = float(np.mean(values))
     stderr = float(np.std(values, ddof=1) / math.sqrt(n_samples))
     return mean, stderr
-
-
-def survival_ww(t, gamma: float, u: float = 1.0):
-    """Exponential survival probability exp(-gamma * u * t)."""
-    if gamma < 0.0:
-        raise ValueError("gamma must be >= 0")
-    t = np.asarray(t, dtype=float)
-    if np.any(t < 0.0):
-        raise ValueError("t must be >= 0")
-    out = np.exp(-gamma * u * t)
-    return float(out) if out.ndim == 0 else out
 
 
 @dataclass

@@ -20,7 +20,7 @@ import math
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -162,20 +162,13 @@ class RunConfig:
             raise ConfigError(f"t_max must be a number, got {self.t_max!r}")
 
     def to_dict(self) -> dict:
-        return {
-            "scenario": self.scenario, "system": self.system,
-            "grid": self.grid, "toy": self.toy, "solver": self.solver,
-            "shell": self.shell, "sweep": self.sweep,
-            "t_max": self.t_max, "seed": self.seed,
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, data: dict) -> "RunConfig":
         if not isinstance(data, dict):
             raise ConfigError("config must be a JSON object")
-        known = {"scenario", "system", "grid", "toy", "solver", "shell",
-                 "sweep", "t_max", "seed"}
-        unknown = set(data) - known
+        unknown = set(data) - {f.name for f in fields(cls)}
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
         if "scenario" not in data:
@@ -208,15 +201,6 @@ class RunConfig:
             raise ConfigError(
                 "system violates: " + "; ".join(report.violations))
         return system
-
-    def build_grid(self) -> GridSpec:
-        return GridSpec(**self.grid)
-
-    def build_toy(self) -> ToySpec:
-        return ToySpec(**self.toy)
-
-    def build_solver(self) -> SolverSpec:
-        return SolverSpec(**self.solver)
 
 
 def apply_override(config: dict, assignment: str) -> dict:
@@ -347,7 +331,7 @@ def _run_trajectory(config: RunConfig, build, gamma: float, describe):
     The builder and ``integrate`` are looked up as module globals at call
     time, so wrappers set on this module see both calls.
     """
-    solver = config.build_solver()
+    solver = SolverSpec(**config.solver)
     model = build()
     t_max = min(config.t_max, 0.9 * model.t_rec)
     traj = integrate(model, t_max, solver=solver)
@@ -371,7 +355,7 @@ def _run_trajectory(config: RunConfig, build, gamma: float, describe):
 
 def _run_vacuum(config: RunConfig):
     system = config.build_system()
-    grid = config.build_grid()
+    grid = GridSpec(**config.grid)
 
     def describe(model, fit):
         rel = abs(fit.rate - system.gamma) / system.gamma
@@ -391,7 +375,7 @@ def _run_single_detector(config: RunConfig):
     if not system.detector_atoms:
         raise ConfigError("single-detector scenario needs one detector atom "
                           "in system.detector_atoms")
-    grid = config.build_grid()
+    grid = GridSpec(**config.grid)
     atom = system.detector_atoms[0]
     geom = DipoleGeometry(p_a=system.atom_dipole.dipole_dir,
                           p_d=atom.dipole_dir, r_hat=atom.r_hat,
@@ -464,7 +448,7 @@ def _run_shell(config: RunConfig):
 
 
 def _run_toy(config: RunConfig):
-    toy = config.build_toy()
+    toy = ToySpec(**config.toy)
 
     def describe(model, fit):
         pole = ww_pole(model)
@@ -489,8 +473,8 @@ def _run_toy(config: RunConfig):
 
 
 def _run_compare_routes(config: RunConfig):
-    toy = config.build_toy()
-    solver = config.build_solver()
+    toy = ToySpec(**config.toy)
+    solver = SolverSpec(**config.solver)
     model = build_scalar_toy(toy)
     t_end = min(config.t_max, 0.8 * model.t_rec)
     t_grid = np.linspace(0.0, t_end, 201)

@@ -178,8 +178,7 @@ def recurrence_time(omegas: np.ndarray, omega0: float,
     return TWO_PI / dmin if dmin > 0.0 else math.inf
 
 
-def check_sum_rule(model: DiscreteModel, window: float = 0.05,
-                   tol: float = 0.01) -> float:
+def check_sum_rule(model: DiscreteModel, window: float = 0.05) -> float:
     """Relative deviation of the windowed coupling density from gamma/2.
 
     The window is [omega0 - window/2, omega0 + window/2] and the density

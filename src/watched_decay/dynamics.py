@@ -27,7 +27,7 @@ from .discretize import DiscreteModel, RecurrenceError
 
 
 class DimensionError(ValueError):
-    """State and model dimensions do not match."""
+    """Model too large for the requested computation."""
 
 
 class FitWindowError(ValueError):
@@ -44,21 +44,6 @@ class SolverSpec:
     atol: float = 1e-12
     method: str = "DOP853"
     rotating_frame: bool = True
-    max_step: float = math.inf
-
-
-@dataclass(frozen=True, eq=False)
-class AmplitudeState:
-    """Instantaneous amplitudes; a_c has shape (n_atoms, n_channels)."""
-
-    a0: complex
-    a_k: np.ndarray
-    a_c: np.ndarray
-    t: float = 0.0
-
-    def norm_sq(self) -> float:
-        return (abs(self.a0) ** 2 + float(np.sum(np.abs(self.a_k) ** 2))
-                + float(np.sum(np.abs(self.a_c) ** 2)))
 
 
 @dataclass(eq=False)
@@ -120,21 +105,6 @@ def _rhs_factory(model: DiscreteModel, rotating_frame: bool):
     return rhs
 
 
-def derivative(state: AmplitudeState, model: DiscreteModel,
-               rotating_frame: bool = False) -> AmplitudeState:
-    """Right-hand side of the amplitude equations at the given state."""
-    if state.a_k.shape != (model.n_modes,):
-        raise DimensionError("mode amplitude count does not match model")
-    if state.a_c.shape != (model.n_atoms, model.n_channels):
-        raise DimensionError("channel amplitude shape does not match model")
-    y = np.concatenate(([state.a0], state.a_k, state.a_c.reshape(-1)))
-    dy = _rhs_factory(model, rotating_frame)(state.t, y.astype(complex))
-    return AmplitudeState(
-        a0=complex(dy[0]), a_k=dy[1:1 + model.n_modes],
-        a_c=dy[1 + model.n_modes:].reshape(model.n_atoms, model.n_channels),
-        t=state.t)
-
-
 def integrate(model: DiscreteModel, t_max: float,
               solver: SolverSpec = SolverSpec(),
               t_eval: np.ndarray | None = None) -> Trajectory:
@@ -155,8 +125,7 @@ def integrate(model: DiscreteModel, t_max: float,
     y0[0] = 1.0
     rhs = _rhs_factory(model, solver.rotating_frame)
     sol = solve_ivp(rhs, (0.0, t_max), y0, method=solver.method,
-                    t_eval=t_eval, rtol=solver.rtol, atol=solver.atol,
-                    max_step=solver.max_step)
+                    t_eval=t_eval, rtol=solver.rtol, atol=solver.atol)
     if not sol.success:
         raise IntegrationError(f"integration failed: {sol.message}")
 
@@ -227,7 +196,7 @@ def compare_routes(model: DiscreteModel, t_grid,
 
     if model.size > 2001:
         raise DimensionError(
-            "dense route comparison limited to 2000 amplitudes")
+            f"route comparison limited to 2001 amplitudes, got {model.size}")
     t_grid = np.asarray(t_grid, dtype=float)
     traj = integrate(model, float(t_grid[-1]), solver=solver, t_eval=t_grid)
 

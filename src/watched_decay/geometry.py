@@ -15,8 +15,8 @@ direction.  ``d_func`` evaluates the combination
 exactly as written, with T the integral definition above.  ``d_oracle``
 instead integrates the transverse polarization sum over the sphere of
 propagation directions directly; the two kernels do *not* agree up to a
-constant (see ``d_consistency_residual``), and the discrepancy is surfaced
-by the reduction reports rather than silently patched.
+constant, and the discrepancy is surfaced by the reduction reports rather
+than silently patched.
 
 Identity worth knowing: the raw spherical integral equals
 
@@ -35,7 +35,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
-from scipy.integrate import quad
 
 from .model import _as_unit_vector
 
@@ -93,20 +92,6 @@ def t_func(z: float) -> float:
     return 2.0 * s / z + 4.0 * c / z**2 - 4.0 * s / z**3
 
 
-def s_func_quadrature(z: float) -> float:
-    """Adaptive-quadrature evaluation of the defining integral for S."""
-    val, _ = quad(lambda xi: 0.5 * math.cos(z * xi), -1.0, 1.0,
-                  epsabs=1e-13, epsrel=1e-13, limit=200)
-    return val
-
-
-def t_func_quadrature(z: float) -> float:
-    """Adaptive-quadrature evaluation of the defining integral for T."""
-    val, _ = quad(lambda xi: xi * xi * math.cos(z * xi), -1.0, 1.0,
-                  epsabs=1e-13, epsrel=1e-13, limit=200)
-    return val
-
-
 def d_func(geom: DipoleGeometry) -> float:
     """Printed angular kernel with the integral T convention."""
     s = s_func(geom.z)
@@ -140,27 +125,18 @@ def _orthonormal_transverse(k_hat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return e1, e2
 
 
-def polarization_sum(a, b, k_hat) -> float:
-    """sum_lambda (a.eps_lambda)(b.eps_lambda) over a transverse basis."""
-    a = _as_unit_vector(a, "a")
-    b = _as_unit_vector(b, "b")
-    k_hat = _as_unit_vector(k_hat, "k_hat")
-    e1, e2 = _orthonormal_transverse(k_hat)
-    return float(np.dot(a, e1) * np.dot(b, e1) + np.dot(a, e2) * np.dot(b, e2))
-
-
-def d_oracle(geom: DipoleGeometry, n_theta: int | None = None,
-             n_phi: int = 16) -> float:
+def d_oracle(geom: DipoleGeometry) -> float:
     """Spherical-quadrature reconstruction of the angular kernel.
 
     Integrates sum_lambda (p_d.eps)(p_a.eps) exp(-i z k.r_hat) over the unit
     sphere of propagation directions with an explicit transverse polarization
-    basis (Gauss-Legendre in cos(theta) x uniform in phi, theta measured from
-    r_hat).  The imaginary part vanishes by symmetry and is dropped.  Returns
-    the raw integral, which is 2*pi * d_func_half_t.
+    basis (max(24, floor(z) + 16) Gauss-Legendre nodes in cos(theta) x 16
+    uniform in phi, theta measured from r_hat).  The imaginary part
+    vanishes by symmetry and is dropped.  Returns the raw integral, which
+    is 2*pi * d_func_half_t, as a Python float.
     """
-    if n_theta is None:
-        n_theta = max(24, int(geom.z) + 16)
+    n_theta = max(24, int(geom.z) + 16)
+    n_phi = 16
     # Rotate so the polar axis is the separation direction: the remaining
     # phi dependence is a trigonometric polynomial of degree <= 2, which the
     # uniform phi rule integrates exactly for n_phi >= 5.
@@ -183,13 +159,7 @@ def d_oracle(geom: DipoleGeometry, n_theta: int | None = None,
             pol = (np.dot(geom.p_d, eps1) * np.dot(geom.p_a, eps1)
                    + np.dot(geom.p_d, eps2) * np.dot(geom.p_a, eps2))
             total += wi * w_phi * pol * phase
-    return total
-
-
-def d_consistency_residual(geom: DipoleGeometry, **oracle_kw) -> float:
-    """|raw oracle - 2*pi*half-T kernel|: identity check for the quadrature."""
-    raw = d_oracle(geom, **oracle_kw)
-    return abs(raw - TWO_PI * d_func_half_t(geom))
+    return float(total)
 
 
 def dipole_factor_l(p_a, p_d, r_hat) -> float:

@@ -9,7 +9,7 @@ where the detector deficit follows from eliminating the ionization
 amplitudes.  With factorized couplings g_{k,c,i} = m_c f_{k,i} the channel
 block reduces to one rank per detector atom, so the elimination is an
 A x A solve (A = number of detector atoms) instead of a dense
-channel-count solve; the dense path is retained for cross-checking.
+channel-count solve.
 
 The time signal is recovered by a trapezoidal Bromwich integral on a
 vertical contour, with an automatically fitted first-order reference term
@@ -32,7 +32,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.integrate import quad
 
 from .discretize import DiscreteModel
 from .geometry import DipoleGeometry, d_func, d_oracle
@@ -144,42 +143,6 @@ def resolvent_a0_discrete(s, model: DiscreteModel):
     return complex(out[0]) if scalar else out
 
 
-def resolvent_a0_dense(s: complex, model: DiscreteModel) -> complex:
-    """A0(s) via the explicit channel-block linear solve (checking path)."""
-    s = complex(s)
-    K = k_discrete(s, model)
-    if model.n_atoms == 0 or model.n_channels == 0:
-        return 1.0 / (s + 1j * model.omega_a + K)
-    denom_k = 1.0 / (s + 1j * model.mode_omegas)
-    f = model.detector_factors
-    m = model.channel_mu
-    n_atoms, n_ch = model.n_atoms, model.n_channels
-    dim = n_atoms * n_ch
-
-    # Channel-space propagators, flattened (atom, channel) index.
-    J_ac = (denom_k * model.mode_alphas) @ np.conj(f)          # (A,)
-    J_ca = (denom_k * np.conj(model.mode_alphas)) @ f          # (A,)
-    G = np.einsum("k,ki,kj->ij", denom_k, f, np.conj(f))       # (A, A)
-
-    M_ac = (m[None, :] * J_ac[:, None]).reshape(dim)
-    M_ca = (m[None, :] * J_ca[:, None]).reshape(dim)
-    N = np.kron(G, np.outer(m, m))
-    diag = np.tile(s + 1j * model.channel_omegas, n_atoms)
-    # a_c = A_c per unit A0; the deficit M_ac . a_c joins K in the
-    # denominator (the elimination is exact, not a first-order expansion).
-    a_c = np.linalg.solve(np.diag(diag) + N, -M_ca)
-    return 1.0 / (s + 1j * model.omega_a + K + M_ac @ a_c)
-
-
-def u_discrete(s, model: DiscreteModel):
-    """Reduction factor of the model's own kernels: 1 - deficit/K."""
-    s_arr, scalar = _as_s_array(s)
-    K = np.atleast_1d(k_discrete(s_arr, model))
-    sigma = np.atleast_1d(self_energy(s_arr, model))
-    out = sigma / K
-    return complex(out[0]) if scalar else out
-
-
 @dataclass
 class KernelValues:
     """Continuum kernels I, J, L and the reduction factor they imply."""
@@ -190,60 +153,28 @@ class KernelValues:
     u: complex
 
 
-def kernels_continuum(s: complex, geom: DipoleGeometry,
-                      system: PhysicalSystem, mode: str = "ww",
-                      omega_cut: float = 4.0,
+def kernels_continuum(geom: DipoleGeometry, system: PhysicalSystem,
                       d_variant: str = "printed") -> KernelValues:
-    """Continuum kernels at s, either pole-approximated or by quadrature.
+    """Pole-approximated continuum kernels.
 
-    mode="ww" evaluates the slowly varying kernels at the resonance and
-    discards the principal-value (level-shift) imaginary parts;
-    mode="quadrature" integrates the defining kernels with an upper cutoff.
+    The slowly varying kernels are evaluated at the resonance and the
+    principal-value (level-shift) imaginary parts are discarded.
     d_variant chooses the angular kernel entering J: "printed" (d_func) or
     "oracle" (raw spherical integral).  The L*I term of the denominator is
     neglected, as in the pole approximation.
     """
     w0 = system.omega0
-    mu_c_sq_rho0 = system.mu_c_sq_rho0
-
-    def d_of(z: float) -> float:
-        g = DipoleGeometry(p_a=geom.p_a, p_d=geom.p_d, r_hat=geom.r_hat, z=z)
-        if d_variant == "printed":
-            return d_func(g)
-        if d_variant == "oracle":
-            return d_oracle(g)
-        raise ValueError(f"unknown d_variant {d_variant!r}")
-
-    if mode == "ww":
-        i_val = complex(2.0 * w0**3 / 3.0)
-        j_val = complex(w0**3 / (4.0 * math.pi) * d_of(geom.z))
-        l_val = complex(math.pi * mu_c_sq_rho0)
-    elif mode == "quadrature":
-        s = complex(s)
-        i_val = _complex_quad(
-            lambda w: (2.0 / (3.0 * math.pi)) * w**3 / (s + 1j * w),
-            0.0, omega_cut)
-        j_val = _complex_quad(
-            lambda w: (1.0 / TWO_PI) * w**3 * d_of(w * geom.z / w0)
-            / (s + 1j * w), 0.0, omega_cut)
-        rho0 = system.dos.normalization
-        l_val = _complex_quad(
-            lambda w: (mu_c_sq_rho0 * float(system.dos.density(w, w0)) / rho0
-                       if rho0 else 0.0) / (s + 1j * w),
-            system.omega_i, system.dos.omega_cut_c)
+    if d_variant == "printed":
+        d_val = d_func(geom)
+    elif d_variant == "oracle":
+        d_val = d_oracle(geom)
     else:
-        raise ValueError(f"unknown mode {mode!r}")
-
+        raise ValueError(f"unknown d_variant {d_variant!r}")
+    i_val = complex(2.0 * w0**3 / 3.0)
+    j_val = complex(w0**3 / (4.0 * math.pi) * d_val)
+    l_val = complex(math.pi * system.mu_c_sq_rho0)
     u_val = 1.0 - l_val * j_val**2 / i_val if i_val != 0 else complex("nan")
     return KernelValues(i=i_val, j=j_val, l=l_val, u=u_val)
-
-
-def _complex_quad(f: Callable[[float], complex], a: float, b: float) -> complex:
-    re, _ = quad(lambda w: f(w).real, a, b, limit=400, epsabs=1e-12,
-                 epsrel=1e-10)
-    im, _ = quad(lambda w: f(w).imag, a, b, limit=400, epsabs=1e-12,
-                 epsrel=1e-10)
-    return complex(re, im)
 
 
 def _max_local_spacing(omegas: np.ndarray, omega0: float,
@@ -258,8 +189,7 @@ def _max_local_spacing(omegas: np.ndarray, omega0: float,
     return float(np.max(np.diff(near)))
 
 
-def ww_pole(target, gamma_eval: float | None = None,
-            enforce_regime: bool = True) -> dict:
+def ww_pole(target, gamma_eval: float | None = None) -> dict:
     """Effective pole of the excited-state resolvent of a DiscreteModel.
 
     The kernels are summed at s = -i omega0 + gamma_eval; continuum kernels
@@ -272,7 +202,7 @@ def ww_pole(target, gamma_eval: float | None = None,
                         "ww_pole_kernels for continuum kernels")
     model = target
     gamma = model.meta.get("gamma", 0.0)
-    if enforce_regime and gamma > WW_GAMMA_CAP * model.omega0:
+    if gamma > WW_GAMMA_CAP * model.omega0:
         raise RegimeError("configured linewidth outside the pole regime")
     if gamma_eval is None:
         # The evaluation point must sit far enough off the imaginary axis to
@@ -293,13 +223,11 @@ def ww_pole(target, gamma_eval: float | None = None,
 
 
 def ww_pole_kernels(geom: DipoleGeometry, system: PhysicalSystem,
-                    d_variant: str = "oracle",
-                    enforce_regime: bool = True) -> dict:
+                    d_variant: str = "oracle") -> dict:
     """Pole-approximation rate from the closed-form continuum kernels."""
-    if enforce_regime and system.gamma > WW_GAMMA_CAP * system.omega0:
+    if system.gamma > WW_GAMMA_CAP * system.omega0:
         raise RegimeError("configured linewidth outside the pole regime")
-    kv = kernels_continuum(-1j * system.omega0, geom, system, mode="ww",
-                           d_variant=d_variant)
+    kv = kernels_continuum(geom, system, d_variant=d_variant)
     mu_a_sq = system.mu_a**2
     rate = 2.0 * (mu_a_sq * kv.i * kv.u).real
     return {"rate": rate, "shift": (mu_a_sq * kv.i * kv.u).imag,
@@ -312,7 +240,6 @@ class ContourSpec:
 
     sigma: float | None = None
     omega_max: float | None = None
-    period_factor: float = 2.5
     tol: float = 1e-8
     max_nodes: int = 2_000_000
     strict: bool = True
@@ -382,7 +309,7 @@ def invert_laplace(f: Callable[[np.ndarray], np.ndarray], t_grid,
     if c_ref.real < 0.0:
         c_ref = 1j * c_ref.imag
 
-    period = contour.period_factor * t_max
+    period = 2.5 * t_max
     h = math.pi / period
     if contour.sigma is not None:
         sigma = contour.sigma

@@ -17,6 +17,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from oracles import polarization_sum, s_func_quadrature, t_func_quadrature
 from watched_decay import analytic
 from watched_decay.discretize import (
     GridSpec,
@@ -26,21 +27,17 @@ from watched_decay.discretize import (
     build_scalar_toy,
 )
 from watched_decay.dynamics import (
-    AmplitudeState,
     SolverSpec,
+    _rhs_factory,
     compare_routes,
-    derivative,
     fit_decay_rate,
     integrate,
 )
 from watched_decay.geometry import (
     DipoleGeometry,
     angular_average_l2,
-    polarization_sum,
     s_func,
-    s_func_quadrature,
     t_func,
-    t_func_quadrature,
 )
 from watched_decay.model import AtomDipole, DetectorAtom, PhysicalSystem
 from watched_decay.resolvent import k_discrete, ww_pole
@@ -246,16 +243,15 @@ def exact_a0(model, t):
 @pytest.mark.parametrize("name", ["vacuum-1d", "toy", "toy-retarded"])
 def test_route_monitors_bound_exact_error(route_runs, name):
     model, comp = route_runs[name]
-    # The oracle's generator is the one the ODE integrates.
+    # The oracle's generator is the one the ODE integrates, in the lab
+    # frame and, less omega0 on the diagonal, in the rotating frame.
     rng = np.random.default_rng(3)
     y = rng.normal(size=model.size) + 1j * rng.normal(size=model.size)
-    state = AmplitudeState(
-        a0=complex(y[0]), a_k=y[1:1 + model.n_modes],
-        a_c=y[1 + model.n_modes:].reshape(model.n_atoms, model.n_channels))
-    dy = derivative(state, model)
-    np.testing.assert_allclose(
-        -1j * hermitian_generator(model) @ y,
-        np.concatenate(([dy.a0], dy.a_k, dy.a_c.reshape(-1))), atol=1e-12)
+    H = hermitian_generator(model)
+    for rotating_frame, shift in ((False, 0.0), (True, model.omega0)):
+        np.testing.assert_allclose(
+            _rhs_factory(model, rotating_frame)(0.0, y),
+            -1j * (H - shift * np.eye(model.size)) @ y, atol=1e-12)
 
     exact = exact_a0(model, comp.times)
     bromwich_err = np.max(np.abs(comp.a0_resolvent - exact))

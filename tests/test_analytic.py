@@ -5,7 +5,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from watched_decay import analytic
 from watched_decay.analytic import (
     DEFICIT_COEFF,
     L2_AVERAGE_ISOTROPIC,
@@ -16,7 +15,6 @@ from watched_decay.analytic import (
     reduction_shell,
     reduction_single,
     shell_reduction_mc,
-    survival_ww,
 )
 from watched_decay.geometry import DipoleGeometry
 from watched_decay.model import DetectorAtom, PhysicalSystem
@@ -27,16 +25,6 @@ XHAT = np.array([1.0, 0.0, 0.0])
 
 def geom(z, p_d=ZHAT):
     return DipoleGeometry(p_a=ZHAT, p_d=p_d, r_hat=XHAT, z=z)
-
-
-def test_einstein_a_value():
-    assert analytic.einstein_a(1.0, 0.05) == pytest.approx(
-        4.0 * 0.0025 / 3.0, rel=1e-14)
-
-
-def test_beta_param_value():
-    assert analytic.beta_param(1.0, 0.1, 1.0) == pytest.approx(
-        2.0 * math.pi * 0.01 / 3.0, rel=1e-14)
 
 
 def test_deficit_coefficient():
@@ -158,22 +146,6 @@ def test_shell_mc_needs_two_samples(n_samples):
 def test_l2_average_constants():
     assert L2_AVERAGE_PRINTED == pytest.approx(2.0 / 7.0)
     assert L2_AVERAGE_ISOTROPIC == pytest.approx(2.0 / 9.0)
-
-
-@settings(max_examples=100, deadline=None)
-@given(st.floats(0.0, 50.0), st.floats(0.0, 50.0))
-def test_survival_semigroup(t1, t2):
-    gamma, u = 0.01, 0.97
-    p = survival_ww(t1 + t2, gamma, u)
-    assert p == pytest.approx(survival_ww(t1, gamma, u)
-                              * survival_ww(t2, gamma, u), abs=1e-14)
-
-
-def test_survival_rejects_negative_time_and_rate():
-    with pytest.raises(ValueError):
-        survival_ww(-1.0, 0.01)
-    with pytest.raises(ValueError):
-        survival_ww(1.0, -0.01)
 
 
 def test_magnitude_checks_reference_point():

@@ -189,6 +189,8 @@ def test_main_success_and_outputs(tmp_path, capsys):
     assert code == 0
     assert (tmp_path / "o" / "summary.json").exists()
     assert read_summary(tmp_path / "o")["seed"] == 3
+    # Oracle values in the normalization section print as plain floats.
+    assert "np.float64(" not in (tmp_path / "o" / "report.txt").read_text()
 
 
 def test_main_validation_failure(tmp_path, capsys):
@@ -203,7 +205,8 @@ def test_main_validation_failure(tmp_path, capsys):
 @pytest.mark.parametrize("scenario, assignment", [
     ("shell", 'seed="abc"'), ("vacuum", 't_max="x"'),
     ("vacuum", 'grid.n_modes="abc"'), ("vacuum", "grid.n_modes=null"),
-    ("toy", 'toy.n_modes="abc"'), ("toy", 'solver.rtol="abc"')])
+    ("toy", 'toy.n_modes="abc"'), ("toy", 'solver.rtol="abc"'),
+    ("toy", "solver.max_step=1.0")])
 def test_main_rejects_mistyped_values(tmp_path, capsys, scenario,
                                       assignment):
     code = main([scenario, "--out", str(tmp_path / "o"),

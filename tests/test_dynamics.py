@@ -12,12 +12,12 @@ from watched_decay.discretize import (
     build_scalar_toy,
 )
 from watched_decay.dynamics import (
-    AmplitudeState,
     DimensionError,
     FitWindowError,
     SolverSpec,
     Trajectory,
-    derivative,
+    _rhs_factory,
+    compare_routes,
     fit_decay_rate,
     integrate,
 )
@@ -52,13 +52,10 @@ def random_model(rng, n_modes=7, n_channels=3):
 
 def random_state(rng, model):
     y = rng.normal(size=model.size) + 1j * rng.normal(size=model.size)
-    y /= np.linalg.norm(y)
-    return AmplitudeState(
-        a0=complex(y[0]), a_k=y[1:1 + model.n_modes],
-        a_c=y[1 + model.n_modes:].reshape(model.n_atoms, model.n_channels))
+    return y / np.linalg.norm(y)
 
 
-# -- derivative ------------------------------------------------------------
+# -- right-hand side -------------------------------------------------------
 
 def test_free_evolution_preserves_amplitude():
     model = tiny_model([1.3], [0.0])
@@ -79,31 +76,25 @@ def test_derivative_is_anti_hermitian():
     rng = np.random.default_rng(5)
     for _ in range(25):
         model = random_model(rng)
-        state = random_state(rng, model)
-        dstate = derivative(state, model)
-        inner = (np.conj(state.a0) * dstate.a0
-                 + np.vdot(state.a_k, dstate.a_k)
-                 + np.vdot(state.a_c, dstate.a_c))
-        assert abs(inner.real) < 1e-14
+        y = random_state(rng, model)
+        dy = _rhs_factory(model, False)(0.0, y)
+        assert abs(np.vdot(y, dy).real) < 1e-14
 
 
 def test_derivative_rotating_frame_shifts_diagonal_only():
     rng = np.random.default_rng(9)
     model = random_model(rng)
-    state = random_state(rng, model)
-    lab = derivative(state, model, rotating_frame=False)
-    rot = derivative(state, model, rotating_frame=True)
-    np.testing.assert_allclose(rot.a0, lab.a0 + 1j * state.a0, atol=1e-13)
+    y = random_state(rng, model)
+    lab = _rhs_factory(model, False)(0.0, y)
+    rot = _rhs_factory(model, True)(0.0, y)
+    np.testing.assert_allclose(rot[0], lab[0] + 1j * y[0], atol=1e-13)
 
 
-def test_derivative_dimension_checks():
-    model = tiny_model([1.0, 1.1], [0.1, 0.1])
-    with pytest.raises(DimensionError):
-        derivative(AmplitudeState(a0=1.0, a_k=np.zeros(3, complex),
-                                  a_c=np.zeros((0, 0), complex)), model)
-    with pytest.raises(DimensionError):
-        derivative(AmplitudeState(a0=1.0, a_k=np.zeros(2, complex),
-                                  a_c=np.zeros((1, 4), complex)), model)
+def test_compare_routes_size_cap():
+    model = tiny_model(np.linspace(0.5, 1.5, 2001), np.full(2001, 1e-3))
+    assert model.size == 2002
+    with pytest.raises(DimensionError, match="limited to 2001 amplitudes"):
+        compare_routes(model, np.linspace(0.0, 1.0, 3))
 
 
 # -- trajectories ----------------------------------------------------------

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from watched_decay import model
-from watched_decay.analytic import beta_param, einstein_a
 from watched_decay.model import (
     AtomDipole,
     DetectorAtom,
@@ -28,16 +27,18 @@ def test_unit_vector_rejects_non_normalized():
 
 
 def test_mu_a_inverts_einstein_a():
+    # Einstein A coefficient: gamma = 4 omega0^3 mu_a^2 / 3.
     system = make_system(gamma=0.0123)
-    assert einstein_a(system.omega0, system.mu_a) == pytest.approx(
+    assert 4.0 * system.omega0**3 * system.mu_a**2 / 3.0 == pytest.approx(
         0.0123, rel=1e-14)
 
 
 def test_mu_c_consistent_with_beta():
+    # Detector response: beta = 2 pi omega0^3 mu_c^2 rho(omega0) / 3.
     system = make_system(beta=0.07)
-    assert beta_param(system.omega0, system.mu_c,
-                      system.dos.normalization) == pytest.approx(
-        0.07, rel=1e-14)
+    beta = (2.0 * math.pi * system.omega0**3 * system.mu_c**2
+            * system.dos.normalization / 3.0)
+    assert beta == pytest.approx(0.07, rel=1e-14)
     assert system.mu_c_sq_rho0 == pytest.approx(
         3.0 * 0.07 / (2.0 * math.pi), rel=1e-14)
 
