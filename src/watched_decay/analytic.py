@@ -43,7 +43,7 @@ DEFICIT_COEFF = 9.0 / (64.0 * math.pi**2)
 L2_AVERAGE_PRINTED = 2.0 / 7.0
 
 #: Isotropic average of l^2 for independent uniform orientations
-#: (closed form; see geometry.angular_average_l2).
+#: (closed form 1/3 - 2/9 + 1/9 by moment algebra on the unit sphere).
 L2_AVERAGE_ISOTROPIC = 2.0 / 9.0
 
 FAR_FIELD_THRESHOLD = TWO_PI

@@ -48,7 +48,6 @@ from .geometry import DipoleGeometry
 from .model import (
     AtomDipole,
     DetectorAtom,
-    IonizationDos,
     PhysicalSystem,
     validate,
 )
@@ -59,13 +58,9 @@ SCHEMA_VERSION = 1
 SCENARIOS = ("vacuum", "single-detector", "shell", "toy", "compare-routes",
              "sweep")
 
-#: Parameters a sweep may scan, with the scenario each point runs.
-SWEEP_PARAMETERS = {
-    "beta": "toy",
-    "r": "toy",
-    "n_atoms": "shell",
-    "n_modes": "vacuum",
-}
+#: Parameters a sweep may scan: beta and r run the toy scenario at each
+#: point, n_atoms the shell and n_modes the vacuum scenario.
+SWEEP_PARAMETERS = ("beta", "r", "n_atoms", "n_modes")
 
 
 class ConfigError(ValueError):
@@ -93,9 +88,11 @@ _SYSTEM_DEFAULTS = {
     "omega0": 1.0,
     "atom_dipole": [0.0, 0.0, 1.0],
     "detector_atoms": [],
-    "dos": {"shape": "flat", "exponent": 0.0, "omega_cut_c": 3.0,
-            "normalization": 1.0},
 }
+
+#: Keys of one entry of system.detector_atoms, each with a value of its
+#: type; position and dipole_dir have no default.
+_DETECTOR_ATOM_KEYS = {"position": [], "dipole_dir": [], "mu_c_scale": 1.0}
 
 _SHELL_DEFAULTS = {"n_atoms": 100, "radius_z": 0.5 * math.pi,
                    "n_samples": 10000}
@@ -108,15 +105,15 @@ def _is_number(value) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
-def _check_spec_section(name: str, values) -> None:
-    """Reject keys and value types that the section's dataclass does not take.
+def _check_section(name: str, values, defaults: dict) -> None:
+    """Reject keys and value types that a config section does not take.
 
-    A value must have the type of its field's default: bool only for bool,
-    int (not bool) for int, int or float for float, str for str.
+    ``defaults`` maps each key the section takes to a value of its type.  A
+    value must have that type: bool only for bool, int (not bool) for int,
+    int or float for float, str for str, list for list.
     """
     if not isinstance(values, dict):
         raise ConfigError(f"{name} section must be a JSON object")
-    defaults = {f.name: f.default for f in fields(_SPEC_SECTIONS[name])}
     for key, value in values.items():
         if key not in defaults:
             raise ConfigError(f"bad {name} section: unknown key {key!r}")
@@ -154,8 +151,14 @@ class RunConfig:
                     f"{sorted(SWEEP_PARAMETERS)}, got {param!r}")
             if not isinstance(self.sweep.get("values"), list):
                 raise ConfigError("sweep.values must be a list")
-        for name in _SPEC_SECTIONS:
-            _check_spec_section(name, getattr(self, name))
+        for name, spec in _SPEC_SECTIONS.items():
+            _check_section(name, getattr(self, name),
+                           {f.name: f.default for f in fields(spec)})
+        _check_section("system", self.system, _SYSTEM_DEFAULTS)
+        for i, atom in enumerate(self.system.get("detector_atoms", [])):
+            _check_section(f"system.detector_atoms[{i}]", atom,
+                           _DETECTOR_ATOM_KEYS)
+        _check_section("shell", self.shell, _SHELL_DEFAULTS)
         if type(self.seed) is not int:
             raise ConfigError(f"seed must be an integer, got {self.seed!r}")
         if not _is_number(self.t_max):
@@ -179,7 +182,6 @@ class RunConfig:
 
     def build_system(self) -> PhysicalSystem:
         cfg = {**_SYSTEM_DEFAULTS, **self.system}
-        dos_cfg = {**_SYSTEM_DEFAULTS["dos"], **cfg.get("dos", {})}
         try:
             atoms = tuple(
                 DetectorAtom(position=np.asarray(a["position"], dtype=float),
@@ -192,14 +194,12 @@ class RunConfig:
                 beta=float(cfg["beta"]), omega0=float(cfg["omega0"]),
                 atom_dipole=AtomDipole(
                     np.asarray(cfg["atom_dipole"], dtype=float)),
-                detector_atoms=atoms,
-                dos=IonizationDos(**dos_cfg))
+                detector_atoms=atoms)
         except (KeyError, TypeError, ValueError) as exc:
             raise ConfigError(f"bad system section: {exc}") from exc
-        report = validate(system)
-        if report.violations:
-            raise ConfigError(
-                "system violates: " + "; ".join(report.violations))
+        violations = validate(system)
+        if violations:
+            raise ConfigError("system violates: " + "; ".join(violations))
         return system
 
 
@@ -527,7 +527,7 @@ def _sweep_point(args):
                        analytic_rate=gamma * summary["u_shell_printed"],
                        u_analytic=summary["u_shell_printed"],
                        u_mc=summary["u_shell_mc"])
-        elif parameter == "n_modes":
+        else:  # n_modes; RunConfig admits only SWEEP_PARAMETERS
             point = replace(config, scenario="vacuum", sweep=None,
                             grid={**config.grid, "n_modes": int(value)})
             _, _, summary, _, _ = _run_vacuum(point)
@@ -535,8 +535,6 @@ def _sweep_point(args):
                        rate_stderr=summary["rate_stderr"],
                        analytic_rate=summary["gamma"],
                        u_analytic=1.0)
-        else:
-            raise ConfigError(f"unsupported sweep parameter {parameter!r}")
     except Exception as exc:  # per-point failures become row errors
         row["error"] = f"{type(exc).__name__}: {exc}"
         row.setdefault("fitted_rate", "")

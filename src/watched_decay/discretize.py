@@ -359,9 +359,7 @@ def build_full_3d(system: PhysicalSystem, grid: GridSpec,
     om_c, w_c = _channel_grid(system.omega_i, system.omega0,
                               grid.channel_cut, grid.n_channels,
                               grid.channel_scheme)
-    mu_c = system.mu_c
-    rho = system.dos.density(om_c, system.omega0) if om_c.size else om_c
-    channel_mu = mu_c * np.sqrt(rho * w_c)
+    channel_mu = math.sqrt(system.mu_c_sq_rho0) * np.sqrt(w_c)
 
     t_rec_modes = recurrence_time(om_r, system.omega0)
     t_rec_channels = recurrence_time(om_c, system.omega0) if om_c.size else math.inf

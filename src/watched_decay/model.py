@@ -86,34 +86,6 @@ class DetectorAtom:
         return self.position / r
 
 
-@dataclass(frozen=True)
-class IonizationDos:
-    """Density of states of the detector atom's ionization continuum.
-
-    Only the value at omega0 enters the closed-form results; the shape away
-    from omega0 is a configurable modelling choice used by the discretized
-    continuum.  ``normalization`` is rho(omega0).
-    """
-
-    shape: str = "flat"  # "flat" or "power"
-    exponent: float = 0.0
-    omega_cut_c: float = 3.0
-    normalization: float = 1.0
-
-    def __post_init__(self):
-        if self.shape not in ("flat", "power"):
-            raise ValueError(f"unknown dos shape {self.shape!r}")
-        if self.normalization < 0.0:
-            raise ValueError("normalization must be >= 0")
-
-    def density(self, omega, omega0: float = 1.0):
-        """rho(omega), valid on [omega_i, omega_cut_c]."""
-        omega = np.asarray(omega, dtype=float)
-        if self.shape == "flat":
-            return np.full_like(omega, self.normalization)
-        return self.normalization * (omega / omega0) ** self.exponent
-
-
 def _default_dipole() -> AtomDipole:
     return AtomDipole(np.array([0.0, 0.0, 1.0]))
 
@@ -132,7 +104,6 @@ class PhysicalSystem:
     omega0: float = 1.0
     atom_dipole: AtomDipole = field(default_factory=_default_dipole)
     detector_atoms: tuple[DetectorAtom, ...] = ()
-    dos: IonizationDos = field(default_factory=IonizationDos)
 
     def __post_init__(self):
         object.__setattr__(self, "detector_atoms", tuple(self.detector_atoms))
@@ -144,60 +115,32 @@ class PhysicalSystem:
 
     @property
     def mu_c_sq_rho0(self) -> float:
-        """|mu_c|^2 rho(omega0) implied by beta."""
+        """|mu_c|^2 rho(omega0) implied by beta.
+
+        The ionization continuum has a flat density of states, so this is
+        the squared channel coupling per unit frequency at every channel.
+        """
         return 3.0 * self.beta / (2.0 * math.pi * self.omega0**3)
 
-    @property
-    def mu_c(self) -> float:
-        rho0 = self.dos.normalization
-        if rho0 <= 0.0:
-            return 0.0
-        return math.sqrt(self.mu_c_sq_rho0 / rho0)
 
+def validate(system: PhysicalSystem) -> list[str]:
+    """Check the hard invariants of a system.
 
-@dataclass
-class ValidationReport:
-    violations: list[str] = field(default_factory=list)
-    warnings: list[str] = field(default_factory=list)
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations and not self.warnings
-
-
-def validate(system: PhysicalSystem) -> ValidationReport:
-    """Check the hard invariants and soft regime assumptions of a system.
-
-    Pure reporting: an empty report means every downstream constructor will
-    accept the system.
+    Returns the violated invariants; an empty list means every downstream
+    constructor will accept the system.
     """
-    report = ValidationReport()
-    v = report.violations
-    w = report.warnings
-
+    v = []
     if not system.omega0 > 0.0:
         v.append("omega0 > 0")
     if not system.gamma > 0.0:
         v.append("gamma > 0")
     elif system.gamma > WW_GAMMA_CAP * system.omega0:
         v.append(f"gamma <= {WW_GAMMA_CAP}*omega0")
-        w.append("outside WW regime")
     if not (0.0 < system.omega_i < system.omega0):
         v.append("0 < omega_i < omega0")
     if system.beta < 0.0:
         v.append("beta >= 0")
-    if system.dos.omega_cut_c <= system.omega0:
-        v.append("dos.omega_cut_c > omega0")
-    if system.dos.normalization < 0.0:
-        v.append("dos.normalization >= 0")
     for i, atom in enumerate(system.detector_atoms):
         if atom.mu_c_scale < 0.0:
             v.append(f"detector_atoms[{i}].mu_c_scale >= 0")
-
-    # Soft regime warnings: the closed-form comparisons degrade well before
-    # the hard caps are reached.
-    if 0.0 < system.gamma and system.gamma > 0.05 * system.omega0:
-        w.append("gamma close to the exponential-decay validity edge")
-    if system.beta > 0.5:
-        w.append("beta large: single-detector perturbative picture suspect")
-    return report
+    return v

@@ -70,25 +70,6 @@ def _check_poles(s_arr: np.ndarray, omegas: np.ndarray):
                 raise PoleError(f"s = {s} hits a propagator pole")
 
 
-def k_discrete(s, model: DiscreteModel):
-    """K(s) = sum_k |alpha_k|^2 / (s + i omega_k)."""
-    s_arr, scalar = _as_s_array(s)
-    _check_poles(s_arr, model.mode_omegas)
-    out = _chunked_sum(s_arr, model.mode_omegas,
-                       np.abs(model.mode_alphas) ** 2)
-    return complex(out[0]) if scalar else out
-
-
-def _chunked_sum(s_arr: np.ndarray, omegas: np.ndarray,
-                 coeffs: np.ndarray, chunk: int = 4096) -> np.ndarray:
-    out = np.zeros(s_arr.size, dtype=complex)
-    for lo in range(0, s_arr.size, chunk):
-        block = s_arr[lo:lo + chunk, None]
-        out[lo:lo + chunk] = np.sum(coeffs[None, :] / (block + 1j * omegas),
-                                    axis=1)
-    return out
-
-
 def _kernel_sums(s_arr: np.ndarray, model: DiscreteModel, chunk: int = 2048):
     """K, J_ac, J_ca, G, L over an array of s values.
 
@@ -103,35 +84,46 @@ def _kernel_sums(s_arr: np.ndarray, model: DiscreteModel, chunk: int = 2048):
     J_ac = np.zeros((n, n_atoms), dtype=complex)
     J_ca = np.zeros((n, n_atoms), dtype=complex)
     G = np.zeros((n, n_atoms, n_atoms), dtype=complex)
+    L = np.zeros(n, dtype=complex)
     f = model.detector_factors
     fc = np.conj(f)
     alpha = model.mode_alphas
     alpha_sq = np.abs(alpha) ** 2
+    mu_sq = model.channel_mu**2
     for lo in range(0, n, chunk):
-        denom = 1.0 / (s_arr[lo:lo + chunk, None] + 1j * model.mode_omegas)
+        block = s_arr[lo:lo + chunk, None]
+        denom = 1.0 / (block + 1j * model.mode_omegas)
         K[lo:lo + chunk] = denom @ alpha_sq
         if n_atoms:
             J_ac[lo:lo + chunk] = (denom * alpha) @ fc
             J_ca[lo:lo + chunk] = (denom * np.conj(alpha)) @ f
             G[lo:lo + chunk] = np.einsum("bk,ki,kj->bij", denom, f, fc)
-    L = _chunked_sum(s_arr, model.channel_omegas, model.channel_mu**2)
+        L[lo:lo + chunk] = np.sum(mu_sq / (block + 1j * model.channel_omegas),
+                                  axis=1)
     return K, J_ac, J_ca, G, L
 
 
-def self_energy(s, model: DiscreteModel):
-    """K(s) minus the detector deficit: the full denominator correction."""
-    s_arr, scalar = _as_s_array(s)
+def _sigma_and_k(s_arr: np.ndarray, model: DiscreteModel):
+    """Self-energy and its detector-free part K over an array of s."""
     _check_poles(s_arr, model.mode_omegas)
     _check_poles(s_arr, model.channel_omegas)
     K, J_ac, J_ca, G, L = _kernel_sums(s_arr, model)
     if model.n_atoms == 0 or model.n_channels == 0:
-        sigma = K
-    else:
-        n_atoms = model.n_atoms
-        eye = np.eye(n_atoms)
-        mat = eye[None, :, :] + L[:, None, None] * G
-        X = np.linalg.solve(mat, (L[:, None] * J_ca)[..., None])[..., 0]
-        sigma = K - np.einsum("bi,bi->b", J_ac, X)
+        return K, K
+    eye = np.eye(model.n_atoms)
+    mat = eye[None, :, :] + L[:, None, None] * G
+    X = np.linalg.solve(mat, (L[:, None] * J_ca)[..., None])[..., 0]
+    return K - np.einsum("bi,bi->b", J_ac, X), K
+
+
+def self_energy(s, model: DiscreteModel):
+    """K(s) minus the detector deficit: the full denominator correction.
+
+    K(s) = sum_k |alpha_k|^2 / (s + i omega_k) is the self-energy of a
+    model without detector atoms.
+    """
+    s_arr, scalar = _as_s_array(s)
+    sigma, _ = _sigma_and_k(s_arr, model)
     return complex(sigma[0]) if scalar else sigma
 
 
@@ -194,8 +186,9 @@ def ww_pole(target, gamma_eval: float | None = None) -> dict:
 
     The kernels are summed at s = -i omega0 + gamma_eval; continuum kernels
     go through ``ww_pole_kernels`` instead.  Returns rate (decay of the
-    survival probability), shift (frequency pull, reported only) and u
-    (rate over the same model's vacuum rate).
+    survival probability), shift (frequency pull, reported only), u
+    (rate over the same model's vacuum rate) and vacuum_rate (2 Re K at the
+    same point).
     """
     if not isinstance(target, DiscreteModel):
         raise TypeError("ww_pole expects a DiscreteModel; use "
@@ -212,9 +205,8 @@ def ww_pole(target, gamma_eval: float | None = None) -> dict:
             _max_local_spacing(model.mode_omegas, model.omega0),
             _max_local_spacing(model.channel_omegas, model.omega0))
         gamma_eval = max(0.5 * gamma, 2.0 * spacing, 1e-6)
-    s0 = -1j * model.omega0 + gamma_eval
-    sigma = self_energy(s0, model)
-    k_val = k_discrete(s0, model)
+    s0 = np.array([-1j * model.omega0 + gamma_eval])
+    sigma, k_val = (complex(v[0]) for v in _sigma_and_k(s0, model))
     rate = 2.0 * sigma.real
     vacuum_rate = 2.0 * k_val.real
     return {"rate": rate, "shift": sigma.imag,

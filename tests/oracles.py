@@ -2,20 +2,22 @@
 
 Each oracle evaluates a quantity the slow, direct way: the defining
 integrals of S and T by adaptive quadrature, the transverse polarization
-sum with an explicit basis, and the excited-state resolvent by a dense
-solve over the full channel block instead of the rank-per-atom
+sum with an explicit basis, the raw spherical integral behind
+``geometry.d_oracle`` direction by direction, the isotropic average of
+l^2 by product quadrature or Monte Carlo, and the excited-state resolvent
+by a dense solve over the full channel block instead of the rank-per-atom
 elimination.
 """
 
 import math
 
 import numpy as np
+from numpy.polynomial.legendre import leggauss
 from scipy.integrate import quad
 
 from watched_decay.discretize import DiscreteModel
-from watched_decay.geometry import _orthonormal_transverse
+from watched_decay.geometry import TWO_PI, DipoleGeometry, _orthonormal_transverse
 from watched_decay.model import _as_unit_vector
-from watched_decay.resolvent import k_discrete
 
 
 def s_func_quadrature(z: float) -> float:
@@ -41,13 +43,99 @@ def polarization_sum(a, b, k_hat) -> float:
     return float(np.dot(a, e1) * np.dot(b, e1) + np.dot(a, e2) * np.dot(b, e2))
 
 
+def d_oracle_quadrature(geom: DipoleGeometry) -> float:
+    """Spherical-quadrature reconstruction of the angular kernel.
+
+    Integrates sum_lambda (p_d.eps)(p_a.eps) exp(-i z k.r_hat) over the unit
+    sphere of propagation directions with an explicit transverse polarization
+    basis (max(24, floor(z) + 16) Gauss-Legendre nodes in cos(theta) x 16
+    uniform in phi, theta measured from r_hat).  The imaginary part
+    vanishes by symmetry and is dropped.  Returns the raw integral, which
+    ``geometry.d_oracle`` evaluates in closed form, as a Python float.
+    """
+    n_theta = max(24, int(geom.z) + 16)
+    n_phi = 16
+    # Rotate so the polar axis is the separation direction: the remaining
+    # phi dependence is a trigonometric polynomial of degree <= 2, which the
+    # uniform phi rule integrates exactly for n_phi >= 5.
+    e3 = geom.r_hat
+    e1, e2 = _orthonormal_transverse(e3)
+
+    x, w = leggauss(n_theta)            # x = cos(theta)
+    phi = TWO_PI * np.arange(n_phi) / n_phi
+    w_phi = TWO_PI / n_phi
+
+    sin_th = np.sqrt(1.0 - x**2)
+    total = 0.0
+    for xi, wi, st in zip(x, w, sin_th):
+        k_hats = (st * np.cos(phi)[:, None] * e1
+                  + st * np.sin(phi)[:, None] * e2
+                  + xi * e3)
+        phase = math.cos(geom.z * xi)   # Re exp(-i z cos(theta))
+        for k_hat in k_hats:
+            eps1, eps2 = _orthonormal_transverse(k_hat)
+            pol = (np.dot(geom.p_d, eps1) * np.dot(geom.p_a, eps1)
+                   + np.dot(geom.p_d, eps2) * np.dot(geom.p_a, eps2))
+            total += wi * w_phi * pol * phase
+    return float(total)
+
+
+def angular_average_l2(order: int | None = None,
+                       samples: int | None = None,
+                       seed: int | None = None) -> float | tuple[float, float]:
+    """Average of l^2 over independent uniform orientations.
+
+    Deterministic product quadrature by default (``order`` Gauss-Legendre
+    nodes per polar angle); pass ``samples`` (+ ``seed``) for the Monte Carlo
+    cross-check instead, which returns (mean, standard error) like
+    ``analytic.shell_reduction_mc``.  The closed-form limit of the isotropic
+    average is 2/9 = 1/3 - 2/9 + 1/9 by moment algebra on the unit sphere.
+    """
+    if samples is not None:
+        rng = np.random.default_rng(seed)
+
+        def unit(n):
+            v = rng.normal(size=(n, 3))
+            return v / np.linalg.norm(v, axis=1, keepdims=True)
+
+        a, b, r = unit(samples), unit(samples), unit(samples)
+        l = (np.sum(a * b, axis=1)
+             - np.sum(r * a, axis=1) * np.sum(r * b, axis=1))
+        l_sq = l * l
+        return (float(np.mean(l_sq)),
+                float(np.std(l_sq, ddof=1) / math.sqrt(samples)))
+
+    if order is None:
+        order = 12
+    # Isotropy: fix p_a = z.  Average over r_hat polar angle, and over the
+    # detector dipole's polar/azimuthal angles relative to the same frame.
+    x_r, w_r = leggauss(order)       # cos(theta_r), r_hat in the xz plane
+    x_d, w_d = leggauss(order)       # cos(theta_d)
+    n_phi = max(8, order)
+    phi = TWO_PI * np.arange(n_phi) / n_phi
+
+    cr = x_r[:, None, None]
+    sr = np.sqrt(1.0 - x_r**2)[:, None, None]
+    cd = x_d[None, :, None]
+    sd = np.sqrt(1.0 - x_d**2)[None, :, None]
+    cp = np.cos(phi)[None, None, :]
+
+    # p_a = (0,0,1); r_hat = (sr, 0, cr); p_d = (sd cos(phi), sd sin(phi), cd)
+    pd_dot_pa = cd
+    r_dot_pa = cr
+    r_dot_pd = sr * sd * cp + cr * cd
+    l = pd_dot_pa - r_dot_pd * r_dot_pa
+    wt = (w_r[:, None, None] / 2.0) * (w_d[None, :, None] / 2.0) / n_phi
+    return float(np.sum(wt * l * l))
+
+
 def resolvent_a0_dense(s: complex, model: DiscreteModel) -> complex:
     """A0(s) via the explicit channel-block linear solve."""
     s = complex(s)
-    K = k_discrete(s, model)
+    denom_k = 1.0 / (s + 1j * model.mode_omegas)
+    K = np.sum(np.abs(model.mode_alphas) ** 2 * denom_k)
     if model.n_atoms == 0 or model.n_channels == 0:
         return 1.0 / (s + 1j * model.omega_a + K)
-    denom_k = 1.0 / (s + 1j * model.mode_omegas)
     f = model.detector_factors
     m = model.channel_mu
     n_atoms, n_ch = model.n_atoms, model.n_channels

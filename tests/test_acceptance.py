@@ -17,7 +17,12 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from oracles import polarization_sum, s_func_quadrature, t_func_quadrature
+from oracles import (
+    angular_average_l2,
+    polarization_sum,
+    s_func_quadrature,
+    t_func_quadrature,
+)
 from watched_decay import analytic
 from watched_decay.discretize import (
     GridSpec,
@@ -35,12 +40,11 @@ from watched_decay.dynamics import (
 )
 from watched_decay.geometry import (
     DipoleGeometry,
-    angular_average_l2,
     s_func,
     t_func,
 )
 from watched_decay.model import AtomDipole, DetectorAtom, PhysicalSystem
-from watched_decay.resolvent import k_discrete, ww_pole
+from watched_decay.resolvent import self_energy, ww_pole
 
 GAMMA = 0.01
 BETA = 0.05
@@ -153,7 +157,7 @@ def test_criterion_1_vacuum_ww_decay(vacuum_run):
     for n in (100, 200, 400, 800):
         m = build_radial_vacuum(system, GridSpec(n_modes=n, scheme="uniform"),
                                 enforce_sum_rule=False)
-        errs.append(abs(k_discrete(s0, m).real - ref))
+        errs.append(abs(self_energy(s0, m).real - ref))
     ratios = [errs[i] / errs[i + 1] for i in range(len(errs) - 1)]
     ok_halving = all(r >= 2.0 for r in ratios)
 

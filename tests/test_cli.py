@@ -218,6 +218,26 @@ def test_main_rejects_mistyped_values(tmp_path, capsys, scenario,
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("scenario, assignment, key", [
+    ("vacuum", "system.gama=0.5", "gama"),
+    ("shell", "shell.n_atom=5", "n_atom"),
+    ("single-detector",
+     "system.detector_atoms=" + json.dumps([{**DETECTOR, "mu_c_scal": 0.0}]),
+     "mu_c_scal"),
+    ("vacuum", "system.dos.shape=power", "dos")],
+    ids=["system", "shell", "detector_atom", "dos"])
+def test_main_rejects_unknown_keys(tmp_path, capsys, scenario, assignment,
+                                   key):
+    code = main([scenario, "--out", str(tmp_path / "o"),
+                 "--set", assignment])
+    assert code == 1
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "ConfigError"
+    assert err["exit_code"] == 1
+    assert f"unknown key {key!r}" in err["message"]
+    assert not (tmp_path / "o").exists()
+
+
 @pytest.mark.parametrize("n_samples", [0, 1])
 def test_main_rejects_too_few_shell_samples(tmp_path, capsys, n_samples):
     code = main(["shell", "--out", str(tmp_path / "o"),

@@ -156,11 +156,12 @@ def test_toy_zero_detector_coupling():
 
 
 def test_toy_k_large_s_limit():
-    # K(s) -> sum |alpha|^2 / s (real, positive) for large real s.
-    from watched_decay.resolvent import k_discrete
-    model = build_scalar_toy(ToySpec())
+    # K(s) -> sum |alpha|^2 / s (real, positive) for large real s; K is the
+    # self-energy of the toy without ionization channels.
+    from watched_decay.resolvent import self_energy
+    model = build_scalar_toy(ToySpec(n_channels=0))
     total = float(np.sum(np.abs(model.mode_alphas) ** 2))
-    k = k_discrete(1e6 + 0.0j, model)
+    k = self_energy(1e6 + 0.0j, model)
     assert k.real == pytest.approx(total / 1e6, rel=1e-5)
     assert abs(k.imag) < 1e-11
 

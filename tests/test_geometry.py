@@ -5,13 +5,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import polarization_sum, s_func_quadrature, t_func_quadrature
+from oracles import (
+    angular_average_l2,
+    d_oracle_quadrature,
+    polarization_sum,
+    s_func_quadrature,
+    t_func_quadrature,
+)
 from watched_decay.geometry import (
     DipoleGeometry,
     TWO_PI,
-    angular_average_l2,
     d_func,
-    d_func_half_t,
     d_oracle,
     dipole_factor_l,
     s_func,
@@ -104,15 +108,20 @@ def test_d_oracle_matched_agrees_at_contact():
         8.0 * math.pi / 5.0 * d_func(geom(0.0)), rel=1e-12)
 
 
-@pytest.mark.parametrize("z", [0.0, 0.3, 1.0, math.pi, 7.5, 20.0])
+# Besides a spread of z, the arguments the program evaluates d_oracle at:
+# 0.05 and 10 (normalization report), pi/2 (criterion 2, the benchmark and
+# the shell) and 50.
+@pytest.mark.parametrize("z", [0.0, 0.05, 0.3, 1.0, math.pi / 2.0, math.pi,
+                               7.5, 10.0, 20.0, 50.0])
 def test_oracle_identity_half_t(z):
-    # The raw spherical integral equals 2*pi times the half-T combination.
+    # The raw spherical integral equals 2*pi times the half-T combination,
+    # the closed form d_oracle evaluates.
     rng = np.random.default_rng(int(z * 100) + 1)
     p_a, p_d, r_hat = random_unit(rng, 3)
     g = DipoleGeometry(p_a=p_a, p_d=p_d, r_hat=r_hat, z=z)
     raw = d_oracle(g)
     assert type(raw) is float
-    assert abs(raw - TWO_PI * d_func_half_t(g)) < 1e-12
+    assert abs(raw - d_oracle_quadrature(g)) < 1e-12
 
 
 def test_printed_and_oracle_kernels_disagree_in_general():
@@ -127,7 +136,7 @@ def test_half_t_far_field_limit():
     z = 40.0 * math.pi + math.pi / 2.0
     g = geom(z)
     l = dipole_factor_l(g.p_a, g.p_d, g.r_hat)
-    assert d_func_half_t(g) == pytest.approx(
+    assert d_oracle(g) / TWO_PI == pytest.approx(
         2.0 * l * math.sin(z) / z, rel=2e-3)
 
 

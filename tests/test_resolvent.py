@@ -8,11 +8,12 @@ from watched_decay.discretize import (
     DiscreteModel,
     GridSpec,
     ToySpec,
+    build_full_3d,
     build_radial_vacuum,
     build_scalar_toy,
 )
 from watched_decay.geometry import DipoleGeometry, dipole_factor_l
-from watched_decay.model import PhysicalSystem
+from watched_decay.model import DetectorAtom, PhysicalSystem
 from watched_decay.resolvent import (
     ContourSpec,
     InversionError,
@@ -21,7 +22,6 @@ from watched_decay.resolvent import (
     RegimeError,
     _phase_sums,
     invert_laplace,
-    k_discrete,
     kernels_continuum,
     resolvent_a0_discrete,
     self_energy,
@@ -46,10 +46,17 @@ def empty_model(omega0=1.0):
         t_rec=math.inf, meta={"gamma": 0.0})
 
 
+def direct_k(s, model):
+    """K(s) = sum_k |alpha_k|^2 / (s + i omega_k), one term at a time."""
+    return complex(np.sum(np.abs(model.mode_alphas) ** 2
+                          / (s + 1j * model.mode_omegas)))
+
+
 # -- propagator sums -------------------------------------------------------
+# K is the self-energy of a model whose detector has no channels.
 
 def test_k_discrete_empty_model():
-    assert k_discrete(1.0 + 0.0j, empty_model()) == 0.0
+    assert self_energy(1.0 + 0.0j, empty_model()) == 0.0
 
 
 def test_k_discrete_single_mode():
@@ -59,14 +66,14 @@ def test_k_discrete_single_mode():
         detector_factors=np.empty((1, 0), complex),
         channel_omegas=np.empty(0), channel_mu=np.empty(0),
         t_rec=math.inf, meta={"gamma": 0.0})
-    assert k_discrete(1.0 + 0.0j, model) == pytest.approx(
+    assert self_energy(1.0 + 0.0j, model) == pytest.approx(
         0.005 - 0.005j, abs=1e-15)
 
 
 def test_k_discrete_pole_detection():
     model = build_scalar_toy(ToySpec())
     with pytest.raises(PoleError):
-        k_discrete(-1j * model.mode_omegas[3], model)
+        self_energy(-1j * model.mode_omegas[3], model)
 
 
 def test_k_discrete_continuum_limit():
@@ -75,7 +82,7 @@ def test_k_discrete_continuum_limit():
     # evaluation width.
     from scipy.integrate import quad
     model = build_radial_vacuum(vacuum_system(), GridSpec())
-    k = k_discrete(-1j + 0.01, model)
+    k = self_energy(-1j + 0.01, model)
     coeff = 0.01 / (2.0 * math.pi)
     ref = quad(lambda w: coeff * w**3 * 0.01 / (0.01**2 + (w - 1.0) ** 2),
                0.0, 4.0, limit=400, points=[1.0])[0]
@@ -95,7 +102,7 @@ def test_resolvent_vacuum_matches_ww_form():
     model = build_radial_vacuum(vacuum_system(), GridSpec(),
                                 renormalize_shift=False)
     s = 0.1 + 0.3j
-    expected = 1.0 / (s + 1.0j + k_discrete(s, model))
+    expected = 1.0 / (s + 1.0j + direct_k(s, model))
     assert resolvent_a0_discrete(s, model) == pytest.approx(
         expected, abs=1e-15)
 
@@ -123,9 +130,11 @@ def test_pole_free_right_half_plane():
 
 
 def test_self_energy_reduces_to_k_without_channels():
-    model = build_radial_vacuum(vacuum_system(), GridSpec())
     s = 0.2 + 0.4j
-    assert self_energy(s, model) == k_discrete(s, model)
+    for model in (build_radial_vacuum(vacuum_system(), GridSpec()),
+                  build_scalar_toy(ToySpec(r=1.3, n_channels=0))):
+        assert self_energy(s, model) == pytest.approx(direct_k(s, model),
+                                                      rel=1e-14, abs=0.0)
 
 
 # -- continuum kernels -----------------------------------------------------
@@ -183,6 +192,30 @@ def test_ww_pole_toy_slowing():
     pole = ww_pole(model)
     assert pole["rate"] < pole["vacuum_rate"]
     assert 0.9 < pole["u"] < 1.0
+
+
+def full3d_detector_model():
+    system = PhysicalSystem(
+        gamma=0.01, omega_i=0.3, beta=0.05,
+        detector_atoms=(DetectorAtom(position=[0.5 * math.pi, 0.0, 0.0],
+                                     dipole_dir=ZHAT),))
+    return build_full_3d(system, GridSpec(n_modes=120, scheme="uniform",
+                                          n_theta=8, n_phi=6, n_channels=40,
+                                          channel_scheme="uniform"))
+
+
+@pytest.mark.parametrize("build", [lambda: build_scalar_toy(ToySpec()),
+                                   full3d_detector_model],
+                         ids=["toy", "full3d"])
+def test_ww_pole_rates_from_one_kernel_evaluation(build):
+    model = build()
+    g = 0.02
+    s0 = -1j * model.omega0 + g
+    pole = ww_pole(model, gamma_eval=g)
+    assert pole["vacuum_rate"] == pytest.approx(2.0 * direct_k(s0, model).real,
+                                                rel=1e-13, abs=0.0)
+    assert pole["rate"] == 2.0 * self_energy(s0, model).real
+    assert pole["u"] == pole["rate"] / pole["vacuum_rate"] < 1.0
 
 
 def test_ww_pole_regime_enforcement():
