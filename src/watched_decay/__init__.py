@@ -7,11 +7,10 @@ inversion (``resolvent``), and closed-form pole-approximation rates
 (``analytic``).
 """
 
-from . import analytic, cli, discretize, dynamics, geometry, model, resolvent
+from . import analytic, discretize, dynamics, geometry, model, resolvent
 
 __all__ = [
     "analytic",
-    "cli",
     "discretize",
     "dynamics",
     "geometry",

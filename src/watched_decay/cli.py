@@ -479,12 +479,16 @@ def _run_compare_routes(config: RunConfig):
     t_end = min(config.t_max, 0.8 * model.t_rec)
     t_grid = np.linspace(0.0, t_end, 201)
     comp = compare_routes(model, t_grid, solver=solver)
+    info = comp.inversion_info
     summary = {
         "max_abs_diff": comp.max_abs_diff,
         "t_end": t_end, "n_times": int(t_grid.size),
-        "inversion_error_estimate":
-            comp.inversion_info.get("error_estimate"),
-        "inversion_nodes": comp.inversion_info.get("n_nodes"),
+        "inversion_error_estimate": info["error_estimate"],
+        "inversion_truncation_estimate": info["truncation_estimate"],
+        "inversion_alias_estimate": info["alias_estimate"],
+        "inversion_nodes": info["n_nodes"],
+        "inversion_c_ref": info["c_ref"],
+        "inversion_ref_order": info["ref_order"],
     }
     rows = [[float(t), float(abs(a - b))]
             for t, a, b in zip(comp.times, comp.a0_ode, comp.a0_resolvent)]
@@ -493,9 +497,12 @@ def _run_compare_routes(config: RunConfig):
         "",
         f"max |A0_ode - A0_resolvent| = {comp.max_abs_diff!r} "
         f"on [0, {t_end!r}]",
-        f"inversion self-estimate = "
-        f"{comp.inversion_info.get('error_estimate')!r} "
-        f"({comp.inversion_info.get('n_nodes')} contour nodes)",
+        f"inversion self-estimate = {info['error_estimate']!r} "
+        f"({info['n_nodes']} contour nodes)",
+        f"  truncation {info['truncation_estimate']!r}, "
+        f"alias {info['alias_estimate']!r}",
+        f"  reference of order {info['ref_order']} with its pole at "
+        f"-c, c = {info['c_ref']!r}",
     ]
     return (["t", "abs_diff"], rows, summary, report, None)
 

@@ -190,9 +190,10 @@ def compare_routes(model: DiscreteModel, t_grid,
 
     The inversion runs on the rotated resolvent A0(s - i w0) so the contour
     sees only detuning-scale oscillations; the comparison is in the lab
-    frame either way.
+    frame either way.  Its moments <0|M^n|0> at infinity come from the
+    rotating-frame generator M, one rhs evaluation each.
     """
-    from .resolvent import invert_laplace, resolvent_a0_discrete
+    from .resolvent import REF_ORDER, invert_laplace, resolvent_a0_discrete
 
     if model.size > 2001:
         raise DimensionError(
@@ -203,7 +204,14 @@ def compare_routes(model: DiscreteModel, t_grid,
     def shifted(s_arr):
         return resolvent_a0_discrete(s_arr - 1j * model.omega0, model)
 
-    rotated, info = invert_laplace(shifted, t_grid, contour)
+    rhs = _rhs_factory(model, True)
+    y = np.zeros(model.size, dtype=complex)
+    y[0] = 1.0
+    moments = []
+    for _ in range(REF_ORDER + 1):
+        moments.append(y[0])
+        y = rhs(0.0, y)
+    rotated, info = invert_laplace(shifted, moments, t_grid, contour)
     a0_res = rotated * np.exp(-1j * model.omega0 * t_grid)
     diff = float(np.max(np.abs(traj.a0 - a0_res)))
     return RouteComparison(times=t_grid, a0_ode=traj.a0,

@@ -244,7 +244,8 @@ def exact_a0(model, t):
     return np.exp(-1j * np.outer(t, lam)) @ (np.abs(vec[0]) ** 2)
 
 
-@pytest.mark.parametrize("name", ["vacuum-1d", "toy", "toy-retarded"])
+@pytest.mark.parametrize("name", ["vacuum-1d", "toy", "toy-retarded",
+                                  "full3d-detector"])
 def test_route_monitors_bound_exact_error(route_runs, name):
     model, comp = route_runs[name]
     # The oracle's generator is the one the ODE integrates, in the lab
@@ -263,6 +264,15 @@ def test_route_monitors_bound_exact_error(route_runs, name):
     traj = integrate(model, float(comp.times[-1]), t_eval=comp.times)
     np.testing.assert_array_equal(traj.a0, comp.a0_ode)
     assert np.max(np.abs(traj.a0 - exact)) <= np.max(np.abs(traj.norm_drift))
+
+
+@pytest.mark.parametrize("name, max_nodes", [("toy", 40_000),
+                                             ("full3d-detector", 100_000)])
+def test_route_contour_node_count(route_runs, name, max_nodes):
+    # The third-order moment reference takes 22,757 and 40,745 nodes here;
+    # a first-order reference 1/(s + c) needs 182,047 and 1,303,799.
+    _, comp = route_runs[name]
+    assert comp.inversion_info["n_nodes"] <= max_nodes
 
 
 def test_bromwich_initial_value(route_runs):

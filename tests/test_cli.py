@@ -1,6 +1,9 @@
 import json
 import math
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -34,6 +37,17 @@ def run_twice(config, tmp_path):
         assert (tmp_path / "a" / name).read_bytes() == \
             (tmp_path / "b" / name).read_bytes(), name
     return read_summary(tmp_path / "a")["results"]
+
+
+def test_module_entry_point_runs_without_runpy_warning():
+    # The package must not import cli eagerly, or runpy warns on every
+    # `python -m watched_decay.cli` run.
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+    proc = subprocess.run([sys.executable, "-m", "watched_decay.cli", "--help"],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 0
+    assert "usage" in proc.stdout
+    assert "RuntimeWarning" not in proc.stderr
 
 
 # -- configuration ---------------------------------------------------------
@@ -141,6 +155,19 @@ def test_single_detector_scenario_slows_decay(tmp_path):
     # Criterion 2's bound: within 10% of gamma times the model's own U.
     target = results["gamma"] * results["u_discrete_kernels"]
     assert abs(results["fitted_rate"] - target) <= 0.10 * target
+
+
+def test_compare_routes_reports_inversion_record(tmp_path):
+    config = RunConfig(scenario="compare-routes", toy=TOY_FAST, t_max=40.0)
+    results = run_twice(config, tmp_path)
+    assert results["max_abs_diff"] < 1e-6
+    assert results["inversion_error_estimate"] == (
+        results["inversion_truncation_estimate"]
+        + results["inversion_alias_estimate"])
+    assert results["inversion_ref_order"] == 3
+    assert results["inversion_c_ref"]["re"] == 1.0
+    report = (tmp_path / "a" / "report.txt").read_text()
+    assert "truncation" in report and "reference of order 3" in report
 
 
 def test_byte_identical_reruns(tmp_path):

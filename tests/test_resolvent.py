@@ -15,6 +15,7 @@ from watched_decay.discretize import (
 from watched_decay.geometry import DipoleGeometry, dipole_factor_l
 from watched_decay.model import DetectorAtom, PhysicalSystem
 from watched_decay.resolvent import (
+    REF_ORDER,
     ContourSpec,
     InversionError,
     KernelValues,
@@ -247,17 +248,27 @@ def test_ww_pole_kernels_far_field_consistency():
 
 # -- inverse transform -----------------------------------------------------
 
+def pole_moments(a, weight=1.0):
+    """m_0..m_P of weight / (s + a) = sum_n weight (-a)^n / s^(n+1)."""
+    return [weight * (-a) ** n for n in range(REF_ORDER + 1)]
+
+
 def test_invert_known_oscillator():
     t = np.linspace(0.0, 20.0, 81)
-    vals, info = invert_laplace(lambda s: 1.0 / (s + 1.0j), t)
+    vals, info = invert_laplace(lambda s: 1.0 / (s + 1.0j), pole_moments(1j),
+                                t)
     np.testing.assert_allclose(np.abs(vals), 1.0, atol=1e-8)
     np.testing.assert_allclose(vals, np.exp(-1.0j * t), atol=1e-8)
     assert info["error_estimate"] < 1e-6
+    assert info["error_estimate"] == (info["truncation_estimate"]
+                                      + info["alias_estimate"])
+    assert info["ref_order"] == REF_ORDER
 
 
 def test_invert_known_decay():
     t = np.linspace(0.0, 50.0, 51)
-    vals, _ = invert_laplace(lambda s: 1.0 / (s + 0.01), t)
+    vals, _ = invert_laplace(lambda s: 1.0 / (s + 0.01), pole_moments(0.01),
+                             t)
     np.testing.assert_allclose(vals.real, np.exp(-0.01 * t), atol=1e-8)
     np.testing.assert_allclose(vals.imag, 0.0, atol=1e-8)
 
@@ -265,12 +276,13 @@ def test_invert_known_decay():
 def test_invert_two_pole_cosine():
     omega = 0.7
     t = np.linspace(0.0, 30.0, 61)
-    vals, _ = invert_laplace(lambda s: s / (s**2 + omega**2), t)
+    vals, _ = invert_laplace(lambda s: s / (s**2 + omega**2),
+                             [1.0, 0.0, -omega**2, 0.0], t)
     np.testing.assert_allclose(vals.real, np.cos(omega * t), atol=1e-8)
 
 
 def test_invert_value_at_zero_is_initial_value():
-    vals, _ = invert_laplace(lambda s: 1.0 / (s + 1.0j),
+    vals, _ = invert_laplace(lambda s: 1.0 / (s + 1.0j), pole_moments(1j),
                              np.array([0.0, 1.0]))
     assert vals[0] == pytest.approx(1.0, abs=1e-8)
 
@@ -305,13 +317,27 @@ def test_phase_sums_match_direct_sum(n_nodes, uniform_t):
         assert np.max(np.abs(got - want)) <= 1e-13 * scale
 
 
-@pytest.mark.parametrize("transform", [lambda s: 2.0 / (s + 1.0),
-                                       lambda s: 1.0 / (s + 1.0) ** 2])
-def test_invert_rejects_non_unit_initial_value(transform):
-    # The fitted reference 1/(s + c) supplies the value at t = 0.
-    with pytest.raises(ValueError, match="unit initial value"):
-        invert_laplace(transform, np.array([0.0, 1.0]),
-                       ContourSpec(strict=False))
+@pytest.mark.parametrize("transform, moments, expected", [
+    (lambda s: 2.0 / (s + 1.0), pole_moments(1.0, 2.0),
+     lambda t: 2.0 * np.exp(-t)),
+    (lambda s: 1.0 / (s + 1.0) ** 2, [0.0, 1.0, -2.0, 3.0],
+     lambda t: t * np.exp(-t)),
+], ids=["scaled", "double-pole"])
+def test_invert_non_unit_initial_value(transform, moments, expected):
+    # The moment reference carries any initial value m_0, including 0.
+    t = np.linspace(0.0, 20.0, 41)
+    vals, _ = invert_laplace(transform, moments, t)
+    np.testing.assert_allclose(vals, expected(t), atol=1e-8)
+
+
+@pytest.mark.parametrize("transform, moments", [
+    (lambda s: 2.0 / (s + 1.0), pole_moments(1.0)),      # wrong m_0
+    (lambda s: 1.0 / (s + 2.0), pole_moments(1.0)),      # wrong m_1
+    (lambda s: 1.0 / (s + 1.0), pole_moments(1.0)[:2]),  # too few
+], ids=["m0", "m1", "order"])
+def test_invert_rejects_moments_of_another_transform(transform, moments):
+    with pytest.raises(ValueError, match="moments"):
+        invert_laplace(transform, moments, np.array([0.0, 1.0]))
 
 
 def test_inversion_self_check_raises_when_starved():
@@ -319,13 +345,13 @@ def test_inversion_self_check_raises_when_starved():
     # severely truncated contour must fail its own error estimate.
     contour = ContourSpec(max_nodes=128, strict=True)
     with pytest.raises(InversionError):
-        invert_laplace(lambda s: s / (s**2 + 1.0),
+        invert_laplace(lambda s: s / (s**2 + 1.0), [1.0, 0.0, -1.0, 0.0],
                        np.linspace(0.0, 20.0, 21), contour)
 
 
 def test_invert_rejects_negative_time():
-    with pytest.raises(ValueError):
-        invert_laplace(lambda s: 1.0 / s, np.array([-1.0]))
+    with pytest.raises(ValueError, match="t must be"):
+        invert_laplace(lambda s: 1.0 / s, pole_moments(0.0), np.array([-1.0]))
 
 
 def test_kernel_values_container():
