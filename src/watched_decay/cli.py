@@ -487,6 +487,8 @@ def _run_compare_routes(config: RunConfig):
         "inversion_truncation_estimate": info["truncation_estimate"],
         "inversion_alias_estimate": info["alias_estimate"],
         "inversion_nodes": info["n_nodes"],
+        "inversion_sigma": info["sigma"],
+        "inversion_omega_max": info["omega_max"],
         "inversion_c_ref": info["c_ref"],
         "inversion_ref_order": info["ref_order"],
     }

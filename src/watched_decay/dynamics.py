@@ -26,10 +26,6 @@ from scipy.integrate import solve_ivp
 from .discretize import DiscreteModel, RecurrenceError
 
 
-class DimensionError(ValueError):
-    """Model too large for the requested computation."""
-
-
 class FitWindowError(ValueError):
     """Decay-rate fit window unusable."""
 
@@ -184,8 +180,7 @@ class RouteComparison:
 
 
 def compare_routes(model: DiscreteModel, t_grid,
-                   solver: SolverSpec = SolverSpec(),
-                   contour=None) -> RouteComparison:
+                   solver: SolverSpec = SolverSpec()) -> RouteComparison:
     """Time-domain integration vs resolvent inversion on the same model.
 
     The inversion runs on the rotated resolvent A0(s - i w0) so the contour
@@ -195,9 +190,6 @@ def compare_routes(model: DiscreteModel, t_grid,
     """
     from .resolvent import REF_ORDER, invert_laplace, resolvent_a0_discrete
 
-    if model.size > 2001:
-        raise DimensionError(
-            f"route comparison limited to 2001 amplitudes, got {model.size}")
     t_grid = np.asarray(t_grid, dtype=float)
     traj = integrate(model, float(t_grid[-1]), solver=solver, t_eval=t_grid)
 
@@ -211,7 +203,7 @@ def compare_routes(model: DiscreteModel, t_grid,
     for _ in range(REF_ORDER + 1):
         moments.append(y[0])
         y = rhs(0.0, y)
-    rotated, info = invert_laplace(shifted, moments, t_grid, contour)
+    rotated, info = invert_laplace(shifted, moments, t_grid)
     a0_res = rotated * np.exp(-1j * model.omega0 * t_grid)
     diff = float(np.max(np.abs(traj.a0 - a0_res)))
     return RouteComparison(times=t_grid, a0_ode=traj.a0,

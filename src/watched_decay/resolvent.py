@@ -72,50 +72,53 @@ def _check_poles(s_arr: np.ndarray, omegas: np.ndarray):
                 raise PoleError(f"s = {s} hits a propagator pole")
 
 
-def _kernel_sums(s_arr: np.ndarray, model: DiscreteModel, chunk: int = 2048):
-    """K, J_ac, J_ca, G, L over an array of s values.
+#: Complex values one chunk of the transform holds per array: a chunk of
+#: b points keeps b (K + A^2 + C) of them for its mode propagators, G and
+#: channel propagators, so memory stays bounded whatever the model and n.
+CHUNK_VALUES = 1 << 19
 
+
+def _sigma_and_k(s_arr: np.ndarray, model: DiscreteModel):
+    """Self-energy and its detector-free part K over an array of s.
+
+    One pass over chunks of s sums
+
+    K      = sum_k |alpha_k|^2 / (s + i w_k)
     J_ac_i = sum_k alpha_k conj(f_ki) / (s + i w_k)      (atom <- channel)
     J_ca_i = sum_k conj(alpha_k) f_ki / (s + i w_k)      (channel <- atom)
     G_ij   = sum_k f_ki conj(f_kj) / (s + i w_k)         (detector self-term)
     L      = sum_c m_c^2 / (s + i w_c)
+
+    and subtracts the deficit J_ac . X with (1 + L G) X = L J_ca.
     """
-    n = s_arr.size
-    n_atoms = model.n_atoms
-    K = np.zeros(n, dtype=complex)
-    J_ac = np.zeros((n, n_atoms), dtype=complex)
-    J_ca = np.zeros((n, n_atoms), dtype=complex)
-    G = np.zeros((n, n_atoms, n_atoms), dtype=complex)
-    L = np.zeros(n, dtype=complex)
+    _check_poles(s_arr, model.mode_omegas)
+    _check_poles(s_arr, model.channel_omegas)
+    n_modes, n_atoms = model.n_modes, model.n_atoms
+    detector = n_atoms > 0 and model.n_channels > 0
+    chunk = max(1, CHUNK_VALUES
+                // max(1, n_modes + n_atoms**2 + model.n_channels))
+    sigma = np.empty(s_arr.size, dtype=complex)
+    K = np.empty(s_arr.size, dtype=complex)
     f = model.detector_factors
     fc = np.conj(f)
     alpha = model.mode_alphas
     alpha_sq = np.abs(alpha) ** 2
     mu_sq = model.channel_mu**2
-    for lo in range(0, n, chunk):
+    eye = np.eye(n_atoms)
+    for lo in range(0, s_arr.size, chunk):
         block = s_arr[lo:lo + chunk, None]
         denom = 1.0 / (block + 1j * model.mode_omegas)
-        K[lo:lo + chunk] = denom @ alpha_sq
-        if n_atoms:
-            J_ac[lo:lo + chunk] = (denom * alpha) @ fc
-            J_ca[lo:lo + chunk] = (denom * np.conj(alpha)) @ f
-            G[lo:lo + chunk] = np.einsum("bk,ki,kj->bij", denom, f, fc)
-        L[lo:lo + chunk] = np.sum(mu_sq / (block + 1j * model.channel_omegas),
-                                  axis=1)
-    return K, J_ac, J_ca, G, L
-
-
-def _sigma_and_k(s_arr: np.ndarray, model: DiscreteModel):
-    """Self-energy and its detector-free part K over an array of s."""
-    _check_poles(s_arr, model.mode_omegas)
-    _check_poles(s_arr, model.channel_omegas)
-    K, J_ac, J_ca, G, L = _kernel_sums(s_arr, model)
-    if model.n_atoms == 0 or model.n_channels == 0:
-        return K, K
-    eye = np.eye(model.n_atoms)
-    mat = eye[None, :, :] + L[:, None, None] * G
-    X = np.linalg.solve(mat, (L[:, None] * J_ca)[..., None])[..., 0]
-    return K - np.einsum("bi,bi->b", J_ac, X), K
+        k = K[lo:lo + chunk] = denom @ alpha_sq
+        if detector:
+            J_ac = (denom * alpha) @ fc
+            J_ca = (denom * np.conj(alpha)) @ f
+            G = np.einsum("bk,ki,kj->bij", denom, f, fc)
+            L = np.sum(mu_sq / (block + 1j * model.channel_omegas), axis=1)
+            mat = eye[None, :, :] + L[:, None, None] * G
+            X = np.linalg.solve(mat, (L[:, None] * J_ca)[..., None])[..., 0]
+            k = k - np.einsum("bi,bi->b", J_ac, X)
+        sigma[lo:lo + chunk] = k
+    return sigma, K
 
 
 def self_energy(s, model: DiscreteModel):
@@ -132,7 +135,7 @@ def self_energy(s, model: DiscreteModel):
 def resolvent_a0_discrete(s, model: DiscreteModel):
     """A0(s) via the rank-per-atom elimination (vectorized over s)."""
     s_arr, scalar = _as_s_array(s)
-    sigma = np.atleast_1d(self_energy(s_arr, model))
+    sigma, _ = _sigma_and_k(s_arr, model)
     out = 1.0 / (s_arr + 1j * model.omega_a + sigma)
     return complex(out[0]) if scalar else out
 
@@ -228,17 +231,6 @@ def ww_pole_kernels(geom: DipoleGeometry, system: PhysicalSystem,
             "u": kv.u.real, "vacuum_rate": 2.0 * (mu_a_sq * kv.i).real}
 
 
-@dataclass(frozen=True)
-class ContourSpec:
-    """Numerical inverse-transform settings (None means auto)."""
-
-    sigma: float | None = None
-    omega_max: float | None = None
-    tol: float = 1e-8
-    max_nodes: int = 2_000_000
-    strict: bool = True
-
-
 def _phase_sums(g: np.ndarray, h: float, t: np.ndarray,
                 inner_max: float) -> tuple[np.ndarray, np.ndarray]:
     """sum_j g_j exp(i t w_j) over w_j = j h, with g[k] at j = k - N // 2.
@@ -276,11 +268,15 @@ REF_ORDER = 3
 #: order-P pole sits only sigma from the contour and its aliases exceed
 #: the error estimate; near the spectral radius the remainder is larger.
 REF_DAMPING = 1.0
+#: Target accuracy of the inversion; the self-check raises above 50 TOL.
+TOL = 1e-8
+#: Most contour nodes one inversion takes, and so the length of its node
+#: vectors; a contour cut short shows in the truncation estimate.
+MAX_NODES = 2_000_000
 
 
-def invert_laplace(f: Callable[[np.ndarray], np.ndarray], moments, t_grid,
-                   contour: ContourSpec | None = None,
-                   ) -> tuple[np.ndarray, dict]:
+def invert_laplace(f: Callable[[np.ndarray], np.ndarray], moments,
+                   t_grid) -> tuple[np.ndarray, dict]:
     """Numerical inverse Laplace transform of a vectorized transform f.
 
     Trapezoidal Bromwich rule.  f must be analytic to the right of the
@@ -292,9 +288,9 @@ def invert_laplace(f: Callable[[np.ndarray], np.ndarray], moments, t_grid,
     the contour only sees the remainder, which decays ~ 1/|s|^5.  Returns
     (values, info); info carries the contour settings, the reference and
     a self-reported error estimate, the sum of a truncation estimate from
-    comparing two truncations and an alias estimate.
+    comparing two truncations and an alias estimate.  Raises
+    InversionError when that estimate exceeds 50 TOL.
     """
-    contour = contour or ContourSpec()
     t = np.asarray(t_grid, dtype=float)
     if np.any(t < 0.0):
         raise ValueError("t must be >= 0")
@@ -302,7 +298,6 @@ def invert_laplace(f: Callable[[np.ndarray], np.ndarray], moments, t_grid,
     if m.shape != (REF_ORDER + 1,):
         raise ValueError(f"need the moments m_0..m_{REF_ORDER}, "
                          f"got shape {m.shape}")
-    tol = contour.tol
     t_max = float(np.max(t)) if t.size else 1.0
     t_max = max(t_max, 1e-6)
 
@@ -325,10 +320,7 @@ def invert_laplace(f: Callable[[np.ndarray], np.ndarray], moments, t_grid,
 
     period = 2.5 * t_max
     h = math.pi / period
-    if contour.sigma is not None:
-        sigma = contour.sigma
-    else:
-        sigma = math.log(10.0 / tol) / max(2.0 * period - t_max, period)
+    sigma = math.log(10.0 / TOL) / max(2.0 * period - t_max, period)
 
     def g(s_arr):
         u = 1.0 / (s_arr + c_ref)
@@ -337,29 +329,20 @@ def invert_laplace(f: Callable[[np.ndarray], np.ndarray], moments, t_grid,
             ref = u * (b_p + ref)
         return np.asarray(f(s_arr)) - ref
 
-    if contour.omega_max is not None:
-        omega_max = contour.omega_max
-    else:
-        omega_max = None
-        probe = max(16.0, 8.0 * h)
-        while probe < 1e9:
-            val = abs(g(np.array([sigma + 1j * probe]))[0])
-            if val * probe / math.pi < 0.25 * tol:
-                omega_max = probe
-                break
-            probe *= 2.0
-        if omega_max is None:
-            omega_max = 1e9
+    # Double omega_max until the tail bound |g| omega / pi drops below
+    # TOL / 4, up to 1e9.
+    probe = max(16.0, 8.0 * h)
+    while probe < 1e9 and (abs(g(np.array([sigma + 1j * probe]))[0])
+                           * probe / math.pi >= 0.25 * TOL):
+        probe *= 2.0
+    omega_max = min(probe, 1e9)
     n_half = int(math.ceil(omega_max / h))
-    if 2 * n_half + 1 > contour.max_nodes:
-        n_half = contour.max_nodes // 2
+    if 2 * n_half + 1 > MAX_NODES:
+        n_half = (MAX_NODES - 1) // 2
         omega_max = n_half * h
 
     n_nodes = 2 * n_half + 1
-    g_vals = np.empty(n_nodes, dtype=complex)
-    for lo in range(0, n_nodes, 65536):
-        js = np.arange(lo, min(lo + 65536, n_nodes)) - n_half
-        g_vals[lo:lo + 65536] = g(sigma + 1j * (js * h))
+    g_vals = g(sigma + 1j * ((np.arange(n_nodes) - n_half) * h))
     g_vals[[0, -1]] *= 0.5                     # trapezoid end weights
     result_inner, result_outer = _phase_sums(g_vals, h, t, 0.5 * omega_max)
 
@@ -375,7 +358,7 @@ def invert_laplace(f: Callable[[np.ndarray], np.ndarray], moments, t_grid,
             "n_nodes": n_nodes, "h": h, "c_ref": complex(c_ref),
             "ref_order": REF_ORDER, "truncation_estimate": trunc_est,
             "alias_estimate": alias_est, "error_estimate": err_est}
-    if contour.strict and err_est > 50.0 * tol:
+    if err_est > 50.0 * TOL:
         raise InversionError(
             f"inversion self-check failed: estimated error {err_est:.3g}")
     return values, info

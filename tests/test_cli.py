@@ -166,6 +166,8 @@ def test_compare_routes_reports_inversion_record(tmp_path):
         + results["inversion_alias_estimate"])
     assert results["inversion_ref_order"] == 3
     assert results["inversion_c_ref"]["re"] == 1.0
+    assert results["inversion_sigma"] > 0.0
+    assert results["inversion_omega_max"] >= 16.0
     report = (tmp_path / "a" / "report.txt").read_text()
     assert "truncation" in report and "reference of order 3" in report
 

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from oracles import resolvent_a0_dense
+from watched_decay import resolvent
 from watched_decay.discretize import (
     DiscreteModel,
     GridSpec,
@@ -16,7 +17,6 @@ from watched_decay.geometry import DipoleGeometry, dipole_factor_l
 from watched_decay.model import DetectorAtom, PhysicalSystem
 from watched_decay.resolvent import (
     REF_ORDER,
-    ContourSpec,
     InversionError,
     KernelValues,
     PoleError,
@@ -136,6 +136,53 @@ def test_self_energy_reduces_to_k_without_channels():
                   build_scalar_toy(ToySpec(r=1.3, n_channels=0))):
         assert self_energy(s, model) == pytest.approx(direct_k(s, model),
                                                       rel=1e-14, abs=0.0)
+
+
+def detector_model(n_modes=20, n_atoms=30, n_channels=10, seed=3):
+    """Random model with dense detector factors: A^2 dominates K + A^2 + C."""
+    rng = np.random.default_rng(seed)
+    shape = (n_modes, n_atoms)
+    return DiscreteModel(
+        kind="scalar_toy", omega0=1.0,
+        mode_omegas=rng.uniform(0.5, 1.5, n_modes),
+        mode_alphas=0.01 * (rng.normal(size=n_modes)
+                            + 1j * rng.normal(size=n_modes)),
+        detector_factors=0.1 * (rng.normal(size=shape)
+                                + 1j * rng.normal(size=shape)),
+        channel_omegas=rng.uniform(0.4, 1.4, n_channels),
+        channel_mu=rng.uniform(0.1, 0.5, n_channels),
+        t_rec=math.inf, meta={"gamma": 0.0}, omega_a=1.0)
+
+
+def test_transform_memory_is_bounded():
+    # Unchunked, the (n x A x A) block G alone would take 144 MB here.
+    import tracemalloc
+    s = 0.05 + 1j * np.linspace(-50.0, 50.0, 10_000)
+    model = detector_model()
+    tracemalloc.start()
+    try:
+        vals = resolvent_a0_discrete(s, model)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.all(np.isfinite(vals))
+    assert peak < 64e6
+
+
+@pytest.mark.parametrize("model", [detector_model(), empty_model()],
+                         ids=["detector", "empty"])
+def test_self_energy_does_not_depend_on_chunk(model, monkeypatch):
+    # numpy sends a one-row product to BLAS dot rather than gemv/gemm, which
+    # rounds differently (~1e-15 relative), so one-point chunks are held to
+    # scalar calls and longer chunks to the default pass.
+    s = 0.05 + 1j * np.linspace(-5.0, 5.0, 1000)
+    default = self_energy(s, model)
+    one_by_one = np.array([self_energy(x, model) for x in s])
+    per_point = max(1, model.n_modes + model.n_atoms**2 + model.n_channels)
+    # 7 does not divide 1000; the last chunk holds 6 points.
+    for chunk, expected in ((1, one_by_one), (7, default)):
+        monkeypatch.setattr(resolvent, "CHUNK_VALUES", chunk * per_point)
+        assert np.array_equal(self_energy(s, model), expected)
 
 
 # -- continuum kernels -----------------------------------------------------
@@ -340,13 +387,13 @@ def test_invert_rejects_moments_of_another_transform(transform, moments):
         invert_laplace(transform, moments, np.array([0.0, 1.0]))
 
 
-def test_inversion_self_check_raises_when_starved():
+def test_inversion_self_check_raises_when_starved(monkeypatch):
     # Two-pole transform defeats the analytic reference subtraction, so a
     # severely truncated contour must fail its own error estimate.
-    contour = ContourSpec(max_nodes=128, strict=True)
+    monkeypatch.setattr(resolvent, "MAX_NODES", 128)
     with pytest.raises(InversionError):
         invert_laplace(lambda s: s / (s**2 + 1.0), [1.0, 0.0, -1.0, 0.0],
-                       np.linspace(0.0, 20.0, 21), contour)
+                       np.linspace(0.0, 20.0, 21))
 
 
 def test_invert_rejects_negative_time():
