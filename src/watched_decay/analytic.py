@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -31,7 +31,7 @@ from .geometry import (
     d_oracle,
     dipole_factor_l,
 )
-from .model import DetectorAtom, PhysicalSystem
+from .model import DetectorAtom
 
 #: Printed coefficient of the single-detector deficit.
 DEFICIT_COEFF = 9.0 / (64.0 * math.pi**2)
@@ -178,39 +178,6 @@ def shell_reduction_mc(n_atoms: int, radius_z: float, beta: float,
     mean = float(np.mean(values))
     stderr = float(np.std(values, ddof=1) / math.sqrt(n_samples))
     return mean, stderr
-
-
-@dataclass
-class RegimeReport:
-    """Order-of-magnitude checks behind the closed-form approximations."""
-
-    l_times_i: float
-    mu_a_sq_i_over_omega0: float
-    threshold: float
-    flags: dict = field(default_factory=dict)
-
-    @property
-    def ok(self) -> bool:
-        return all(self.flags.values())
-
-
-def magnitude_checks(system: PhysicalSystem,
-                     threshold: float = 0.1) -> RegimeReport:
-    """Dimensionless smallness ratios of the detector and atom couplings.
-
-    L*I reduces to beta exactly at the pole evaluation point, and
-    mu_a^2 I / omega0 reduces to gamma/2; both must be small for the
-    denominator expansions to hold.
-    """
-    l_times_i = system.beta
-    mu_ratio = 0.5 * system.gamma / system.omega0
-    flags = {
-        "l_times_i_small": l_times_i < threshold,
-        "mu_a_sq_i_small": mu_ratio < threshold,
-    }
-    return RegimeReport(l_times_i=l_times_i,
-                        mu_a_sq_i_over_omega0=mu_ratio,
-                        threshold=threshold, flags=flags)
 
 
 def normalization_report(beta: float,

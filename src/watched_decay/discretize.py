@@ -253,7 +253,7 @@ def build_radial_vacuum(system: PhysicalSystem, grid: GridSpec,
         kind="radial1d", omega0=system.omega0, mode_omegas=omegas,
         mode_alphas=alphas, detector_factors=np.empty((omegas.size, 0), complex),
         channel_omegas=np.empty(0), channel_mu=np.empty(0), t_rec=t_rec,
-        meta={"gamma": system.gamma, "grid": grid, "mode_weights": weights},
+        meta={"gamma": system.gamma, "mode_weights": weights},
         omega_a=omega_a)
     if enforce_sum_rule:
         dev = check_sum_rule(model)
@@ -362,7 +362,7 @@ def build_full_3d(system: PhysicalSystem, grid: GridSpec,
     channel_mu = math.sqrt(system.mu_c_sq_rho0) * np.sqrt(w_c)
 
     t_rec_modes = recurrence_time(om_r, system.omega0)
-    t_rec_channels = recurrence_time(om_c, system.omega0) if om_c.size else math.inf
+    t_rec_channels = recurrence_time(om_c, system.omega0)
     t_rec = min(t_rec_modes, t_rec_channels)
     omega_a = system.omega0
     if renormalize_shift:
@@ -374,7 +374,7 @@ def build_full_3d(system: PhysicalSystem, grid: GridSpec,
         kind="full3d", omega0=system.omega0, mode_omegas=omegas,
         mode_alphas=alphas, detector_factors=factors,
         channel_omegas=om_c, channel_mu=channel_mu, t_rec=t_rec,
-        meta={"gamma": system.gamma, "beta": system.beta, "grid": grid},
+        meta={"gamma": system.gamma},
         omega_a=omega_a)
     _check_horizon(t_rec, grid.t_max)
     return model
@@ -397,7 +397,7 @@ def build_scalar_toy(params: ToySpec) -> DiscreteModel:
                               params.n_channels, params.channel_scheme)
     channel_mu = np.sqrt((params.beta_toy / math.pi**2) * w_c)
     t_rec_modes = recurrence_time(omegas, 1.0)
-    t_rec_channels = recurrence_time(om_c, 1.0) if om_c.size else math.inf
+    t_rec_channels = recurrence_time(om_c, 1.0)
     t_rec = min(t_rec_modes, t_rec_channels)
     omega_a = 1.0
     if params.renormalize_shift:
@@ -406,8 +406,7 @@ def build_scalar_toy(params: ToySpec) -> DiscreteModel:
         kind="scalar_toy", omega0=1.0, omega_a=omega_a, mode_omegas=omegas,
         mode_alphas=alphas, detector_factors=factors,
         channel_omegas=om_c, channel_mu=channel_mu, t_rec=t_rec,
-        meta={"gamma": params.gamma, "beta_toy": params.beta_toy,
-              "toy": params, "mode_weights": weights})
+        meta={"gamma": params.gamma, "mode_weights": weights})
     _check_horizon(t_rec, params.t_max)
     return model
 

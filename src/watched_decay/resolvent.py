@@ -1,4 +1,4 @@
-"""Laplace-domain route: propagator sums, continuum kernels, inversion.
+"""Laplace-domain route: propagator sums, pole rate, inversion.
 
 For a finite model every propagator is an exact rational sum, and the
 excited-state resolvent is
@@ -30,14 +30,14 @@ by up to 1.6e-7 rad.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
 from .discretize import DiscreteModel
-from .geometry import DipoleGeometry, d_func, d_oracle
-from .model import WW_GAMMA_CAP, PhysicalSystem
+# Unused here; kept because perfbench/workloads.py wraps resolvent.d_oracle.
+from .geometry import d_oracle  # noqa: F401
+from .model import WW_GAMMA_CAP
 
 TWO_PI = 2.0 * math.pi
 
@@ -73,8 +73,9 @@ def _check_poles(s_arr: np.ndarray, omegas: np.ndarray):
 
 
 #: Complex values one chunk of the transform holds per array: a chunk of
-#: b points keeps b (K + A^2 + C) of them for its mode propagators, G and
-#: channel propagators, so memory stays bounded whatever the model and n.
+#: b points keeps b (K (1 + A) + A^2 + C) of them for its mode propagators,
+#: the propagator-scaled factors behind G, G and channel propagators, so
+#: memory stays bounded whatever the model and n.
 CHUNK_VALUES = 1 << 19
 
 
@@ -95,8 +96,8 @@ def _sigma_and_k(s_arr: np.ndarray, model: DiscreteModel):
     _check_poles(s_arr, model.channel_omegas)
     n_modes, n_atoms = model.n_modes, model.n_atoms
     detector = n_atoms > 0 and model.n_channels > 0
-    chunk = max(1, CHUNK_VALUES
-                // max(1, n_modes + n_atoms**2 + model.n_channels))
+    chunk = max(1, CHUNK_VALUES // max(
+        1, n_modes * (1 + n_atoms) + n_atoms**2 + model.n_channels))
     sigma = np.empty(s_arr.size, dtype=complex)
     K = np.empty(s_arr.size, dtype=complex)
     f = model.detector_factors
@@ -112,7 +113,7 @@ def _sigma_and_k(s_arr: np.ndarray, model: DiscreteModel):
         if detector:
             J_ac = (denom * alpha) @ fc
             J_ca = (denom * np.conj(alpha)) @ f
-            G = np.einsum("bk,ki,kj->bij", denom, f, fc)
+            G = (denom[:, None, :] * f.T) @ fc
             L = np.sum(mu_sq / (block + 1j * model.channel_omegas), axis=1)
             mat = eye[None, :, :] + L[:, None, None] * G
             X = np.linalg.solve(mat, (L[:, None] * J_ca)[..., None])[..., 0]
@@ -140,40 +141,6 @@ def resolvent_a0_discrete(s, model: DiscreteModel):
     return complex(out[0]) if scalar else out
 
 
-@dataclass
-class KernelValues:
-    """Continuum kernels I, J, L and the reduction factor they imply."""
-
-    i: complex
-    j: complex
-    l: complex
-    u: complex
-
-
-def kernels_continuum(geom: DipoleGeometry, system: PhysicalSystem,
-                      d_variant: str = "printed") -> KernelValues:
-    """Pole-approximated continuum kernels.
-
-    The slowly varying kernels are evaluated at the resonance and the
-    principal-value (level-shift) imaginary parts are discarded.
-    d_variant chooses the angular kernel entering J: "printed" (d_func) or
-    "oracle" (raw spherical integral).  The L*I term of the denominator is
-    neglected, as in the pole approximation.
-    """
-    w0 = system.omega0
-    if d_variant == "printed":
-        d_val = d_func(geom)
-    elif d_variant == "oracle":
-        d_val = d_oracle(geom)
-    else:
-        raise ValueError(f"unknown d_variant {d_variant!r}")
-    i_val = complex(2.0 * w0**3 / 3.0)
-    j_val = complex(w0**3 / (4.0 * math.pi) * d_val)
-    l_val = complex(math.pi * system.mu_c_sq_rho0)
-    u_val = 1.0 - l_val * j_val**2 / i_val if i_val != 0 else complex("nan")
-    return KernelValues(i=i_val, j=j_val, l=l_val, u=u_val)
-
-
 def _max_local_spacing(omegas: np.ndarray, omega0: float,
                        window: float = 0.1) -> float:
     """Largest gap between grid frequencies inside the resonance window."""
@@ -186,49 +153,30 @@ def _max_local_spacing(omegas: np.ndarray, omega0: float,
     return float(np.max(np.diff(near)))
 
 
-def ww_pole(target, gamma_eval: float | None = None) -> dict:
+def ww_pole(model: DiscreteModel) -> dict:
     """Effective pole of the excited-state resolvent of a DiscreteModel.
 
-    The kernels are summed at s = -i omega0 + gamma_eval; continuum kernels
-    go through ``ww_pole_kernels`` instead.  Returns rate (decay of the
-    survival probability), shift (frequency pull, reported only), u
-    (rate over the same model's vacuum rate) and vacuum_rate (2 Re K at the
-    same point).
+    The kernels are summed once at s = -i omega0 + gamma_eval, with
+    gamma_eval = max(gamma/2, 2 x the largest grid spacing near omega0,
+    1e-6): far enough off the imaginary axis to smooth over the discrete
+    pole spacing, so the kernel sums approximate their continuum values.
+    Returns rate (decay of the survival probability), shift (frequency
+    pull, reported only), u (rate over the same model's vacuum rate),
+    vacuum_rate (2 Re K at the same point) and gamma_eval.
     """
-    if not isinstance(target, DiscreteModel):
-        raise TypeError("ww_pole expects a DiscreteModel; use "
-                        "ww_pole_kernels for continuum kernels")
-    model = target
     gamma = model.meta.get("gamma", 0.0)
     if gamma > WW_GAMMA_CAP * model.omega0:
         raise RegimeError("configured linewidth outside the pole regime")
-    if gamma_eval is None:
-        # The evaluation point must sit far enough off the imaginary axis to
-        # smooth over the discrete pole spacing, or the kernel sums do not
-        # approximate their continuum values.
-        spacing = max(
-            _max_local_spacing(model.mode_omegas, model.omega0),
-            _max_local_spacing(model.channel_omegas, model.omega0))
-        gamma_eval = max(0.5 * gamma, 2.0 * spacing, 1e-6)
+    spacing = max(_max_local_spacing(model.mode_omegas, model.omega0),
+                  _max_local_spacing(model.channel_omegas, model.omega0))
+    gamma_eval = max(0.5 * gamma, 2.0 * spacing, 1e-6)
     s0 = np.array([-1j * model.omega0 + gamma_eval])
     sigma, k_val = (complex(v[0]) for v in _sigma_and_k(s0, model))
     rate = 2.0 * sigma.real
     vacuum_rate = 2.0 * k_val.real
     return {"rate": rate, "shift": sigma.imag,
             "u": rate / vacuum_rate if vacuum_rate else float("nan"),
-            "vacuum_rate": vacuum_rate}
-
-
-def ww_pole_kernels(geom: DipoleGeometry, system: PhysicalSystem,
-                    d_variant: str = "oracle") -> dict:
-    """Pole-approximation rate from the closed-form continuum kernels."""
-    if system.gamma > WW_GAMMA_CAP * system.omega0:
-        raise RegimeError("configured linewidth outside the pole regime")
-    kv = kernels_continuum(geom, system, d_variant=d_variant)
-    mu_a_sq = system.mu_a**2
-    rate = 2.0 * (mu_a_sq * kv.i * kv.u).real
-    return {"rate": rate, "shift": (mu_a_sq * kv.i * kv.u).imag,
-            "u": kv.u.real, "vacuum_rate": 2.0 * (mu_a_sq * kv.i).real}
+            "vacuum_rate": vacuum_rate, "gamma_eval": gamma_eval}
 
 
 def _phase_sums(g: np.ndarray, h: float, t: np.ndarray,

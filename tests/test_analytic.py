@@ -9,7 +9,6 @@ from watched_decay.analytic import (
     DEFICIT_COEFF,
     L2_AVERAGE_ISOTROPIC,
     L2_AVERAGE_PRINTED,
-    magnitude_checks,
     normalization_report,
     reduction_multi,
     reduction_shell,
@@ -17,7 +16,7 @@ from watched_decay.analytic import (
     shell_reduction_mc,
 )
 from watched_decay.geometry import DipoleGeometry
-from watched_decay.model import DetectorAtom, PhysicalSystem
+from watched_decay.model import DetectorAtom
 
 ZHAT = np.array([0.0, 0.0, 1.0])
 XHAT = np.array([1.0, 0.0, 0.0])
@@ -146,19 +145,6 @@ def test_shell_mc_needs_two_samples(n_samples):
 def test_l2_average_constants():
     assert L2_AVERAGE_PRINTED == pytest.approx(2.0 / 7.0)
     assert L2_AVERAGE_ISOTROPIC == pytest.approx(2.0 / 9.0)
-
-
-def test_magnitude_checks_reference_point():
-    system = PhysicalSystem(gamma=0.01, omega_i=0.3, beta=0.05)
-    report = magnitude_checks(system)
-    assert report.l_times_i == pytest.approx(0.05)
-    assert report.mu_a_sq_i_over_omega0 == pytest.approx(0.005)
-    assert report.ok
-
-
-def test_magnitude_checks_flag_strong_coupling():
-    system = PhysicalSystem(gamma=0.01, omega_i=0.3, beta=0.4)
-    assert not magnitude_checks(system).ok
 
 
 def test_normalization_report_structure():

@@ -115,6 +115,19 @@ def test_shell_scenario_artifacts(tmp_path):
     assert header == "variant,u,stderr"
 
 
+@pytest.mark.parametrize("system, l_times_i", [
+    ({}, "L*I = 0.05 -> ok"), ({"beta": 0.4}, "L*I = 0.4 -> LARGE")],
+    ids=["defaults", "strong"])
+def test_report_regime_lines(tmp_path, system, l_times_i):
+    config = RunConfig(scenario="shell", system=system,
+                       shell={"n_atoms": 0, "n_samples": 10})
+    run(config, tmp_path)
+    lines = (tmp_path / "report.txt").read_text().splitlines()
+    start = lines.index("regime checks (smallness ratios, threshold 0.1):")
+    assert lines[start + 1:start + 3] == [
+        f"  {l_times_i}", "  mu_a^2 I / omega0 = 0.005 -> ok"]
+
+
 def test_shell_empty_gives_unity(tmp_path):
     config = RunConfig(scenario="shell", shell={"n_atoms": 0,
                                                 "n_samples": 10})

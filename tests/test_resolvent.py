@@ -5,6 +5,7 @@ import pytest
 
 from oracles import resolvent_a0_dense
 from watched_decay import resolvent
+from watched_decay.analytic import reduction_single
 from watched_decay.discretize import (
     DiscreteModel,
     GridSpec,
@@ -18,16 +19,13 @@ from watched_decay.model import DetectorAtom, PhysicalSystem
 from watched_decay.resolvent import (
     REF_ORDER,
     InversionError,
-    KernelValues,
     PoleError,
     RegimeError,
     _phase_sums,
     invert_laplace,
-    kernels_continuum,
     resolvent_a0_discrete,
     self_energy,
     ww_pole,
-    ww_pole_kernels,
 )
 
 ZHAT = np.array([0.0, 0.0, 1.0])
@@ -108,8 +106,29 @@ def test_resolvent_vacuum_matches_ww_form():
         expected, abs=1e-15)
 
 
-def test_dense_and_woodbury_paths_agree():
-    model = build_scalar_toy(ToySpec(n_modes=60, n_channels=15, r=1.3))
+def detector_model(n_modes=20, n_atoms=30, n_channels=10, seed=3):
+    """Random model with dense detector factors: A^2 dominates the chunk
+    budget K (1 + A) + A^2 + C."""
+    rng = np.random.default_rng(seed)
+    shape = (n_modes, n_atoms)
+    return DiscreteModel(
+        kind="scalar_toy", omega0=1.0,
+        mode_omegas=rng.uniform(0.5, 1.5, n_modes),
+        mode_alphas=0.01 * (rng.normal(size=n_modes)
+                            + 1j * rng.normal(size=n_modes)),
+        detector_factors=0.1 * (rng.normal(size=shape)
+                                + 1j * rng.normal(size=shape)),
+        channel_omegas=rng.uniform(0.4, 1.4, n_channels),
+        channel_mu=rng.uniform(0.1, 0.5, n_channels),
+        t_rec=math.inf, meta={"gamma": 0.0}, omega_a=1.0)
+
+
+# The one-detector toy cannot tell G from its transpose; the 30-detector
+# model can.
+@pytest.mark.parametrize("model", [
+    build_scalar_toy(ToySpec(n_modes=60, n_channels=15, r=1.3)),
+    detector_model()], ids=["toy", "detector"])
+def test_dense_and_woodbury_paths_agree(model):
     for s in (0.5 + 0.0j, 0.01 - 1.0j + 0.02, 2.0 + 3.0j, 0.1 - 0.6j):
         a = resolvent_a0_discrete(s, model)
         b = resolvent_a0_dense(s, model)
@@ -138,22 +157,6 @@ def test_self_energy_reduces_to_k_without_channels():
                                                       rel=1e-14, abs=0.0)
 
 
-def detector_model(n_modes=20, n_atoms=30, n_channels=10, seed=3):
-    """Random model with dense detector factors: A^2 dominates K + A^2 + C."""
-    rng = np.random.default_rng(seed)
-    shape = (n_modes, n_atoms)
-    return DiscreteModel(
-        kind="scalar_toy", omega0=1.0,
-        mode_omegas=rng.uniform(0.5, 1.5, n_modes),
-        mode_alphas=0.01 * (rng.normal(size=n_modes)
-                            + 1j * rng.normal(size=n_modes)),
-        detector_factors=0.1 * (rng.normal(size=shape)
-                                + 1j * rng.normal(size=shape)),
-        channel_omegas=rng.uniform(0.4, 1.4, n_channels),
-        channel_mu=rng.uniform(0.1, 0.5, n_channels),
-        t_rec=math.inf, meta={"gamma": 0.0}, omega_a=1.0)
-
-
 def test_transform_memory_is_bounded():
     # Unchunked, the (n x A x A) block G alone would take 144 MB here.
     import tracemalloc
@@ -178,41 +181,12 @@ def test_self_energy_does_not_depend_on_chunk(model, monkeypatch):
     s = 0.05 + 1j * np.linspace(-5.0, 5.0, 1000)
     default = self_energy(s, model)
     one_by_one = np.array([self_energy(x, model) for x in s])
-    per_point = max(1, model.n_modes + model.n_atoms**2 + model.n_channels)
+    per_point = max(1, model.n_modes * (1 + model.n_atoms)
+                    + model.n_atoms**2 + model.n_channels)
     # 7 does not divide 1000; the last chunk holds 6 points.
     for chunk, expected in ((1, one_by_one), (7, default)):
         monkeypatch.setattr(resolvent, "CHUNK_VALUES", chunk * per_point)
         assert np.array_equal(self_energy(s, model), expected)
-
-
-# -- continuum kernels -----------------------------------------------------
-
-def perp_geom(z):
-    return DipoleGeometry(p_a=ZHAT, p_d=ZHAT, r_hat=XHAT, z=z)
-
-
-def test_ww_kernels_reference_values():
-    system = PhysicalSystem(gamma=0.01, omega_i=0.3, beta=0.05)
-    kv = kernels_continuum(perp_geom(1.0), system)
-    assert kv.i == pytest.approx(2.0 / 3.0, abs=1e-15)
-    assert kv.l == pytest.approx(math.pi * system.mu_c_sq_rho0, abs=1e-15)
-
-
-def test_ww_kernels_vacuum_u_is_one():
-    system = PhysicalSystem(gamma=0.01, omega_i=0.3, beta=0.0)
-    kv = kernels_continuum(perp_geom(2.0), system)
-    assert kv.u == pytest.approx(1.0, abs=1e-15)
-
-
-def test_ww_u_matches_analytic_deficit():
-    from watched_decay.analytic import reduction_single
-    system = PhysicalSystem(gamma=0.01, omega_i=0.3, beta=0.05)
-    for z in (0.3, 1.7, 6.0):
-        kv = kernels_continuum(perp_geom(z), system, d_variant="printed")
-        rep = reduction_single(perp_geom(z), 0.05)
-        assert kv.u.real == pytest.approx(rep.u_general, abs=1e-12)
-        kv_o = kernels_continuum(perp_geom(z), system, d_variant="oracle")
-        assert kv_o.u.real == pytest.approx(rep.u_oracle, abs=1e-10)
 
 
 # -- pole approximation ----------------------------------------------------
@@ -229,8 +203,8 @@ def test_ww_pole_vacuum_rate():
 def test_ww_pole_rate_converges_with_evaluation_width():
     model = build_radial_vacuum(vacuum_system(),
                                 GridSpec(n_modes=3200, scheme="uniform"))
-    coarse = ww_pole(model, gamma_eval=0.01)["rate"]
-    fine = ww_pole(model, gamma_eval=0.003)["rate"]
+    coarse = 2.0 * self_energy(-1j + 0.01, model).real
+    fine = 2.0 * self_energy(-1j + 0.003, model).real
     assert abs(fine - 0.01) < abs(coarse - 0.01)
     assert fine == pytest.approx(0.01, rel=0.03)
 
@@ -257,9 +231,8 @@ def full3d_detector_model():
                          ids=["toy", "full3d"])
 def test_ww_pole_rates_from_one_kernel_evaluation(build):
     model = build()
-    g = 0.02
-    s0 = -1j * model.omega0 + g
-    pole = ww_pole(model, gamma_eval=g)
+    pole = ww_pole(model)
+    s0 = -1j * model.omega0 + pole["gamma_eval"]
     assert pole["vacuum_rate"] == pytest.approx(2.0 * direct_k(s0, model).real,
                                                 rel=1e-13, abs=0.0)
     assert pole["rate"] == 2.0 * self_energy(s0, model).real
@@ -273,24 +246,34 @@ def test_ww_pole_regime_enforcement():
         ww_pole(model)
 
 
+# -- continuum pole rate ---------------------------------------------------
+# The single-detector continuum route is analytic.reduction_single; the
+# pole rate it predicts is gamma * u_oracle.
+
+def perp_geom(z):
+    return DipoleGeometry(p_a=ZHAT, p_d=ZHAT, r_hat=XHAT, z=z)
+
+
+def test_ww_kernels_vacuum_u_is_one():
+    assert reduction_single(perp_geom(2.0), beta=0.0).u_oracle == 1.0
+
+
 def test_ww_pole_kernels_vacuum_and_node():
-    system = PhysicalSystem(gamma=0.01, omega_i=0.3, beta=0.0)
-    pole = ww_pole_kernels(perp_geom(1.0), system)
-    assert pole["rate"] == pytest.approx(0.01, rel=1e-12)
+    gamma = 0.01
+    rep = reduction_single(perp_geom(1.0), beta=0.0)
+    assert gamma * rep.u_oracle == pytest.approx(0.01, rel=1e-12)
     # At a far-field node the oracle-kernel rate returns to Gamma.
-    system_d = PhysicalSystem(gamma=0.01, omega_i=0.3, beta=0.05)
-    node = ww_pole_kernels(perp_geom(40.0 * math.pi), system_d)
-    assert node["u"] == pytest.approx(1.0, abs=1e-4)
+    node = reduction_single(perp_geom(40.0 * math.pi), beta=0.05)
+    assert node.u_oracle == pytest.approx(1.0, abs=1e-4)
 
 
 def test_ww_pole_kernels_far_field_consistency():
-    system = PhysicalSystem(gamma=0.01, omega_i=0.3, beta=0.05)
     z = 60.0 * math.pi + 1.0
     geom = perp_geom(z)
-    pole = ww_pole_kernels(geom, system)
+    rep = reduction_single(geom, beta=0.05)
     l = dipole_factor_l(geom.p_a, geom.p_d, geom.r_hat)
     u_far = 1.0 - 2.25 * 0.05 * (l * math.sin(z) / z) ** 2
-    assert pole["rate"] == pytest.approx(0.01 * u_far, rel=1e-6)
+    assert 0.01 * rep.u_oracle == pytest.approx(0.01 * u_far, rel=1e-6)
 
 
 # -- inverse transform -----------------------------------------------------
@@ -400,7 +383,3 @@ def test_invert_rejects_negative_time():
     with pytest.raises(ValueError, match="t must be"):
         invert_laplace(lambda s: 1.0 / s, pole_moments(0.0), np.array([-1.0]))
 
-
-def test_kernel_values_container():
-    kv = KernelValues(i=1.0, j=0.5, l=0.1, u=0.9)
-    assert kv.u == 0.9
