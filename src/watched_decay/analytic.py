@@ -49,6 +49,9 @@ L2_AVERAGE_ISOTROPIC = 2.0 / 9.0
 FAR_FIELD_THRESHOLD = TWO_PI
 NEAR_FIELD_THRESHOLD = 0.1
 
+#: Distances of normalization_report: near contact and in the wave zone.
+NORMALIZATION_Z = (0.05, 10.0)
+
 
 @dataclass
 class ReductionReport:
@@ -180,10 +183,8 @@ def shell_reduction_mc(n_atoms: int, radius_z: float, beta: float,
     return mean, stderr
 
 
-def normalization_report(beta: float,
-                         z_values: Sequence[float] = (0.05, 10.0),
-                         ) -> list[ReductionReport]:
-    """Kernel-normalization discrepancy at reference distances.
+def normalization_report(beta: float) -> list[ReductionReport]:
+    """Kernel-normalization discrepancy at the NORMALIZATION_Z distances.
 
     Uses the parallel-dipoles-perpendicular-to-separation geometry (l = 1)
     and returns one ReductionReport per z, carrying the printed/oracle kernel
@@ -192,7 +193,7 @@ def normalization_report(beta: float,
     p_a = np.array([0.0, 0.0, 1.0])
     r_hat = np.array([1.0, 0.0, 0.0])
     reports = []
-    for z in z_values:
+    for z in NORMALIZATION_Z:
         geom = DipoleGeometry(p_a=p_a, p_d=p_a, r_hat=r_hat, z=float(z))
         reports.append(reduction_single(geom, beta))
     return reports

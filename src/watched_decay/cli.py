@@ -39,7 +39,6 @@ from .discretize import (
 from .dynamics import (
     FitWindowError,
     IntegrationError,
-    SolverSpec,
     compare_routes,
     fit_decay_rate,
     integrate,
@@ -102,7 +101,7 @@ _SHELL_DEFAULTS = {"n_atoms": 100, "radius_z": 0.5 * math.pi,
                    "n_samples": 10000}
 
 #: Config sections that map one to one onto a dataclass.
-_SPEC_SECTIONS = {"grid": GridSpec, "toy": ToySpec, "solver": SolverSpec}
+_SPEC_SECTIONS = {"grid": GridSpec, "toy": ToySpec}
 
 
 def _is_number(value) -> bool:
@@ -135,7 +134,6 @@ class RunConfig:
     system: dict = field(default_factory=dict)
     grid: dict = field(default_factory=dict)
     toy: dict = field(default_factory=dict)
-    solver: dict = field(default_factory=dict)
     shell: dict = field(default_factory=dict)
     sweep: dict | None = None
     t_max: float = 200.0
@@ -338,10 +336,9 @@ def _run_trajectory(config: RunConfig, build, gamma: float, describe):
     The builder and ``integrate`` are looked up as module globals at call
     time, so wrappers set on this module see both calls.
     """
-    solver = SolverSpec(**config.solver)
     model = build()
     t_max = min(config.t_max, 0.9 * model.t_rec)
-    traj = integrate(model, t_max, solver=solver)
+    traj = integrate(model, t_max)
     fit = fit_decay_rate(traj, gamma_expected=gamma)
     extra, report, reference_rate = describe(model, fit)
     summary = {
@@ -349,7 +346,7 @@ def _run_trajectory(config: RunConfig, build, gamma: float, describe):
         "fit_window": list(fit.window), "r_squared": fit.r_squared,
         "gamma": gamma,
         "max_norm_drift": float(np.max(np.abs(traj.norm_drift))),
-        "t_rec": model.t_rec, **extra,
+        "t_rec": model.t_rec, "z_factor": model.meta["z_factor"], **extra,
     }
     rows = [[float(t), float(a0.real), float(a0.imag), float(p),
              float(1.0 + drift)]
@@ -391,7 +388,7 @@ def _run_single_detector(config: RunConfig):
     def describe(model, fit):
         red = analytic.reduction_single(geom, system.beta)
         pole = ww_pole(model)
-        u_fitted = fit.rate / system.gamma
+        u_fitted = fit.rate / (system.gamma * model.meta["z_factor"])
         extra = {
             "beta": system.beta, "z": geom.z, "u_fitted": u_fitted,
             "u_discrete_kernels": pole["u"],
@@ -459,7 +456,7 @@ def _run_toy(config: RunConfig):
 
     def describe(model, fit):
         pole = ww_pole(model)
-        u_fitted = fit.rate / toy.gamma
+        u_fitted = fit.rate / (toy.gamma * model.meta["z_factor"])
         analytic_rate = toy.gamma * pole["u"]
         extra = {"beta_toy": toy.beta_toy, "r": toy.r, "u_fitted": u_fitted,
                  "u_discrete_kernels": pole["u"],
@@ -481,11 +478,10 @@ def _run_toy(config: RunConfig):
 
 def _run_compare_routes(config: RunConfig):
     toy = ToySpec(**config.toy)
-    solver = SolverSpec(**config.solver)
     model = build_scalar_toy(toy)
     t_end = min(config.t_max, 0.8 * model.t_rec)
     t_grid = np.linspace(0.0, t_end, 201)
-    comp = compare_routes(model, t_grid, solver=solver)
+    comp = compare_routes(model, t_grid)
     info = comp.inversion_info
     summary = {
         "max_abs_diff": comp.max_abs_diff,
@@ -533,6 +529,7 @@ def _sweep_point(args):
                        rate_stderr=summary["rate_stderr"],
                        analytic_rate=summary["analytic_rate"],
                        u_fitted=summary["u_fitted"],
+                       z_factor=summary["z_factor"],
                        u_analytic=summary["u_discrete_kernels"])
         elif parameter == "n_atoms":
             point = replace(config, scenario="shell", sweep=None,
@@ -550,6 +547,7 @@ def _sweep_point(args):
             row.update(fitted_rate=summary["fitted_rate"],
                        rate_stderr=summary["rate_stderr"],
                        analytic_rate=summary["gamma"],
+                       z_factor=summary["z_factor"],
                        u_analytic=1.0)
     except Exception as exc:  # per-point failures become row errors
         row["error"] = f"{type(exc).__name__}: {exc}"

@@ -26,6 +26,11 @@ from .model import PhysicalSystem
 
 TWO_PI = 2.0 * math.pi
 
+#: Half-width, relative to omega0, of the band whose spacing sets t_rec.
+RECURRENCE_WINDOW = 0.1
+#: Width, relative to omega0, of the sum-rule window centred on omega0.
+SUM_RULE_WINDOW = 0.05
+
 
 class GridError(ValueError):
     """A grid specification cannot produce a usable model."""
@@ -82,7 +87,6 @@ class ToySpec:
     channel_cut: float = 3.0
     channel_scheme: str = "uniform"
     t_max: float = 0.0
-    renormalize_shift: bool = True
 
 
 @dataclass(frozen=True, eq=False)
@@ -162,31 +166,30 @@ def _frequency_grid(scheme: str, a: float, split: float, b: float,
     return _uniform_midpoint(a, b, n)
 
 
-def recurrence_time(omegas: np.ndarray, omega0: float,
-                    window: float = 0.1) -> float:
+def recurrence_time(omegas: np.ndarray, omega0: float) -> float:
     """2 pi over the minimum mode spacing near omega0.
 
     Falls back to the global minimum spacing when no two modes sit inside
-    the window around omega0.
+    the window |omega - omega0| <= RECURRENCE_WINDOW * omega0.
     """
     uniq = np.unique(np.round(omegas, 12))
     if uniq.size < 2:
         return math.inf
-    near = uniq[np.abs(uniq - omega0) <= window * omega0]
+    near = uniq[np.abs(uniq - omega0) <= RECURRENCE_WINDOW * omega0]
     spacings = np.diff(near) if near.size >= 2 else np.diff(uniq)
     dmin = float(np.min(spacings))
     return TWO_PI / dmin if dmin > 0.0 else math.inf
 
 
-def check_sum_rule(model: DiscreteModel, window: float = 0.05) -> float:
+def check_sum_rule(model: DiscreteModel) -> float:
     """Relative deviation of the windowed coupling density from gamma/2.
 
-    The window is [omega0 - window/2, omega0 + window/2] and the density
-    estimate pi * sum |alpha_k|^2 / measure targets gamma/2 directly.  The
-    window measure is the quadrature weight the grid itself assigns to the
-    window when the model carries its weights (meta["mode_weights"]); with
-    the nominal width instead, node clustering near the window edges puts a
-    spurious O(spacing/window) jitter on the estimate.
+    The window is |omega - omega0| <= SUM_RULE_WINDOW * omega0 / 2 and the
+    density estimate pi * sum |alpha_k|^2 / measure targets gamma/2
+    directly.  The window measure is the quadrature weight the grid assigns
+    to the window when the model carries its weights (meta["mode_weights"]);
+    with the nominal width instead, node clustering near the window edges
+    puts a spurious O(spacing/window) jitter on the estimate.
     """
     gamma = model.meta.get("gamma")
     if gamma is None:
@@ -194,12 +197,13 @@ def check_sum_rule(model: DiscreteModel, window: float = 0.05) -> float:
     w0 = model.omega0
     # Edge tolerance: keep nodes that sit on the window boundary up to
     # rounding, so the window stays symmetric about omega0.
-    mask = np.abs(model.mode_omegas - w0) <= 0.5 * window * w0 * (1.0 + 1e-9)
+    mask = (np.abs(model.mode_omegas - w0)
+            <= 0.5 * SUM_RULE_WINDOW * w0 * (1.0 + 1e-9))
     if not mask.any():
         raise GridError("no modes inside the sum-rule window")
     weights = model.meta.get("mode_weights")
     measure = (float(np.sum(weights[mask])) if weights is not None
-               else window * w0)
+               else SUM_RULE_WINDOW * w0)
     density = math.pi * float(
         np.sum(np.abs(model.mode_alphas[mask]) ** 2)) / measure
     return abs(density - 0.5 * gamma) / (0.5 * gamma)
@@ -219,17 +223,26 @@ def _channel_grid(omega_i: float, omega0: float, cut: float, n: int,
     return _frequency_grid(scheme, omega_i, omega0, cut, n)
 
 
-def _cubic_pv_shift(gamma: float, omega0: float, cut: float) -> float:
-    """Level shift PV int (gamma/2pi)(w/w0)^3 / (w - w0) dw on [0, cut]."""
+def _cubic_level_shift(gamma: float, omega0: float,
+                       cut: float) -> tuple[float, float]:
+    """Level shift P(w0) and pole residue Z = 1/(1 + dP/dE) at E = w0 of
+    P(E) = PV int (gamma/2pi)(w/w0)^3 / (w - E) dw on [0, cut]."""
     b, w0 = cut, omega0
-    pv = b**3 / 3.0 + w0 * b**2 / 2.0 + w0**2 * b \
-        + w0**3 * math.log((b - w0) / w0)
-    return gamma / TWO_PI * pv / w0**3
+    log = math.log((b - w0) / w0)
+    pv = b**3 / 3.0 + w0 * b**2 / 2.0 + w0**2 * b + w0**3 * log
+    slope = (b**2 / 2.0 + 2.0 * w0 * b + 3.0 * w0**2 * log
+             - w0**3 / (b - w0) - w0**2)
+    return (gamma / TWO_PI * pv / w0**3,
+            1.0 / (1.0 + gamma / TWO_PI * slope / w0**3))
 
 
-def _flat_pv_shift(gamma: float, omega0: float, cut: float) -> float:
-    """Level shift PV int (gamma/2pi) / (w - w0) dw on [0, cut]."""
-    return gamma / TWO_PI * math.log((cut - omega0) / omega0)
+def _flat_level_shift(gamma: float, omega0: float,
+                      cut: float) -> tuple[float, float]:
+    """Level shift P(w0) and pole residue Z = 1/(1 + dP/dE) at E = w0 of
+    P(E) = PV int (gamma/2pi) / (w - E) dw on [0, cut]."""
+    slope = -1.0 / (cut - omega0) - 1.0 / omega0
+    return (gamma / TWO_PI * math.log((cut - omega0) / omega0),
+            1.0 / (1.0 + gamma / TWO_PI * slope))
 
 
 def build_radial_vacuum(system: PhysicalSystem, grid: GridSpec,
@@ -246,14 +259,15 @@ def build_radial_vacuum(system: PhysicalSystem, grid: GridSpec,
     alpha_sq = (system.gamma / TWO_PI) * (omegas / system.omega0) ** 3 * weights
     alphas = np.sqrt(alpha_sq).astype(complex)
     t_rec = recurrence_time(omegas, system.omega0)
-    omega_a = system.omega0
-    if renormalize_shift:
-        omega_a += _cubic_pv_shift(system.gamma, system.omega0, grid.omega_cut)
+    shift, z_factor = _cubic_level_shift(system.gamma, system.omega0,
+                                         grid.omega_cut)
+    omega_a = system.omega0 + (shift if renormalize_shift else 0.0)
     model = DiscreteModel(
         kind="radial1d", omega0=system.omega0, mode_omegas=omegas,
         mode_alphas=alphas, detector_factors=np.empty((omegas.size, 0), complex),
         channel_omegas=np.empty(0), channel_mu=np.empty(0), t_rec=t_rec,
-        meta={"gamma": system.gamma, "mode_weights": weights},
+        meta={"gamma": system.gamma, "mode_weights": weights,
+              "z_factor": z_factor},
         omega_a=omega_a)
     if enforce_sum_rule:
         dev = check_sum_rule(model)
@@ -282,8 +296,7 @@ def _detector_form_factor(omegas: np.ndarray, omega0: float,
     return out
 
 
-def build_full_3d(system: PhysicalSystem, grid: GridSpec,
-                  renormalize_shift: bool = True) -> DiscreteModel:
+def build_full_3d(system: PhysicalSystem, grid: GridSpec) -> DiscreteModel:
     """Full wave-vector field with detectors, kept to its coupled modes.
 
     At each radial frequency the emitter and the A detector atoms couple
@@ -364,18 +377,17 @@ def build_full_3d(system: PhysicalSystem, grid: GridSpec,
     t_rec_modes = recurrence_time(om_r, system.omega0)
     t_rec_channels = recurrence_time(om_c, system.omega0)
     t_rec = min(t_rec_modes, t_rec_channels)
-    omega_a = system.omega0
-    if renormalize_shift:
-        # Angular sums reproduce the same omega^3 vacuum profile, so the
-        # vacuum counterterm carries over; detector-induced shifts are
-        # O(beta * gamma) and left alone.
-        omega_a += _cubic_pv_shift(system.gamma, system.omega0, grid.omega_cut)
+    # Angular sums reproduce the same omega^3 vacuum profile, so the vacuum
+    # counterterm and pole residue carry over; detector-induced shifts are
+    # O(beta * gamma) and left alone.
+    shift, z_factor = _cubic_level_shift(system.gamma, system.omega0,
+                                         grid.omega_cut)
     model = DiscreteModel(
         kind="full3d", omega0=system.omega0, mode_omegas=omegas,
         mode_alphas=alphas, detector_factors=factors,
         channel_omegas=om_c, channel_mu=channel_mu, t_rec=t_rec,
-        meta={"gamma": system.gamma},
-        omega_a=omega_a)
+        meta={"gamma": system.gamma, "z_factor": z_factor},
+        omega_a=system.omega0 + shift)
     _check_horizon(t_rec, grid.t_max)
     return model
 
@@ -399,14 +411,13 @@ def build_scalar_toy(params: ToySpec) -> DiscreteModel:
     t_rec_modes = recurrence_time(omegas, 1.0)
     t_rec_channels = recurrence_time(om_c, 1.0)
     t_rec = min(t_rec_modes, t_rec_channels)
-    omega_a = 1.0
-    if params.renormalize_shift:
-        omega_a += _flat_pv_shift(params.gamma, 1.0, params.omega_cut)
+    shift, z_factor = _flat_level_shift(params.gamma, 1.0, params.omega_cut)
     model = DiscreteModel(
-        kind="scalar_toy", omega0=1.0, omega_a=omega_a, mode_omegas=omegas,
+        kind="scalar_toy", omega0=1.0, omega_a=1.0 + shift, mode_omegas=omegas,
         mode_alphas=alphas, detector_factors=factors,
         channel_omegas=om_c, channel_mu=channel_mu, t_rec=t_rec,
-        meta={"gamma": params.gamma, "mode_weights": weights})
+        meta={"gamma": params.gamma, "mode_weights": weights,
+              "z_factor": z_factor})
     _check_horizon(t_rec, params.t_max)
     return model
 

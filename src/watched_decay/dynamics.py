@@ -8,11 +8,11 @@ channels a_c per detector atom) evolve under
     dac/dt = -i wc ac - i m_c sum_k f_ki a_k
 
 which is generated by a Hermitian matrix, so the total norm is conserved
-exactly and any drift measures integrator error.  Integration defaults to
+exactly and any drift measures integrator error.  Integration runs in
 the frame rotating at w0 (every frequency replaced by its detuning), which
 removes the fast common phase and lets an explicit adaptive Runge-Kutta
-method take steps set by the physical rates; the stored trajectory is
-always in the lab frame.
+method (DOP853) take steps set by the physical rates; the stored
+trajectory is in the lab frame.
 """
 
 from __future__ import annotations
@@ -26,6 +26,9 @@ from scipy.integrate import solve_ivp
 from .discretize import DiscreteModel, RecurrenceError
 
 
+ATOL = 1e-12  # absolute tolerance of the ODE solver
+
+
 class FitWindowError(ValueError):
     """Decay-rate fit window unusable."""
 
@@ -37,9 +40,6 @@ class IntegrationError(RuntimeError):
 @dataclass(frozen=True)
 class SolverSpec:
     rtol: float = 1e-9
-    atol: float = 1e-12
-    method: str = "DOP853"
-    rotating_frame: bool = True
 
 
 @dataclass(eq=False)
@@ -68,12 +68,12 @@ class RateFit:
     n_points: int
 
 
-def _rhs_factory(model: DiscreteModel, rotating_frame: bool):
-    # Bare atom frequency (with its level-shift counterterm); the rotating
-    # frame still rotates at the dressed omega0 on every tier.
-    w0 = model.omega_a - (model.omega0 if rotating_frame else 0.0)
-    wk = model.mode_omegas - (model.omega0 if rotating_frame else 0.0)
-    wc = model.channel_omegas - (model.omega0 if rotating_frame else 0.0)
+def _rhs_factory(model: DiscreteModel):
+    # Bare atom frequency (with its level-shift counterterm); the frame
+    # still rotates at the dressed omega0 on every tier.
+    w0 = model.omega_a - model.omega0
+    wk = model.mode_omegas - model.omega0
+    wc = model.channel_omegas - model.omega0
     alpha = model.mode_alphas
     alpha_c = np.conj(alpha)
     f = model.detector_factors
@@ -119,15 +119,12 @@ def integrate(model: DiscreteModel, t_max: float,
 
     y0 = np.zeros(model.size, dtype=complex)
     y0[0] = 1.0
-    rhs = _rhs_factory(model, solver.rotating_frame)
-    sol = solve_ivp(rhs, (0.0, t_max), y0, method=solver.method,
-                    t_eval=t_eval, rtol=solver.rtol, atol=solver.atol)
+    sol = solve_ivp(_rhs_factory(model), (0.0, t_max), y0, method="DOP853",
+                    t_eval=t_eval, rtol=solver.rtol, atol=ATOL)
     if not sol.success:
         raise IntegrationError(f"integration failed: {sol.message}")
 
-    a0 = sol.y[0]
-    if solver.rotating_frame:
-        a0 = a0 * np.exp(-1j * model.omega0 * sol.t)
+    a0 = sol.y[0] * np.exp(-1j * model.omega0 * sol.t)
     norm = np.sum(np.abs(sol.y) ** 2, axis=0)
     return Trajectory(
         times=sol.t, a0=a0, survival=np.abs(a0) ** 2, norm_drift=norm - 1.0,
@@ -179,24 +176,23 @@ class RouteComparison:
     inversion_info: dict
 
 
-def compare_routes(model: DiscreteModel, t_grid,
-                   solver: SolverSpec = SolverSpec()) -> RouteComparison:
+def compare_routes(model: DiscreteModel, t_grid) -> RouteComparison:
     """Time-domain integration vs resolvent inversion on the same model.
 
     The inversion runs on the rotated resolvent A0(s - i w0) so the contour
     sees only detuning-scale oscillations; the comparison is in the lab
-    frame either way.  Its moments <0|M^n|0> at infinity come from the
-    rotating-frame generator M, one rhs evaluation each.
+    frame.  Its moments <0|M^n|0> at infinity come from the rotating-frame
+    generator M of the ODE, one rhs evaluation each.
     """
     from .resolvent import REF_ORDER, invert_laplace, resolvent_a0_discrete
 
     t_grid = np.asarray(t_grid, dtype=float)
-    traj = integrate(model, float(t_grid[-1]), solver=solver, t_eval=t_grid)
+    traj = integrate(model, float(t_grid[-1]), t_eval=t_grid)
 
     def shifted(s_arr):
         return resolvent_a0_discrete(s_arr - 1j * model.omega0, model)
 
-    rhs = _rhs_factory(model, True)
+    rhs = _rhs_factory(model)
     y = np.zeros(model.size, dtype=complex)
     y[0] = 1.0
     moments = []

@@ -36,16 +36,11 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.special import spherical_jn
 
 from .model import _as_unit_vector
 
 TWO_PI = 2.0 * math.pi
-
-_S_SERIES_CUT = 1e-4
-# The closed form for T cancels three powers of z, so it loses ~3|log10 z|
-# digits; the switchover sits where series truncation and cancellation noise
-# are both below 1e-13.
-_T_SERIES_CUT = 0.1
 
 
 @dataclass(frozen=True, eq=False)
@@ -69,28 +64,24 @@ class DipoleGeometry:
 
 
 def s_func(z: float) -> float:
-    """sin(z)/z with the removable singularity handled by series."""
+    """sin(z)/z, the spherical Bessel function j0(z)."""
     if z < 0.0:
         raise ValueError("z must be >= 0")
-    if z < _S_SERIES_CUT:
-        z2 = z * z
-        return 1.0 - z2 / 6.0 + z2 * z2 / 120.0
-    return math.sin(z) / z
+    return float(spherical_jn(0, z))
 
 
 def t_func(z: float) -> float:
     """int_{-1}^{1} xi^2 exp(-i z xi) dxi (real by symmetry).
 
-    Closed form 2 sin z/z + 4 cos z/z^2 - 4 sin z/z^3, series near z = 0.
+    Closed form (2/3)(j0(z) - 2 j2(z)) in spherical Bessel functions, which
+    scipy evaluates without the cancellation of the elementary form
+    2 sin z/z + 4 cos z/z^2 - 4 sin z/z^3 at small z.
     """
     if z < 0.0:
         raise ValueError("z must be >= 0")
-    if z < _T_SERIES_CUT:
-        # Term-by-term integration: sum_n (-1)^n z^(2n) * 2/((2n+3)(2n)!).
-        z2 = z * z
-        return 2.0 / 3.0 - z2 / 5.0 + z2 * z2 / 84.0 - z2 * z2 * z2 / 3240.0
-    s, c = math.sin(z), math.cos(z)
-    return 2.0 * s / z + 4.0 * c / z**2 - 4.0 * s / z**3
+    # spherical_jn(2, z) is nan at subnormal z; below 1e-100, j2 < 1e-200.
+    j2 = float(spherical_jn(2, z)) if z >= 1e-100 else 0.0
+    return 2.0 / 3.0 * (float(spherical_jn(0, z)) - 2.0 * j2)
 
 
 def _kernel(geom: DipoleGeometry, t_weight: float) -> float:

@@ -182,12 +182,13 @@ def z_factor(profile, gamma, cut):
 def test_vacuum_rates_carry_the_z_factor(vacuum_run, toy_runs):
     # The fitted vacuum rate is the pole residue Z times gamma; with the
     # omega^3 profile Z sits 2.8% below 1, with the flat toy about 0.2%
-    # above.
-    for fit, profile, cut in (
-            (vacuum_run["fit"], lambda w: w**3, 4.0),
-            (toy_runs["vacuum"]["fit"], lambda w: 1.0, ToySpec().omega_cut)):
+    # above.  Each builder records the closed form of Z in its model.
+    for run, profile, cut in (
+            (vacuum_run, lambda w: w**3, 4.0),
+            (toy_runs["vacuum"], lambda w: 1.0, ToySpec().omega_cut)):
         z = z_factor(profile, GAMMA, cut)
-        assert fit.rate / GAMMA == pytest.approx(z, rel=1e-3)
+        assert run["fit"].rate / GAMMA == pytest.approx(z, rel=1e-3)
+        assert run["model"].meta["z_factor"] == pytest.approx(z, abs=1e-6)
 
 
 def test_criterion_2_detector_slowing(toy_runs, full3d_runs):
@@ -271,15 +272,13 @@ def exact_a0(model, t):
                                   "full3d-detector"])
 def test_route_monitors_bound_exact_error(route_runs, name):
     model, comp = route_runs[name]
-    # The oracle's generator is the one the ODE integrates, in the lab
-    # frame and, less omega0 on the diagonal, in the rotating frame.
+    # The oracle's generator, less omega0 on the diagonal, is the
+    # rotating-frame generator the ODE integrates.
     rng = np.random.default_rng(3)
     y = rng.normal(size=model.size) + 1j * rng.normal(size=model.size)
-    H = hermitian_generator(model)
-    for rotating_frame, shift in ((False, 0.0), (True, model.omega0)):
-        np.testing.assert_allclose(
-            _rhs_factory(model, rotating_frame)(0.0, y),
-            -1j * (H - shift * np.eye(model.size)) @ y, atol=1e-12)
+    H = hermitian_generator(model) - model.omega0 * np.eye(model.size)
+    np.testing.assert_allclose(_rhs_factory(model)(0.0, y), -1j * H @ y,
+                               atol=1e-12)
 
     exact = exact_a0(model, comp.times)
     bromwich_err = np.max(np.abs(comp.a0_resolvent - exact))

@@ -15,7 +15,7 @@ from watched_decay.analytic import (
     reduction_single,
     shell_reduction_mc,
 )
-from watched_decay.geometry import DipoleGeometry
+from watched_decay.geometry import DipoleGeometry, dipole_factor_l
 from watched_decay.model import DetectorAtom
 
 ZHAT = np.array([0.0, 0.0, 1.0])
@@ -68,6 +68,31 @@ def test_all_variants_at_most_one(beta, z):
     for u in (rep.u_general, rep.u_oracle, rep.u_far_field,
               rep.u_near_field):
         assert u <= 1.0 + 1e-12
+
+
+# The single-detector continuum route is reduction_single; the pole rate it
+# predicts is gamma * u_oracle.
+
+def test_reduction_single_oracle_u_is_one_in_vacuum():
+    assert reduction_single(geom(2.0), beta=0.0).u_oracle == 1.0
+
+
+def test_reduction_single_oracle_rate_vacuum_and_node():
+    gamma = 0.01
+    rep = reduction_single(geom(1.0), beta=0.0)
+    assert gamma * rep.u_oracle == pytest.approx(0.01, rel=1e-12)
+    # At a far-field node the oracle-kernel rate returns to Gamma.
+    node = reduction_single(geom(40.0 * math.pi), beta=0.05)
+    assert node.u_oracle == pytest.approx(1.0, abs=1e-4)
+
+
+def test_reduction_single_oracle_rate_matches_far_field():
+    z = 60.0 * math.pi + 1.0
+    g = geom(z)
+    rep = reduction_single(g, beta=0.05)
+    l = dipole_factor_l(g.p_a, g.p_d, g.r_hat)
+    u_far = 1.0 - 2.25 * 0.05 * (l * math.sin(z) / z) ** 2
+    assert 0.01 * rep.u_oracle == pytest.approx(0.01 * u_far, rel=1e-6)
 
 
 def test_reduction_single_rejects_negative_beta():

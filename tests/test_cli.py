@@ -168,6 +168,9 @@ def test_single_detector_scenario_slows_decay(tmp_path):
     # Criterion 2's bound: within 10% of gamma times the model's own U.
     target = results["gamma"] * results["u_discrete_kernels"]
     assert abs(results["fitted_rate"] - target) <= 0.10 * target
+    # The fitted rate over gamma * Z, Z the vacuum's pole residue, is the
+    # detector's U; the oracle kernel gives it to 3e-4 here.
+    assert results["u_fitted"] == pytest.approx(results["u_oracle"], abs=1e-3)
 
 
 def test_compare_routes_reports_inversion_record(tmp_path):
@@ -257,6 +260,19 @@ def test_main_rejects_mistyped_values(tmp_path, capsys, scenario,
     err = json.loads(capsys.readouterr().err)
     assert err["error"] == "ConfigError"
     assert err["exit_code"] == 1
+    assert not (tmp_path / "o").exists()
+
+
+def test_main_rejects_solver_section(tmp_path, capsys):
+    # The time-domain route has one solver setup; its settings are not
+    # configurable.
+    code = main(["toy", "--out", str(tmp_path / "o"),
+                 "--set", "solver.rtol=1e-10"])
+    assert code == 1
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "ConfigError"
+    assert err["exit_code"] == 1
+    assert "'solver'" in err["message"]
     assert not (tmp_path / "o").exists()
 
 

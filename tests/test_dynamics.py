@@ -76,17 +76,8 @@ def test_derivative_is_anti_hermitian():
     for _ in range(25):
         model = random_model(rng)
         y = random_state(rng, model)
-        dy = _rhs_factory(model, False)(0.0, y)
+        dy = _rhs_factory(model)(0.0, y)
         assert abs(np.vdot(y, dy).real) < 1e-14
-
-
-def test_derivative_rotating_frame_shifts_diagonal_only():
-    rng = np.random.default_rng(9)
-    model = random_model(rng)
-    y = random_state(rng, model)
-    lab = _rhs_factory(model, False)(0.0, y)
-    rot = _rhs_factory(model, True)(0.0, y)
-    np.testing.assert_allclose(rot[0], lab[0] + 1j * y[0], atol=1e-13)
 
 
 def test_compare_routes_has_no_size_cap():
@@ -115,16 +106,6 @@ def test_integrate_refuses_horizon_beyond_recurrence():
     model = build_scalar_toy(ToySpec())
     with pytest.raises(RecurrenceError):
         integrate(model, 2.0 * model.t_rec)
-
-
-def test_rotating_frame_matches_lab_frame():
-    model = build_scalar_toy(ToySpec(n_modes=80, n_channels=20))
-    t = np.linspace(0.0, 40.0, 81)
-    rot = integrate(model, 40.0, t_eval=t)
-    lab = integrate(model, 40.0, t_eval=t,
-                    solver=SolverSpec(rotating_frame=False, rtol=1e-10,
-                                      atol=1e-13))
-    np.testing.assert_allclose(rot.a0, lab.a0, atol=5e-7)
 
 
 def test_norm_drift_within_tolerance():

@@ -5,7 +5,6 @@ import pytest
 
 from oracles import resolvent_a0_dense
 from watched_decay import resolvent
-from watched_decay.analytic import reduction_single
 from watched_decay.discretize import (
     DiscreteModel,
     GridSpec,
@@ -14,7 +13,6 @@ from watched_decay.discretize import (
     build_radial_vacuum,
     build_scalar_toy,
 )
-from watched_decay.geometry import DipoleGeometry, dipole_factor_l
 from watched_decay.model import DetectorAtom, PhysicalSystem
 from watched_decay.resolvent import (
     REF_ORDER,
@@ -29,7 +27,6 @@ from watched_decay.resolvent import (
 )
 
 ZHAT = np.array([0.0, 0.0, 1.0])
-XHAT = np.array([1.0, 0.0, 0.0])
 
 
 def vacuum_system(gamma=0.01):
@@ -244,36 +241,6 @@ def test_ww_pole_regime_enforcement():
     model = build_radial_vacuum(system, GridSpec(), enforce_sum_rule=False)
     with pytest.raises(RegimeError):
         ww_pole(model)
-
-
-# -- continuum pole rate ---------------------------------------------------
-# The single-detector continuum route is analytic.reduction_single; the
-# pole rate it predicts is gamma * u_oracle.
-
-def perp_geom(z):
-    return DipoleGeometry(p_a=ZHAT, p_d=ZHAT, r_hat=XHAT, z=z)
-
-
-def test_ww_kernels_vacuum_u_is_one():
-    assert reduction_single(perp_geom(2.0), beta=0.0).u_oracle == 1.0
-
-
-def test_ww_pole_kernels_vacuum_and_node():
-    gamma = 0.01
-    rep = reduction_single(perp_geom(1.0), beta=0.0)
-    assert gamma * rep.u_oracle == pytest.approx(0.01, rel=1e-12)
-    # At a far-field node the oracle-kernel rate returns to Gamma.
-    node = reduction_single(perp_geom(40.0 * math.pi), beta=0.05)
-    assert node.u_oracle == pytest.approx(1.0, abs=1e-4)
-
-
-def test_ww_pole_kernels_far_field_consistency():
-    z = 60.0 * math.pi + 1.0
-    geom = perp_geom(z)
-    rep = reduction_single(geom, beta=0.05)
-    l = dipole_factor_l(geom.p_a, geom.p_d, geom.r_hat)
-    u_far = 1.0 - 2.25 * 0.05 * (l * math.sin(z) / z) ** 2
-    assert 0.01 * rep.u_oracle == pytest.approx(0.01 * u_far, rel=1e-6)
 
 
 # -- inverse transform -----------------------------------------------------
