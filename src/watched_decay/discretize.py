@@ -30,6 +30,16 @@ TWO_PI = 2.0 * math.pi
 RECURRENCE_WINDOW = 0.1
 #: Width, relative to omega0, of the sum-rule window centred on omega0.
 SUM_RULE_WINDOW = 0.05
+#: Upper end of the photon-mode grid.
+OMEGA_CUT = 4.0
+#: Upper end of the ionization-channel grid.
+CHANNEL_CUT = 3.0
+#: Half-width of the detector response band (full-3d only): the detector
+#: coupling carries a form factor that is 1 within omega0 +/- DETECTOR_BAND
+#: and rolls smoothly to 0 by twice that distance.  Without it the
+#: principal-value parts of the detector kernels are dominated by spurious
+#: cutoff-boundary contributions that can flip the sign of the slowing.
+DETECTOR_BAND = 0.05
 
 
 class GridError(ValueError):
@@ -49,44 +59,43 @@ class GridSpec:
     """Discretization knobs for the photon and ionization continua."""
 
     n_modes: int = 400
-    omega_cut: float = 4.0
     scheme: str = "gauss"          # "gauss": Legendre panels split at omega0
     n_theta: int = 16              # full-3d only
     n_phi: int = 8                 # full-3d only
     n_channels: int = 200
-    channel_cut: float = 3.0
     channel_scheme: str = "gauss"
-    t_max: float = 0.0             # requested horizon; 0 skips the check
-    #: Half-width of the detector response band (full-3d only): the detector
-    #: coupling carries a form factor that is 1 within omega0 +/- band and
-    #: rolls smoothly to 0 by omega0 +/- 2*band.  Without it the
-    #: principal-value parts of the detector kernels are dominated by
-    #: spurious cutoff-boundary contributions that can flip the sign of the
-    #: slowing.  0 disables the form factor.
-    detector_band: float = 0.05
 
     def __post_init__(self):
         if self.scheme not in ("gauss", "uniform"):
             raise GridError(f"unknown scheme {self.scheme!r}")
         if self.channel_scheme not in ("gauss", "uniform"):
             raise GridError(f"unknown channel scheme {self.channel_scheme!r}")
+        if min(self.n_modes, self.n_theta, self.n_phi) < 1:
+            raise GridError("n_modes, n_theta and n_phi must be at least 1")
+        if self.n_channels < 0:
+            raise GridError("n_channels must be non-negative")
 
 
 @dataclass(frozen=True)
 class ToySpec:
-    """Dipole-pattern-free single-detector model for end-to-end tests."""
+    """Dipole-pattern-free single-detector model for end-to-end tests.
+
+    Its grids are uniform on [0, OMEGA_CUT] and [0.3, CHANNEL_CUT].
+    """
 
     gamma: float = 0.01
     beta_toy: float = 0.05
     r: float = 0.0
     n_modes: int = 200
-    omega_cut: float = 4.0
-    scheme: str = "uniform"
     n_channels: int = 60
-    omega_i: float = 0.3
-    channel_cut: float = 3.0
-    channel_scheme: str = "uniform"
-    t_max: float = 0.0
+
+    def __post_init__(self):
+        if not (self.gamma > 0.0 and self.beta_toy >= 0.0):
+            raise GridError("toy needs gamma > 0 and beta_toy >= 0")
+        if self.n_modes < 1:
+            raise GridError("n_modes must be at least 1")
+        if self.n_channels < 0:
+            raise GridError("n_channels must be non-negative")
 
 
 @dataclass(frozen=True, eq=False)
@@ -101,17 +110,15 @@ class DiscreteModel:
     channel_omegas: np.ndarray     # (C,)
     channel_mu: np.ndarray         # (C,) real effective weights
     t_rec: float
-    meta: dict = field(default_factory=dict)
     #: Bare atom frequency, including the counterterm that absorbs the
     #: principal-value (level-shift) part of the coupling kernel so the
     #: dressed resonance sits at omega0.  The cutoff omega^3 profile pulls
     #: the pole down by several linewidths otherwise, and the closed-form
-    #: rates all discard that shift.  0.0 means "no counterterm".
-    omega_a: float = 0.0
+    #: rates all discard that shift.
+    omega_a: float
+    meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        if self.omega_a == 0.0:
-            object.__setattr__(self, "omega_a", self.omega0)
         for name in ("mode_omegas", "mode_alphas", "detector_factors",
                      "channel_omegas", "channel_mu"):
             getattr(self, name).setflags(write=False)
@@ -119,6 +126,9 @@ class DiscreteModel:
             raise GridError("all mode frequencies must be positive")
         if self.channel_omegas.size and np.any(self.channel_omegas <= 0.0):
             raise GridError("all channel frequencies must be positive")
+        for name in ("mode_alphas", "detector_factors", "channel_mu"):
+            if not np.all(np.isfinite(getattr(self, name))):
+                raise GridError(f"{name} must be finite")
 
     @property
     def n_modes(self) -> int:
@@ -187,13 +197,11 @@ def check_sum_rule(model: DiscreteModel) -> float:
     The window is |omega - omega0| <= SUM_RULE_WINDOW * omega0 / 2 and the
     density estimate pi * sum |alpha_k|^2 / measure targets gamma/2
     directly.  The window measure is the quadrature weight the grid assigns
-    to the window when the model carries its weights (meta["mode_weights"]);
-    with the nominal width instead, node clustering near the window edges
-    puts a spurious O(spacing/window) jitter on the estimate.
+    to the window (meta["mode_weights"]), not its nominal width: with that,
+    node clustering near the window edges would put a spurious
+    O(spacing/window) jitter on the estimate.
     """
-    gamma = model.meta.get("gamma")
-    if gamma is None:
-        raise GridError("model does not carry a configured gamma")
+    gamma = model.meta["gamma"]
     w0 = model.omega0
     # Edge tolerance: keep nodes that sit on the window boundary up to
     # rounding, so the window stays symmetric about omega0.
@@ -201,33 +209,23 @@ def check_sum_rule(model: DiscreteModel) -> float:
             <= 0.5 * SUM_RULE_WINDOW * w0 * (1.0 + 1e-9))
     if not mask.any():
         raise GridError("no modes inside the sum-rule window")
-    weights = model.meta.get("mode_weights")
-    measure = (float(np.sum(weights[mask])) if weights is not None
-               else SUM_RULE_WINDOW * w0)
+    measure = float(np.sum(model.meta["mode_weights"][mask]))
     density = math.pi * float(
         np.sum(np.abs(model.mode_alphas[mask]) ** 2)) / measure
     return abs(density - 0.5 * gamma) / (0.5 * gamma)
 
 
-def _check_horizon(t_rec: float, t_max: float):
-    if t_max > 0.0 and t_rec < 1.5 * t_max:
-        raise RecurrenceError(
-            f"grid recurrence time {t_rec:.3g} is below 1.5x the requested "
-            f"horizon {t_max:.3g}")
-
-
-def _channel_grid(omega_i: float, omega0: float, cut: float, n: int,
-                  scheme: str) -> tuple[np.ndarray, np.ndarray]:
+def _channel_grid(scheme: str, omega_i: float, omega0: float,
+                  n: int) -> tuple[np.ndarray, np.ndarray]:
     if n == 0:
         return np.empty(0), np.empty(0)
-    return _frequency_grid(scheme, omega_i, omega0, cut, n)
+    return _frequency_grid(scheme, omega_i, omega0, CHANNEL_CUT, n)
 
 
-def _cubic_level_shift(gamma: float, omega0: float,
-                       cut: float) -> tuple[float, float]:
+def _cubic_level_shift(gamma: float, omega0: float) -> tuple[float, float]:
     """Level shift P(w0) and pole residue Z = 1/(1 + dP/dE) at E = w0 of
-    P(E) = PV int (gamma/2pi)(w/w0)^3 / (w - E) dw on [0, cut]."""
-    b, w0 = cut, omega0
+    P(E) = PV int (gamma/2pi)(w/w0)^3 / (w - E) dw on [0, OMEGA_CUT]."""
+    b, w0 = OMEGA_CUT, omega0
     log = math.log((b - w0) / w0)
     pv = b**3 / 3.0 + w0 * b**2 / 2.0 + w0**2 * b + w0**3 * log
     slope = (b**2 / 2.0 + 2.0 * w0 * b + 3.0 * w0**2 * log
@@ -236,59 +234,52 @@ def _cubic_level_shift(gamma: float, omega0: float,
             1.0 / (1.0 + gamma / TWO_PI * slope / w0**3))
 
 
-def _flat_level_shift(gamma: float, omega0: float,
-                      cut: float) -> tuple[float, float]:
+def _flat_level_shift(gamma: float, omega0: float) -> tuple[float, float]:
     """Level shift P(w0) and pole residue Z = 1/(1 + dP/dE) at E = w0 of
-    P(E) = PV int (gamma/2pi) / (w - E) dw on [0, cut]."""
-    slope = -1.0 / (cut - omega0) - 1.0 / omega0
-    return (gamma / TWO_PI * math.log((cut - omega0) / omega0),
+    P(E) = PV int (gamma/2pi) / (w - E) dw on [0, OMEGA_CUT]."""
+    slope = -1.0 / (OMEGA_CUT - omega0) - 1.0 / omega0
+    return (gamma / TWO_PI * math.log((OMEGA_CUT - omega0) / omega0),
             1.0 / (1.0 + gamma / TWO_PI * slope))
 
 
 def build_radial_vacuum(system: PhysicalSystem, grid: GridSpec,
-                        enforce_sum_rule: bool = True,
-                        renormalize_shift: bool = True) -> DiscreteModel:
+                        enforce_sum_rule: bool = True) -> DiscreteModel:
     """Vacuum-only 1d frequency grid (angular integration done analytically)."""
     if grid.n_modes < 50:
         raise GridError("need at least 50 modes for a vacuum grid")
-    if grid.omega_cut < 2.0 * system.omega0:
-        raise GridError("omega_cut must be at least 2*omega0")
+    if OMEGA_CUT < 2.0 * system.omega0:
+        raise GridError(f"omega0 must be at most OMEGA_CUT/2 = "
+                        f"{0.5 * OMEGA_CUT!r}")
     omegas, weights = _frequency_grid(
-        grid.scheme, 0.0, system.omega0, grid.omega_cut, grid.n_modes)
+        grid.scheme, 0.0, system.omega0, OMEGA_CUT, grid.n_modes)
     # Open interval: midpoint/GL nodes never hit omega = 0 exactly.
     alpha_sq = (system.gamma / TWO_PI) * (omegas / system.omega0) ** 3 * weights
     alphas = np.sqrt(alpha_sq).astype(complex)
     t_rec = recurrence_time(omegas, system.omega0)
-    shift, z_factor = _cubic_level_shift(system.gamma, system.omega0,
-                                         grid.omega_cut)
-    omega_a = system.omega0 + (shift if renormalize_shift else 0.0)
+    shift, z_factor = _cubic_level_shift(system.gamma, system.omega0)
     model = DiscreteModel(
         kind="radial1d", omega0=system.omega0, mode_omegas=omegas,
         mode_alphas=alphas, detector_factors=np.empty((omegas.size, 0), complex),
         channel_omegas=np.empty(0), channel_mu=np.empty(0), t_rec=t_rec,
         meta={"gamma": system.gamma, "mode_weights": weights,
               "z_factor": z_factor},
-        omega_a=omega_a)
+        omega_a=system.omega0 + shift)
     if enforce_sum_rule:
         dev = check_sum_rule(model)
         if dev > 0.01:
             raise SumRuleError(
                 f"windowed coupling density off by {dev:.2%} (> 1%)")
-    _check_horizon(t_rec, grid.t_max)
     return model
 
 
-def _detector_form_factor(omegas: np.ndarray, omega0: float,
-                          band: float) -> np.ndarray:
+def _detector_form_factor(omegas: np.ndarray, omega0: float) -> np.ndarray:
     """Smooth response band for the detector coupling.
 
-    1 inside |omega - omega0| <= band, cos^2 rolloff to 0 at 2*band.  Keeps
-    resonance kernels exact while suppressing the cutoff-scale principal
-    values that otherwise swamp the reactive parts of J and G.
+    1 inside |omega - omega0| <= DETECTOR_BAND, cos^2 rolloff to 0 at twice
+    that.  Keeps resonance kernels exact while suppressing the cutoff-scale
+    principal values that otherwise swamp the reactive parts of J and G.
     """
-    if band <= 0.0:
-        return np.ones_like(omegas)
-    x = np.abs(omegas - omega0) / band
+    x = np.abs(omegas - omega0) / DETECTOR_BAND
     out = np.zeros_like(omegas)
     out[x <= 1.0] = 1.0
     mid = (x > 1.0) & (x < 2.0)
@@ -312,7 +303,7 @@ def build_full_3d(system: PhysicalSystem, grid: GridSpec) -> DiscreteModel:
     if not system.detector_atoms:
         raise GridError("full-3d model needs at least one detector atom")
     om_r, w_r = _frequency_grid(
-        grid.scheme, 0.0, system.omega0, grid.omega_cut, grid.n_modes)
+        grid.scheme, 0.0, system.omega0, OMEGA_CUT, grid.n_modes)
     x, w_x = leggauss(grid.n_theta)
     phis = TWO_PI * np.arange(grid.n_phi) / grid.n_phi
     w_phi = TWO_PI / grid.n_phi
@@ -350,7 +341,7 @@ def build_full_3d(system: PhysicalSystem, grid: GridSpec) -> DiscreteModel:
     positions = np.asarray([atom.position for atom in atoms])  # (A, 3)
     # Phase exp(i k . r_i): k = omega * k_hat in natural units.
     kdotr = om_r[:, None, None] * (k_hats @ positions.T)[None, :, :]  # (R,D,A)
-    form = _detector_form_factor(om_r, system.omega0, grid.detector_band)
+    form = _detector_form_factor(om_r, system.omega0)
 
     # Coupling vectors over directions, emitter first: u[r, 0] = alpha and
     # u[r, i] = f_i at radial node r.
@@ -369,9 +360,8 @@ def build_full_3d(system: PhysicalSystem, grid: GridSpec) -> DiscreteModel:
     factors = couplings[:, 1:, :].transpose(0, 2, 1)[keep]   # (K, A)
     omegas = np.repeat(om_r, keep.sum(axis=1))
 
-    om_c, w_c = _channel_grid(system.omega_i, system.omega0,
-                              grid.channel_cut, grid.n_channels,
-                              grid.channel_scheme)
+    om_c, w_c = _channel_grid(grid.channel_scheme, system.omega_i,
+                              system.omega0, grid.n_channels)
     channel_mu = math.sqrt(system.mu_c_sq_rho0) * np.sqrt(w_c)
 
     t_rec_modes = recurrence_time(om_r, system.omega0)
@@ -380,16 +370,13 @@ def build_full_3d(system: PhysicalSystem, grid: GridSpec) -> DiscreteModel:
     # Angular sums reproduce the same omega^3 vacuum profile, so the vacuum
     # counterterm and pole residue carry over; detector-induced shifts are
     # O(beta * gamma) and left alone.
-    shift, z_factor = _cubic_level_shift(system.gamma, system.omega0,
-                                         grid.omega_cut)
-    model = DiscreteModel(
+    shift, z_factor = _cubic_level_shift(system.gamma, system.omega0)
+    return DiscreteModel(
         kind="full3d", omega0=system.omega0, mode_omegas=omegas,
         mode_alphas=alphas, detector_factors=factors,
         channel_omegas=om_c, channel_mu=channel_mu, t_rec=t_rec,
         meta={"gamma": system.gamma, "z_factor": z_factor},
         omega_a=system.omega0 + shift)
-    _check_horizon(t_rec, grid.t_max)
-    return model
 
 
 def build_scalar_toy(params: ToySpec) -> DiscreteModel:
@@ -400,24 +387,20 @@ def build_scalar_toy(params: ToySpec) -> DiscreteModel:
     and slowing tests.  beta_toy is calibrated so the pole-approximation
     reduction factor is roughly 1/(1 + beta_toy) at r = 0.
     """
-    omegas, weights = _frequency_grid(
-        params.scheme, 0.0, 1.0, params.omega_cut, params.n_modes)
+    omegas, weights = _uniform_midpoint(0.0, OMEGA_CUT, params.n_modes)
     alphas = np.sqrt((params.gamma / TWO_PI) * weights).astype(complex)
     factors = (np.sqrt(weights) * np.exp(1j * omegas * params.r)).astype(
         complex)[:, None]
-    om_c, w_c = _channel_grid(params.omega_i, 1.0, params.channel_cut,
-                              params.n_channels, params.channel_scheme)
+    om_c, w_c = _channel_grid("uniform", 0.3, 1.0, params.n_channels)
     channel_mu = np.sqrt((params.beta_toy / math.pi**2) * w_c)
     t_rec_modes = recurrence_time(omegas, 1.0)
     t_rec_channels = recurrence_time(om_c, 1.0)
     t_rec = min(t_rec_modes, t_rec_channels)
-    shift, z_factor = _flat_level_shift(params.gamma, 1.0, params.omega_cut)
-    model = DiscreteModel(
+    shift, z_factor = _flat_level_shift(params.gamma, 1.0)
+    return DiscreteModel(
         kind="scalar_toy", omega0=1.0, omega_a=1.0 + shift, mode_omegas=omegas,
         mode_alphas=alphas, detector_factors=factors,
         channel_omegas=om_c, channel_mu=channel_mu, t_rec=t_rec,
         meta={"gamma": params.gamma, "mode_weights": weights,
               "z_factor": z_factor})
-    _check_horizon(t_rec, params.t_max)
-    return model
 

@@ -128,8 +128,7 @@ def integrate(model: DiscreteModel, t_max: float,
     norm = np.sum(np.abs(sol.y) ** 2, axis=0)
     return Trajectory(
         times=sol.t, a0=a0, survival=np.abs(a0) ** 2, norm_drift=norm - 1.0,
-        metadata={"model_kind": model.kind, "solver": solver,
-                  "t_rec": model.t_rec, "nfev": sol.nfev})
+        metadata={"nfev": sol.nfev})
 
 
 def fit_decay_rate(traj: Trajectory, window: tuple[float, float] | None = None,

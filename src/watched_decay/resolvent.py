@@ -34,7 +34,7 @@ from typing import Callable
 
 import numpy as np
 
-from .discretize import DiscreteModel
+from .discretize import RECURRENCE_WINDOW, DiscreteModel
 # Unused here; kept because perfbench/workloads.py wraps resolvent.d_oracle.
 from .geometry import d_oracle  # noqa: F401
 from .model import WW_GAMMA_CAP
@@ -141,13 +141,12 @@ def resolvent_a0_discrete(s, model: DiscreteModel):
     return complex(out[0]) if scalar else out
 
 
-def _max_local_spacing(omegas: np.ndarray, omega0: float,
-                       window: float = 0.1) -> float:
+def _max_local_spacing(omegas: np.ndarray, omega0: float) -> float:
     """Largest gap between grid frequencies inside the resonance window."""
     if omegas.size < 2:
         return 0.0
     uniq = np.unique(omegas)
-    near = uniq[np.abs(uniq - omega0) <= window * omega0]
+    near = uniq[np.abs(uniq - omega0) <= RECURRENCE_WINDOW * omega0]
     if near.size < 2:
         return float(np.max(np.diff(uniq)))
     return float(np.max(np.diff(near)))

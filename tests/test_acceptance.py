@@ -25,6 +25,7 @@ from oracles import (
 )
 from watched_decay import analytic
 from watched_decay.discretize import (
+    OMEGA_CUT,
     GridSpec,
     ToySpec,
     build_full_3d,
@@ -79,7 +80,7 @@ def fitted(model, t_max, gamma=GAMMA):
 @pytest.fixture(scope="module")
 def vacuum_run():
     system = PhysicalSystem(gamma=GAMMA, omega_i=0.3, beta=0.0)
-    model = build_radial_vacuum(system, GridSpec(n_modes=400, omega_cut=4.0))
+    model = build_radial_vacuum(system, GridSpec(n_modes=400))
     traj, fit = fitted(model, 300.0)
     return {"model": model, "traj": traj, "fit": fit}
 
@@ -183,10 +184,9 @@ def test_vacuum_rates_carry_the_z_factor(vacuum_run, toy_runs):
     # The fitted vacuum rate is the pole residue Z times gamma; with the
     # omega^3 profile Z sits 2.8% below 1, with the flat toy about 0.2%
     # above.  Each builder records the closed form of Z in its model.
-    for run, profile, cut in (
-            (vacuum_run, lambda w: w**3, 4.0),
-            (toy_runs["vacuum"], lambda w: 1.0, ToySpec().omega_cut)):
-        z = z_factor(profile, GAMMA, cut)
+    for run, profile in ((vacuum_run, lambda w: w**3),
+                         (toy_runs["vacuum"], lambda w: 1.0)):
+        z = z_factor(profile, GAMMA, OMEGA_CUT)
         assert run["fit"].rate / GAMMA == pytest.approx(z, rel=1e-3)
         assert run["model"].meta["z_factor"] == pytest.approx(z, abs=1e-6)
 

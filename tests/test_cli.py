@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -250,8 +251,7 @@ def test_main_validation_failure(tmp_path, capsys):
 @pytest.mark.parametrize("scenario, assignment", [
     ("shell", 'seed="abc"'), ("vacuum", 't_max="x"'),
     ("vacuum", 'grid.n_modes="abc"'), ("vacuum", "grid.n_modes=null"),
-    ("toy", 'toy.n_modes="abc"'), ("toy", 'solver.rtol="abc"'),
-    ("toy", "solver.max_step=1.0")])
+    ("toy", 'toy.n_modes="abc"')])
 def test_main_rejects_mistyped_values(tmp_path, capsys, scenario,
                                       assignment):
     code = main([scenario, "--out", str(tmp_path / "o"),
@@ -282,8 +282,10 @@ def test_main_rejects_solver_section(tmp_path, capsys):
     ("single-detector",
      "system.detector_atoms=" + json.dumps([{**DETECTOR, "mu_c_scal": 0.0}]),
      "mu_c_scal"),
-    ("vacuum", "system.dos.shape=power", "dos")],
-    ids=["system", "shell", "detector_atom", "dos"])
+    ("vacuum", "system.dos.shape=power", "dos"),
+    ("vacuum", "grid.omega_cut=4.0", "omega_cut"),
+    ("toy", "toy.t_max=100.0", "t_max")],
+    ids=["system", "shell", "detector_atom", "dos", "grid", "toy"])
 def test_main_rejects_unknown_keys(tmp_path, capsys, scenario, assignment,
                                    key):
     code = main([scenario, "--out", str(tmp_path / "o"),
@@ -294,6 +296,33 @@ def test_main_rejects_unknown_keys(tmp_path, capsys, scenario, assignment,
     assert err["exit_code"] == 1
     assert f"unknown key {key!r}" in err["message"]
     assert not (tmp_path / "o").exists()
+
+
+WITH_DETECTOR = "system.detector_atoms=" + json.dumps([DETECTOR])
+
+
+@pytest.mark.parametrize("scenario, assignments", [
+    ("toy", ["toy.gamma=-0.01"]), ("toy", ["toy.beta_toy=-0.05"]),
+    ("toy", ["toy.n_modes=0"]),
+    ("single-detector", [WITH_DETECTOR, "grid.n_phi=0"]),
+    ("single-detector", [WITH_DETECTOR, "grid.n_modes=0",
+                         "grid.scheme=uniform"])],
+    ids=["gamma", "beta_toy", "toy_n_modes", "n_phi", "n_modes"])
+def test_main_rejects_out_of_range_grids(tmp_path, capsys, scenario,
+                                         assignments):
+    # The specs must refuse these before any grid is built: a negative
+    # strength makes NaN couplings that stall the solver, and an empty grid
+    # divides by zero.  A warning would reach stderr too, so it fails here.
+    argv = [scenario, "--out", str(tmp_path / "o")]
+    for assignment in assignments:
+        argv += ["--set", assignment]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(argv)
+    assert code == 1
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "GridError"
+    assert err["exit_code"] == 1
 
 
 @pytest.mark.parametrize("n_samples", [0, 1])

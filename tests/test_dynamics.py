@@ -24,7 +24,7 @@ from watched_decay.model import PhysicalSystem
 
 
 def tiny_model(omegas, alphas, channel_omegas=(), channel_mu=(),
-               factors=None, omega_a=0.0):
+               factors=None):
     omegas = np.asarray(omegas, dtype=float)
     alphas = np.asarray(alphas, dtype=complex)
     n_atoms = 1 if factors is not None else 0
@@ -37,7 +37,7 @@ def tiny_model(omegas, alphas, channel_omegas=(), channel_mu=(),
         mode_alphas=alphas, detector_factors=factors,
         channel_omegas=np.asarray(channel_omegas, dtype=float),
         channel_mu=np.asarray(channel_mu, dtype=float),
-        t_rec=math.inf, meta={"gamma": 0.0}, omega_a=omega_a)
+        t_rec=math.inf, meta={"gamma": 0.0}, omega_a=1.0)
 
 
 def random_model(rng, n_modes=7, n_channels=3):

@@ -39,7 +39,7 @@ def empty_model(omega0=1.0):
         mode_alphas=np.empty(0, complex),
         detector_factors=np.empty((0, 0), complex),
         channel_omegas=np.empty(0), channel_mu=np.empty(0),
-        t_rec=math.inf, meta={"gamma": 0.0})
+        t_rec=math.inf, omega_a=omega0, meta={"gamma": 0.0})
 
 
 def direct_k(s, model):
@@ -61,7 +61,7 @@ def test_k_discrete_single_mode():
         mode_alphas=np.array([0.1 + 0.0j]),
         detector_factors=np.empty((1, 0), complex),
         channel_omegas=np.empty(0), channel_mu=np.empty(0),
-        t_rec=math.inf, meta={"gamma": 0.0})
+        t_rec=math.inf, omega_a=1.0, meta={"gamma": 0.0})
     assert self_energy(1.0 + 0.0j, model) == pytest.approx(
         0.005 - 0.005j, abs=1e-15)
 
@@ -95,10 +95,9 @@ def test_resolvent_free_limit():
 
 
 def test_resolvent_vacuum_matches_ww_form():
-    model = build_radial_vacuum(vacuum_system(), GridSpec(),
-                                renormalize_shift=False)
+    model = build_radial_vacuum(vacuum_system(), GridSpec())
     s = 0.1 + 0.3j
-    expected = 1.0 / (s + 1.0j + direct_k(s, model))
+    expected = 1.0 / (s + 1j * model.omega_a + direct_k(s, model))
     assert resolvent_a0_discrete(s, model) == pytest.approx(
         expected, abs=1e-15)
 
