@@ -1,8 +1,9 @@
 """Closed-form decay rates and detector-induced reduction factors.
 
-The vacuum decay rate is Gamma = 4 omega0^3 mu_a^2 / 3 (natural units), and
-a detector atom at retarded distance z = omega0*r/c multiplies it by a
-reduction factor U <= 1.  Several published variants of U exist and they are
+The vacuum decay rate is Gamma = 4 omega0^3 mu_a^2 / 3, and a detector atom
+at retarded distance z = omega0*r/c multiplies it by a reduction factor
+U <= 1.  In the natural units of ``model`` (omega0 = 1, lengths in c/omega0)
+z is the plain distance r.  Several published variants of U exist and they are
 *not* mutually consistent because of a normalization ambiguity in the
 angular kernel; ``reduction_single`` therefore reports all of them side by
 side together with a quadrature-oracle variant and their spread:
@@ -122,7 +123,7 @@ def reduction_multi(atoms: Sequence[DetectorAtom], p_a,
         raise ValueError("beta must be >= 0")
     deficit = 0.0
     for atom in atoms:
-        r = atom.r  # positions are in units of c/omega0, so z = r numerically
+        r = atom.r  # positions are in units of c/omega0, so z = r
         if r == 0.0:
             raise ValueError("far-field formula is singular at r = 0")
         li = dipole_factor_l(p_a, atom.dipole_dir, atom.r_hat)

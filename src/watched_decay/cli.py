@@ -45,6 +45,7 @@ from .dynamics import (
 )
 from .geometry import DipoleGeometry
 from .model import (
+    OMEGA0,
     AtomDipole,
     DetectorAtom,
     PhysicalSystem,
@@ -88,14 +89,13 @@ _SYSTEM_DEFAULTS = {
     "gamma": 0.01,
     "omega_i": 0.3,
     "beta": 0.05,
-    "omega0": 1.0,
     "atom_dipole": [0.0, 0.0, 1.0],
     "detector_atoms": [],
 }
 
 #: Keys of one entry of system.detector_atoms, each with a value of its
-#: type; position and dipole_dir have no default.
-_DETECTOR_ATOM_KEYS = {"position": [], "dipole_dir": [], "mu_c_scale": 1.0}
+#: type; neither has a default.
+_DETECTOR_ATOM_KEYS = {"position": [], "dipole_dir": []}
 
 _SHELL_DEFAULTS = {"n_atoms": 100, "radius_z": 0.5 * math.pi,
                    "n_samples": 10000}
@@ -188,12 +188,11 @@ class RunConfig:
             atoms = tuple(
                 DetectorAtom(position=np.asarray(a["position"], dtype=float),
                              dipole_dir=np.asarray(a["dipole_dir"],
-                                                   dtype=float),
-                             mu_c_scale=float(a.get("mu_c_scale", 1.0)))
+                                                   dtype=float))
                 for a in cfg["detector_atoms"])
             system = PhysicalSystem(
                 gamma=float(cfg["gamma"]), omega_i=float(cfg["omega_i"]),
-                beta=float(cfg["beta"]), omega0=float(cfg["omega0"]),
+                beta=float(cfg["beta"]),
                 atom_dipole=AtomDipole(
                     np.asarray(cfg["atom_dipole"], dtype=float)),
                 detector_atoms=atoms)
@@ -291,17 +290,16 @@ def _report_header(config: RunConfig, system: PhysicalSystem | None) -> list[str
             f"  gamma = {system.gamma!r}",
             f"  beta = {system.beta!r}",
             f"  omega_i = {system.omega_i!r}",
-            f"  omega0 = {system.omega0!r}",
+            f"  omega0 = {OMEGA0!r}",
             f"  detector atoms: {len(system.detector_atoms)}",
         ]
         # At the pole evaluation point L*I reduces to beta and
-        # mu_a^2 I / omega0 to gamma / 2 omega0; both must be small for the
+        # mu_a^2 I / omega0 to gamma / 2; both must be small for the
         # denominator expansions to hold.
         lines += ["", "regime checks (smallness ratios, threshold "
                   f"{REGIME_THRESHOLD!r}):"]
         for name, ratio in (("L*I", system.beta),
-                            ("mu_a^2 I / omega0",
-                             0.5 * system.gamma / system.omega0)):
+                            ("mu_a^2 I / omega0", 0.5 * system.gamma)):
             flag = "ok" if ratio < REGIME_THRESHOLD else "LARGE"
             lines.append(f"  {name} = {ratio!r} -> {flag}")
     return lines
@@ -382,8 +380,7 @@ def _run_single_detector(config: RunConfig):
     grid = GridSpec(**config.grid)
     atom = system.detector_atoms[0]
     geom = DipoleGeometry(p_a=system.atom_dipole.dipole_dir,
-                          p_d=atom.dipole_dir, r_hat=atom.r_hat,
-                          z=system.omega0 * atom.r)
+                          p_d=atom.dipole_dir, r_hat=atom.r_hat, z=atom.r)
 
     def describe(model, fit):
         red = analytic.reduction_single(geom, system.beta)
@@ -613,16 +610,21 @@ _RUNNERS = {
 
 
 def run(config: RunConfig, out_dir: Path, jobs: int = 1) -> dict:
-    """Execute the configured scenario and persist all artifacts."""
+    """Execute the configured scenario and persist all artifacts.
+
+    The output directory is created only once the scenario has returned,
+    so a run that fails leaves none behind.
+    """
     n_tasks = len(config.sweep["values"]) if config.sweep is not None else 1
     workers = _pool_size(jobs, n_tasks)
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
 
     if config.scenario == "sweep":
         header, rows, summary, report, plot = _run_sweep(config, workers)
     else:
         header, rows, summary, report, plot = _RUNNERS[config.scenario](config)
+
+    out_dir = Path(out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
 
     summary_doc = {
         "schema_version": SCHEMA_VERSION,

@@ -8,9 +8,10 @@ per-mode detector factors f are stored independently of alpha_k (never
 obtained by dividing out the atom factor) so degenerate dipole geometries
 need no special-casing.
 
-Coupling normalization: the vacuum coupling density is
-|alpha(omega)|^2 = (gamma/2 pi) (omega/omega0)^3 per unit frequency, which
-makes the discrete atom kernel reproduce Re K(-i omega0 + 0) = gamma/2.
+Frequencies are in units of omega0 (OMEGA0 = 1).  Coupling
+normalization: the vacuum coupling density is
+|alpha(omega)|^2 = (gamma/2 pi) omega^3 per unit frequency, which makes the
+discrete atom kernel reproduce Re K(-i omega0 + 0) = gamma/2.
 """
 
 from __future__ import annotations
@@ -22,13 +23,13 @@ import numpy as np
 from numpy.polynomial.legendre import leggauss
 
 from .geometry import _orthonormal_transverse
-from .model import PhysicalSystem
+from .model import OMEGA0, WW_GAMMA_CAP, PhysicalSystem
 
 TWO_PI = 2.0 * math.pi
 
-#: Half-width, relative to omega0, of the band whose spacing sets t_rec.
+#: Half-width of the band about omega0 whose spacing sets t_rec.
 RECURRENCE_WINDOW = 0.1
-#: Width, relative to omega0, of the sum-rule window centred on omega0.
+#: Width of the sum-rule window centred on omega0.
 SUM_RULE_WINDOW = 0.05
 #: Upper end of the photon-mode grid.
 OMEGA_CUT = 4.0
@@ -92,6 +93,9 @@ class ToySpec:
     def __post_init__(self):
         if not (self.gamma > 0.0 and self.beta_toy >= 0.0):
             raise GridError("toy needs gamma > 0 and beta_toy >= 0")
+        if self.gamma > WW_GAMMA_CAP:
+            raise GridError(f"toy gamma must be at most {WW_GAMMA_CAP} "
+                            "(pole regime)")
         if self.n_modes < 1:
             raise GridError("n_modes must be at least 1")
         if self.n_channels < 0:
@@ -103,7 +107,6 @@ class DiscreteModel:
     """Finite proxy of atom + field (+ detector) ready for both routes."""
 
     kind: str                      # "radial1d" | "full3d" | "scalar_toy"
-    omega0: float
     mode_omegas: np.ndarray        # (K,)
     mode_alphas: np.ndarray        # (K,) complex
     detector_factors: np.ndarray   # (K, A) complex; A = 0 without detector
@@ -168,24 +171,25 @@ def _uniform_midpoint(a: float, b: float, n: int) -> tuple[np.ndarray, np.ndarra
     return nodes, np.full(n, h)
 
 
-def _frequency_grid(scheme: str, a: float, split: float, b: float,
+def _frequency_grid(scheme: str, a: float, b: float,
                     n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and weights on [a, b]; Gauss panels split at omega0."""
     if scheme == "gauss":
-        edges = [a, split, b] if a < split < b else [a, b]
+        edges = [a, OMEGA0, b] if a < OMEGA0 < b else [a, b]
         return _gauss_panels(edges, n)
     return _uniform_midpoint(a, b, n)
 
 
-def recurrence_time(omegas: np.ndarray, omega0: float) -> float:
+def recurrence_time(omegas: np.ndarray) -> float:
     """2 pi over the minimum mode spacing near omega0.
 
     Falls back to the global minimum spacing when no two modes sit inside
-    the window |omega - omega0| <= RECURRENCE_WINDOW * omega0.
+    the window |omega - omega0| <= RECURRENCE_WINDOW.
     """
     uniq = np.unique(np.round(omegas, 12))
     if uniq.size < 2:
         return math.inf
-    near = uniq[np.abs(uniq - omega0) <= RECURRENCE_WINDOW * omega0]
+    near = uniq[np.abs(uniq - OMEGA0) <= RECURRENCE_WINDOW]
     spacings = np.diff(near) if near.size >= 2 else np.diff(uniq)
     dmin = float(np.min(spacings))
     return TWO_PI / dmin if dmin > 0.0 else math.inf
@@ -194,7 +198,7 @@ def recurrence_time(omegas: np.ndarray, omega0: float) -> float:
 def check_sum_rule(model: DiscreteModel) -> float:
     """Relative deviation of the windowed coupling density from gamma/2.
 
-    The window is |omega - omega0| <= SUM_RULE_WINDOW * omega0 / 2 and the
+    The window is |omega - omega0| <= SUM_RULE_WINDOW / 2 and the
     density estimate pi * sum |alpha_k|^2 / measure targets gamma/2
     directly.  The window measure is the quadrature weight the grid assigns
     to the window (meta["mode_weights"]), not its nominal width: with that,
@@ -202,11 +206,10 @@ def check_sum_rule(model: DiscreteModel) -> float:
     O(spacing/window) jitter on the estimate.
     """
     gamma = model.meta["gamma"]
-    w0 = model.omega0
     # Edge tolerance: keep nodes that sit on the window boundary up to
     # rounding, so the window stays symmetric about omega0.
-    mask = (np.abs(model.mode_omegas - w0)
-            <= 0.5 * SUM_RULE_WINDOW * w0 * (1.0 + 1e-9))
+    mask = (np.abs(model.mode_omegas - OMEGA0)
+            <= 0.5 * SUM_RULE_WINDOW * (1.0 + 1e-9))
     if not mask.any():
         raise GridError("no modes inside the sum-rule window")
     measure = float(np.sum(model.meta["mode_weights"][mask]))
@@ -215,30 +218,28 @@ def check_sum_rule(model: DiscreteModel) -> float:
     return abs(density - 0.5 * gamma) / (0.5 * gamma)
 
 
-def _channel_grid(scheme: str, omega_i: float, omega0: float,
+def _channel_grid(scheme: str, omega_i: float,
                   n: int) -> tuple[np.ndarray, np.ndarray]:
     if n == 0:
         return np.empty(0), np.empty(0)
-    return _frequency_grid(scheme, omega_i, omega0, CHANNEL_CUT, n)
+    return _frequency_grid(scheme, omega_i, CHANNEL_CUT, n)
 
 
-def _cubic_level_shift(gamma: float, omega0: float) -> tuple[float, float]:
-    """Level shift P(w0) and pole residue Z = 1/(1 + dP/dE) at E = w0 of
-    P(E) = PV int (gamma/2pi)(w/w0)^3 / (w - E) dw on [0, OMEGA_CUT]."""
-    b, w0 = OMEGA_CUT, omega0
-    log = math.log((b - w0) / w0)
-    pv = b**3 / 3.0 + w0 * b**2 / 2.0 + w0**2 * b + w0**3 * log
-    slope = (b**2 / 2.0 + 2.0 * w0 * b + 3.0 * w0**2 * log
-             - w0**3 / (b - w0) - w0**2)
-    return (gamma / TWO_PI * pv / w0**3,
-            1.0 / (1.0 + gamma / TWO_PI * slope / w0**3))
+def _cubic_level_shift(gamma: float) -> tuple[float, float]:
+    """Level shift P(1) and pole residue Z = 1/(1 + dP/dE) at E = 1 of
+    P(E) = PV int (gamma/2pi) w^3 / (w - E) dw on [0, OMEGA_CUT]."""
+    b = OMEGA_CUT
+    log = math.log(b - 1.0)
+    pv = b**3 / 3.0 + b**2 / 2.0 + b + log
+    slope = b**2 / 2.0 + 2.0 * b + 3.0 * log - 1.0 / (b - 1.0) - 1.0
+    return (gamma / TWO_PI * pv, 1.0 / (1.0 + gamma / TWO_PI * slope))
 
 
-def _flat_level_shift(gamma: float, omega0: float) -> tuple[float, float]:
-    """Level shift P(w0) and pole residue Z = 1/(1 + dP/dE) at E = w0 of
+def _flat_level_shift(gamma: float) -> tuple[float, float]:
+    """Level shift P(1) and pole residue Z = 1/(1 + dP/dE) at E = 1 of
     P(E) = PV int (gamma/2pi) / (w - E) dw on [0, OMEGA_CUT]."""
-    slope = -1.0 / (OMEGA_CUT - omega0) - 1.0 / omega0
-    return (gamma / TWO_PI * math.log((OMEGA_CUT - omega0) / omega0),
+    slope = -1.0 / (OMEGA_CUT - 1.0) - 1.0
+    return (gamma / TWO_PI * math.log(OMEGA_CUT - 1.0),
             1.0 / (1.0 + gamma / TWO_PI * slope))
 
 
@@ -247,23 +248,20 @@ def build_radial_vacuum(system: PhysicalSystem, grid: GridSpec,
     """Vacuum-only 1d frequency grid (angular integration done analytically)."""
     if grid.n_modes < 50:
         raise GridError("need at least 50 modes for a vacuum grid")
-    if OMEGA_CUT < 2.0 * system.omega0:
-        raise GridError(f"omega0 must be at most OMEGA_CUT/2 = "
-                        f"{0.5 * OMEGA_CUT!r}")
-    omegas, weights = _frequency_grid(
-        grid.scheme, 0.0, system.omega0, OMEGA_CUT, grid.n_modes)
+    omegas, weights = _frequency_grid(grid.scheme, 0.0, OMEGA_CUT,
+                                      grid.n_modes)
     # Open interval: midpoint/GL nodes never hit omega = 0 exactly.
-    alpha_sq = (system.gamma / TWO_PI) * (omegas / system.omega0) ** 3 * weights
+    alpha_sq = (system.gamma / TWO_PI) * omegas ** 3 * weights
     alphas = np.sqrt(alpha_sq).astype(complex)
-    t_rec = recurrence_time(omegas, system.omega0)
-    shift, z_factor = _cubic_level_shift(system.gamma, system.omega0)
+    t_rec = recurrence_time(omegas)
+    shift, z_factor = _cubic_level_shift(system.gamma)
     model = DiscreteModel(
-        kind="radial1d", omega0=system.omega0, mode_omegas=omegas,
+        kind="radial1d", mode_omegas=omegas,
         mode_alphas=alphas, detector_factors=np.empty((omegas.size, 0), complex),
         channel_omegas=np.empty(0), channel_mu=np.empty(0), t_rec=t_rec,
         meta={"gamma": system.gamma, "mode_weights": weights,
               "z_factor": z_factor},
-        omega_a=system.omega0 + shift)
+        omega_a=OMEGA0 + shift)
     if enforce_sum_rule:
         dev = check_sum_rule(model)
         if dev > 0.01:
@@ -272,14 +270,14 @@ def build_radial_vacuum(system: PhysicalSystem, grid: GridSpec,
     return model
 
 
-def _detector_form_factor(omegas: np.ndarray, omega0: float) -> np.ndarray:
+def _detector_form_factor(omegas: np.ndarray) -> np.ndarray:
     """Smooth response band for the detector coupling.
 
     1 inside |omega - omega0| <= DETECTOR_BAND, cos^2 rolloff to 0 at twice
     that.  Keeps resonance kernels exact while suppressing the cutoff-scale
     principal values that otherwise swamp the reactive parts of J and G.
     """
-    x = np.abs(omegas - omega0) / DETECTOR_BAND
+    x = np.abs(omegas - OMEGA0) / DETECTOR_BAND
     out = np.zeros_like(omegas)
     out[x <= 1.0] = 1.0
     mid = (x > 1.0) & (x < 2.0)
@@ -302,8 +300,7 @@ def build_full_3d(system: PhysicalSystem, grid: GridSpec) -> DiscreteModel:
     """
     if not system.detector_atoms:
         raise GridError("full-3d model needs at least one detector atom")
-    om_r, w_r = _frequency_grid(
-        grid.scheme, 0.0, system.omega0, OMEGA_CUT, grid.n_modes)
+    om_r, w_r = _frequency_grid(grid.scheme, 0.0, OMEGA_CUT, grid.n_modes)
     x, w_x = leggauss(grid.n_theta)
     phis = TWO_PI * np.arange(grid.n_phi) / grid.n_phi
     w_phi = TWO_PI / grid.n_phi
@@ -326,9 +323,8 @@ def build_full_3d(system: PhysicalSystem, grid: GridSpec) -> DiscreteModel:
             eps1, eps2 = _orthonormal_transverse(k_hat)
             for eps in (eps1, eps2):
                 dir_atom.append(float(np.dot(p_a, eps)))
-                dir_det.append([
-                    atom.mu_c_scale * float(np.dot(atom.dipole_dir, eps))
-                    for atom in atoms])
+                dir_det.append([float(np.dot(atom.dipole_dir, eps))
+                                for atom in atoms])
                 k_hats.append(k_hat)
                 dir_weights.append(wxi * w_phi)
     dir_atom = np.asarray(dir_atom)                     # (D,)
@@ -341,7 +337,7 @@ def build_full_3d(system: PhysicalSystem, grid: GridSpec) -> DiscreteModel:
     positions = np.asarray([atom.position for atom in atoms])  # (A, 3)
     # Phase exp(i k . r_i): k = omega * k_hat in natural units.
     kdotr = om_r[:, None, None] * (k_hats @ positions.T)[None, :, :]  # (R,D,A)
-    form = _detector_form_factor(om_r, system.omega0)
+    form = _detector_form_factor(om_r)
 
     # Coupling vectors over directions, emitter first: u[r, 0] = alpha and
     # u[r, i] = f_i at radial node r.
@@ -361,22 +357,20 @@ def build_full_3d(system: PhysicalSystem, grid: GridSpec) -> DiscreteModel:
     omegas = np.repeat(om_r, keep.sum(axis=1))
 
     om_c, w_c = _channel_grid(grid.channel_scheme, system.omega_i,
-                              system.omega0, grid.n_channels)
+                              grid.n_channels)
     channel_mu = math.sqrt(system.mu_c_sq_rho0) * np.sqrt(w_c)
 
-    t_rec_modes = recurrence_time(om_r, system.omega0)
-    t_rec_channels = recurrence_time(om_c, system.omega0)
-    t_rec = min(t_rec_modes, t_rec_channels)
+    t_rec = min(recurrence_time(om_r), recurrence_time(om_c))
     # Angular sums reproduce the same omega^3 vacuum profile, so the vacuum
     # counterterm and pole residue carry over; detector-induced shifts are
     # O(beta * gamma) and left alone.
-    shift, z_factor = _cubic_level_shift(system.gamma, system.omega0)
+    shift, z_factor = _cubic_level_shift(system.gamma)
     return DiscreteModel(
-        kind="full3d", omega0=system.omega0, mode_omegas=omegas,
+        kind="full3d", mode_omegas=omegas,
         mode_alphas=alphas, detector_factors=factors,
         channel_omegas=om_c, channel_mu=channel_mu, t_rec=t_rec,
         meta={"gamma": system.gamma, "z_factor": z_factor},
-        omega_a=system.omega0 + shift)
+        omega_a=OMEGA0 + shift)
 
 
 def build_scalar_toy(params: ToySpec) -> DiscreteModel:
@@ -391,14 +385,12 @@ def build_scalar_toy(params: ToySpec) -> DiscreteModel:
     alphas = np.sqrt((params.gamma / TWO_PI) * weights).astype(complex)
     factors = (np.sqrt(weights) * np.exp(1j * omegas * params.r)).astype(
         complex)[:, None]
-    om_c, w_c = _channel_grid("uniform", 0.3, 1.0, params.n_channels)
+    om_c, w_c = _channel_grid("uniform", 0.3, params.n_channels)
     channel_mu = np.sqrt((params.beta_toy / math.pi**2) * w_c)
-    t_rec_modes = recurrence_time(omegas, 1.0)
-    t_rec_channels = recurrence_time(om_c, 1.0)
-    t_rec = min(t_rec_modes, t_rec_channels)
-    shift, z_factor = _flat_level_shift(params.gamma, 1.0)
+    t_rec = min(recurrence_time(omegas), recurrence_time(om_c))
+    shift, z_factor = _flat_level_shift(params.gamma)
     return DiscreteModel(
-        kind="scalar_toy", omega0=1.0, omega_a=1.0 + shift, mode_omegas=omegas,
+        kind="scalar_toy", omega_a=OMEGA0 + shift, mode_omegas=omegas,
         mode_alphas=alphas, detector_factors=factors,
         channel_omegas=om_c, channel_mu=channel_mu, t_rec=t_rec,
         meta={"gamma": params.gamma, "mode_weights": weights,

@@ -24,6 +24,7 @@ import numpy as np
 from scipy.integrate import solve_ivp
 
 from .discretize import DiscreteModel, RecurrenceError
+from .model import OMEGA0
 
 
 ATOL = 1e-12  # absolute tolerance of the ODE solver
@@ -65,15 +66,14 @@ class RateFit:
     stderr: float
     window: tuple[float, float]
     r_squared: float
-    n_points: int
 
 
 def _rhs_factory(model: DiscreteModel):
     # Bare atom frequency (with its level-shift counterterm); the frame
     # still rotates at the dressed omega0 on every tier.
-    w0 = model.omega_a - model.omega0
-    wk = model.mode_omegas - model.omega0
-    wc = model.channel_omegas - model.omega0
+    w0 = model.omega_a - OMEGA0
+    wk = model.mode_omegas - OMEGA0
+    wc = model.channel_omegas - OMEGA0
     alpha = model.mode_alphas
     alpha_c = np.conj(alpha)
     f = model.detector_factors
@@ -124,28 +124,24 @@ def integrate(model: DiscreteModel, t_max: float,
     if not sol.success:
         raise IntegrationError(f"integration failed: {sol.message}")
 
-    a0 = sol.y[0] * np.exp(-1j * model.omega0 * sol.t)
+    a0 = sol.y[0] * np.exp(-1j * OMEGA0 * sol.t)
     norm = np.sum(np.abs(sol.y) ** 2, axis=0)
     return Trajectory(
         times=sol.t, a0=a0, survival=np.abs(a0) ** 2, norm_drift=norm - 1.0,
         metadata={"nfev": sol.nfev})
 
 
-def fit_decay_rate(traj: Trajectory, window: tuple[float, float] | None = None,
-                   gamma_expected: float | None = None) -> RateFit:
+def fit_decay_rate(traj: Trajectory, gamma_expected: float) -> RateFit:
     """Least-squares exponential-rate fit of log P(t) on a window.
 
-    The default window skips the early quadratic onset (t_lo at least
-    10/omega0 and 0.2 expected lifetimes) and the last fifth of the horizon.
+    The window skips the early quadratic onset (t_lo at least 10/omega0
+    and 0.2 expected lifetimes) and the last fifth of the horizon.
     """
     t = traj.times
-    if window is None:
-        t_lo = 10.0
-        if gamma_expected and gamma_expected > 0.0:
-            t_lo = max(t_lo, 0.2 / gamma_expected)
-        t_hi = 0.8 * t[-1]
-        window = (t_lo, t_hi)
-    t_lo, t_hi = window
+    t_lo = 10.0
+    if gamma_expected > 0.0:
+        t_lo = max(t_lo, 0.2 / gamma_expected)
+    t_hi = 0.8 * t[-1]
     if not t_lo < t_hi:
         raise FitWindowError("window must satisfy t_lo < t_hi")
     mask = (t >= t_lo) & (t <= t_hi)
@@ -162,8 +158,7 @@ def fit_decay_rate(traj: Trajectory, window: tuple[float, float] | None = None,
     ss_tot = float(np.sum((y - np.mean(y)) ** 2))
     r_sq = 1.0 - ss_res / ss_tot if ss_tot > 0.0 else 1.0
     return RateFit(rate=-float(slope), stderr=float(math.sqrt(cov[0, 0])),
-                   window=(float(t_lo), float(t_hi)), r_squared=r_sq,
-                   n_points=int(np.sum(mask)))
+                   window=(float(t_lo), float(t_hi)), r_squared=r_sq)
 
 
 @dataclass
@@ -189,7 +184,7 @@ def compare_routes(model: DiscreteModel, t_grid) -> RouteComparison:
     traj = integrate(model, float(t_grid[-1]), t_eval=t_grid)
 
     def shifted(s_arr):
-        return resolvent_a0_discrete(s_arr - 1j * model.omega0, model)
+        return resolvent_a0_discrete(s_arr - 1j * OMEGA0, model)
 
     rhs = _rhs_factory(model)
     y = np.zeros(model.size, dtype=complex)
@@ -199,7 +194,7 @@ def compare_routes(model: DiscreteModel, t_grid) -> RouteComparison:
         moments.append(y[0])
         y = rhs(0.0, y)
     rotated, info = invert_laplace(shifted, moments, t_grid)
-    a0_res = rotated * np.exp(-1j * model.omega0 * t_grid)
+    a0_res = rotated * np.exp(-1j * OMEGA0 * t_grid)
     diff = float(np.max(np.abs(traj.a0 - a0_res)))
     return RouteComparison(times=t_grid, a0_ode=traj.a0,
                            a0_resolvent=a0_res, max_abs_diff=diff,

@@ -47,7 +47,8 @@ TWO_PI = 2.0 * math.pi
 class DipoleGeometry:
     """Relative geometry of emitter dipole, detector dipole and separation.
 
-    z is the dimensionless retardation omega0*r/c.
+    z is the dimensionless retardation omega0*r/c, which is the distance r
+    in the natural units of ``model``.
     """
 
     p_a: np.ndarray

@@ -1,10 +1,10 @@
 """Unit conventions and shared domain types.
 
-Everything downstream works in natural units: hbar = c = 1 and all
-frequencies measured in units of the atomic transition frequency, so
-omega0 = 1 unless a caller deliberately rescales.  Lengths are measured in
-units of c/omega0, which makes the retardation argument omega0*r/c equal to
-the plain coordinate distance.
+Everything downstream works in natural units: hbar = c = 1 and the
+atomic transition frequency omega0 is the unit of frequency, OMEGA0 = 1.
+It is fixed, not a setting.  Lengths are measured in units of c/omega0,
+so the retardation argument z = omega0*r/c equals the plain coordinate
+distance r.
 
 The physical inputs are parametrized by the two observable strengths:
 the vacuum decay rate ``gamma`` and the detector response ``beta``.  The raw
@@ -16,9 +16,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import ClassVar, Sequence
 
 import numpy as np
+
+#: The atomic transition frequency, the unit of every frequency.
+OMEGA0 = 1.0
 
 #: Hard cap on gamma/omega0.  The exponential-decay (pole) approximation that
 #: all closed-form results rely on assumes the linewidth is small compared to
@@ -56,13 +59,11 @@ class DetectorAtom:
     """A single ionizable detector atom.
 
     position is measured in units of c/omega0 from the emitting atom at the
-    origin; mu_c_scale multiplies the common ionization dipole magnitude and
-    is 1.0 for identical atoms.
+    origin; every detector atom has the same ionization dipole magnitude.
     """
 
     position: np.ndarray
     dipole_dir: np.ndarray
-    mu_c_scale: float = 1.0
 
     def __post_init__(self):
         pos = np.asarray(self.position, dtype=float)
@@ -95,13 +96,15 @@ class PhysicalSystem:
     """Dimensionless description of atom + detector.
 
     gamma and beta are the observable strengths; the dipole magnitudes are
-    derived properties.
+    derived properties.  omega0 is the unit, not a field; the read-only
+    class attribute equal to OMEGA0 stays because perfbench/workloads.py
+    reads system.omega0.
     """
 
+    omega0: ClassVar[float] = OMEGA0
     gamma: float
     omega_i: float
     beta: float
-    omega0: float = 1.0
     atom_dipole: AtomDipole = field(default_factory=_default_dipole)
     detector_atoms: tuple[DetectorAtom, ...] = ()
 
@@ -111,7 +114,7 @@ class PhysicalSystem:
     @property
     def mu_a(self) -> float:
         """Atomic dipole magnitude giving the configured vacuum rate."""
-        return math.sqrt(3.0 * self.gamma / (4.0 * self.omega0**3))
+        return math.sqrt(3.0 * self.gamma / 4.0)
 
     @property
     def mu_c_sq_rho0(self) -> float:
@@ -120,7 +123,7 @@ class PhysicalSystem:
         The ionization continuum has a flat density of states, so this is
         the squared channel coupling per unit frequency at every channel.
         """
-        return 3.0 * self.beta / (2.0 * math.pi * self.omega0**3)
+        return 3.0 * self.beta / (2.0 * math.pi)
 
 
 def validate(system: PhysicalSystem) -> list[str]:
@@ -130,17 +133,12 @@ def validate(system: PhysicalSystem) -> list[str]:
     constructor will accept the system.
     """
     v = []
-    if not system.omega0 > 0.0:
-        v.append("omega0 > 0")
     if not system.gamma > 0.0:
         v.append("gamma > 0")
-    elif system.gamma > WW_GAMMA_CAP * system.omega0:
+    elif system.gamma > WW_GAMMA_CAP:
         v.append(f"gamma <= {WW_GAMMA_CAP}*omega0")
-    if not (0.0 < system.omega_i < system.omega0):
+    if not (0.0 < system.omega_i < OMEGA0):
         v.append("0 < omega_i < omega0")
     if system.beta < 0.0:
         v.append("beta >= 0")
-    for i, atom in enumerate(system.detector_atoms):
-        if atom.mu_c_scale < 0.0:
-            v.append(f"detector_atoms[{i}].mu_c_scale >= 0")
     return v

@@ -37,7 +37,7 @@ import numpy as np
 from .discretize import RECURRENCE_WINDOW, DiscreteModel
 # Unused here; kept because perfbench/workloads.py wraps resolvent.d_oracle.
 from .geometry import d_oracle  # noqa: F401
-from .model import WW_GAMMA_CAP
+from .model import OMEGA0, WW_GAMMA_CAP
 
 TWO_PI = 2.0 * math.pi
 
@@ -141,12 +141,12 @@ def resolvent_a0_discrete(s, model: DiscreteModel):
     return complex(out[0]) if scalar else out
 
 
-def _max_local_spacing(omegas: np.ndarray, omega0: float) -> float:
+def _max_local_spacing(omegas: np.ndarray) -> float:
     """Largest gap between grid frequencies inside the resonance window."""
     if omegas.size < 2:
         return 0.0
     uniq = np.unique(omegas)
-    near = uniq[np.abs(uniq - omega0) <= RECURRENCE_WINDOW * omega0]
+    near = uniq[np.abs(uniq - OMEGA0) <= RECURRENCE_WINDOW]
     if near.size < 2:
         return float(np.max(np.diff(uniq)))
     return float(np.max(np.diff(near)))
@@ -164,12 +164,12 @@ def ww_pole(model: DiscreteModel) -> dict:
     vacuum_rate (2 Re K at the same point) and gamma_eval.
     """
     gamma = model.meta.get("gamma", 0.0)
-    if gamma > WW_GAMMA_CAP * model.omega0:
+    if gamma > WW_GAMMA_CAP:
         raise RegimeError("configured linewidth outside the pole regime")
-    spacing = max(_max_local_spacing(model.mode_omegas, model.omega0),
-                  _max_local_spacing(model.channel_omegas, model.omega0))
+    spacing = max(_max_local_spacing(model.mode_omegas),
+                  _max_local_spacing(model.channel_omegas))
     gamma_eval = max(0.5 * gamma, 2.0 * spacing, 1e-6)
-    s0 = np.array([-1j * model.omega0 + gamma_eval])
+    s0 = np.array([-1j * OMEGA0 + gamma_eval])
     sigma, k_val = (complex(v[0]) for v in _sigma_and_k(s0, model))
     rate = 2.0 * sigma.real
     vacuum_rate = 2.0 * k_val.real

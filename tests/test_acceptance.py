@@ -44,7 +44,12 @@ from watched_decay.geometry import (
     s_func,
     t_func,
 )
-from watched_decay.model import AtomDipole, DetectorAtom, PhysicalSystem
+from watched_decay.model import (
+    OMEGA0,
+    AtomDipole,
+    DetectorAtom,
+    PhysicalSystem,
+)
 from watched_decay.resolvent import self_energy, ww_pole
 
 GAMMA = 0.01
@@ -276,7 +281,7 @@ def test_route_monitors_bound_exact_error(route_runs, name):
     # rotating-frame generator the ODE integrates.
     rng = np.random.default_rng(3)
     y = rng.normal(size=model.size) + 1j * rng.normal(size=model.size)
-    H = hermitian_generator(model) - model.omega0 * np.eye(model.size)
+    H = hermitian_generator(model) - OMEGA0 * np.eye(model.size)
     np.testing.assert_allclose(_rhs_factory(model)(0.0, y), -1j * H @ y,
                                atol=1e-12)
 

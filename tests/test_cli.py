@@ -284,8 +284,13 @@ def test_main_rejects_solver_section(tmp_path, capsys):
      "mu_c_scal"),
     ("vacuum", "system.dos.shape=power", "dos"),
     ("vacuum", "grid.omega_cut=4.0", "omega_cut"),
-    ("toy", "toy.t_max=100.0", "t_max")],
-    ids=["system", "shell", "detector_atom", "dos", "grid", "toy"])
+    ("toy", "toy.t_max=100.0", "t_max"),
+    ("vacuum", "system.omega0=1.5", "omega0"),
+    ("single-detector",
+     "system.detector_atoms=" + json.dumps([{**DETECTOR, "mu_c_scale": 1.0}]),
+     "mu_c_scale")],
+    ids=["system", "shell", "detector_atom", "dos", "grid", "toy", "omega0",
+         "mu_c_scale"])
 def test_main_rejects_unknown_keys(tmp_path, capsys, scenario, assignment,
                                    key):
     code = main([scenario, "--out", str(tmp_path / "o"),
@@ -306,13 +311,17 @@ WITH_DETECTOR = "system.detector_atoms=" + json.dumps([DETECTOR])
     ("toy", ["toy.n_modes=0"]),
     ("single-detector", [WITH_DETECTOR, "grid.n_phi=0"]),
     ("single-detector", [WITH_DETECTOR, "grid.n_modes=0",
-                         "grid.scheme=uniform"])],
-    ids=["gamma", "beta_toy", "toy_n_modes", "n_phi", "n_modes"])
+                         "grid.scheme=uniform"]),
+    ("toy", ["toy.gamma=0.5"])],
+    ids=["gamma", "beta_toy", "toy_n_modes", "n_phi", "n_modes",
+         "gamma_cap"])
 def test_main_rejects_out_of_range_grids(tmp_path, capsys, scenario,
                                          assignments):
     # The specs must refuse these before any grid is built: a negative
-    # strength makes NaN couplings that stall the solver, and an empty grid
-    # divides by zero.  A warning would reach stderr too, so it fails here.
+    # strength makes NaN couplings that stall the solver, an empty grid
+    # divides by zero, and a toy linewidth above the pole-regime cap would
+    # integrate before ww_pole refuses it.  A warning would reach stderr
+    # too, so it fails here.
     argv = [scenario, "--out", str(tmp_path / "o")]
     for assignment in assignments:
         argv += ["--set", assignment]
@@ -323,6 +332,7 @@ def test_main_rejects_out_of_range_grids(tmp_path, capsys, scenario,
     err = json.loads(capsys.readouterr().err)
     assert err["error"] == "GridError"
     assert err["exit_code"] == 1
+    assert not (tmp_path / "o").exists()
 
 
 @pytest.mark.parametrize("n_samples", [0, 1])
@@ -341,6 +351,7 @@ def test_main_numerical_failure(tmp_path, capsys):
                  "--set", "grid.n_modes=60"])
     assert code == 2
     assert json.loads(capsys.readouterr().err)["error"] == "SumRuleError"
+    assert not (tmp_path / "o").exists()
 
 
 def test_main_integration_failure(tmp_path, capsys, monkeypatch):

@@ -24,7 +24,12 @@ from watched_decay.discretize import (
 )
 from watched_decay.dynamics import integrate
 from watched_decay.geometry import _orthonormal_transverse
-from watched_decay.model import AtomDipole, DetectorAtom, PhysicalSystem
+from watched_decay.model import (
+    OMEGA0,
+    AtomDipole,
+    DetectorAtom,
+    PhysicalSystem,
+)
 from watched_decay.resolvent import ww_pole
 
 ZHAT = np.array([0.0, 0.0, 1.0])
@@ -75,8 +80,6 @@ def test_vacuum_rejects_coarse_grid():
 def test_vacuum_preconditions():
     with pytest.raises(GridError):
         build_radial_vacuum(make_system(), GridSpec(n_modes=40))
-    with pytest.raises(GridError):
-        build_radial_vacuum(make_system(omega0=2.5), GridSpec())
 
 
 def test_vacuum_coupling_profile():
@@ -100,13 +103,12 @@ def test_zero_gamma_means_zero_couplings():
 
 def test_recurrence_time_uniform_grid():
     omegas = np.arange(0.5, 1.5, 0.01)
-    assert recurrence_time(omegas, 1.0) == pytest.approx(
+    assert recurrence_time(omegas) == pytest.approx(
         2.0 * math.pi / 0.01, rel=1e-9)
 
 
 def two_mode_model(omegas, alphas):
-    return DiscreteModel(kind="radial1d", omega0=1.0,
-                         mode_omegas=np.array(omegas),
+    return DiscreteModel(kind="radial1d", mode_omegas=np.array(omegas),
                          mode_alphas=np.array(alphas, complex),
                          detector_factors=np.zeros((2, 0), complex),
                          channel_omegas=np.empty(0),
@@ -132,8 +134,8 @@ def test_counterterm_moves_bare_frequency_down():
     shifted = build_radial_vacuum(system, GridSpec())
     # The omega^3 tail above resonance dominates, pulling the dressed pole
     # down; the counterterm therefore raises the bare frequency.
-    assert shifted.omega_a > system.omega0
-    assert shifted.omega_a - system.omega0 == pytest.approx(0.0548, abs=2e-3)
+    assert shifted.omega_a > OMEGA0
+    assert shifted.omega_a - OMEGA0 == pytest.approx(0.0548, abs=2e-3)
 
 
 def test_counterterm_scales_with_gamma():
@@ -214,7 +216,7 @@ def test_full3d_mode_count(small_full3d):
 
 def test_full3d_vacuum_density_matches_radial(small_full3d):
     # Summing |alpha_k|^2 over the modes of each radial shell reproduces the
-    # radial coupling density (gamma/2 pi)(omega/omega0)^3 * w.
+    # radial coupling density (gamma/2 pi) omega^3 * w.
     model, grid = small_full3d
     om, per_radial = shell_sums(model, np.abs(model.mode_alphas) ** 2)
     h = 4.0 / grid.n_modes
@@ -264,9 +266,8 @@ def per_direction_modes(system, grid):
     Test oracle for build_full_3d, which must be a unitary change of basis
     inside each frequency shell of this model.
     """
-    om_r, w_r = _frequency_grid(grid.scheme, 0.0, system.omega0,
-                                OMEGA_CUT, grid.n_modes)
-    form = _detector_form_factor(om_r, system.omega0)
+    om_r, w_r = _frequency_grid(grid.scheme, 0.0, OMEGA_CUT, grid.n_modes)
+    form = _detector_form_factor(om_r)
     x, w_x = leggauss(grid.n_theta)
     w_phi = 2.0 * math.pi / grid.n_phi
     directions = []
@@ -285,8 +286,7 @@ def per_direction_modes(system, grid):
             alphas.append(-1j * system.mu_a * amp
                           * np.dot(system.atom_dipole.dipole_dir, eps))
             factors.append([
-                -1j * amp * ff * atom.mu_c_scale
-                * np.dot(atom.dipole_dir, eps)
+                -1j * amp * ff * np.dot(atom.dipole_dir, eps)
                 * cmath.exp(1j * om * np.dot(k_hat, atom.position))
                 for atom in system.detector_atoms])
     return np.array(omegas), np.array(alphas), np.array(factors)

@@ -33,7 +33,7 @@ def tiny_model(omegas, alphas, channel_omegas=(), channel_mu=(),
     else:
         factors = np.asarray(factors, complex).reshape(omegas.size, 1)
     return DiscreteModel(
-        kind="scalar_toy", omega0=1.0, mode_omegas=omegas,
+        kind="scalar_toy", mode_omegas=omegas,
         mode_alphas=alphas, detector_factors=factors,
         channel_omegas=np.asarray(channel_omegas, dtype=float),
         channel_mu=np.asarray(channel_mu, dtype=float),
@@ -157,8 +157,9 @@ def test_fit_default_window_skips_onset():
 
 
 def test_fit_window_errors():
-    traj = synthetic_trajectory(0.01)
-    with pytest.raises(FitWindowError):
-        fit_decay_rate(traj, window=(10.0, 5.0))
-    with pytest.raises(FitWindowError):
-        fit_decay_rate(traj, window=(299.5, 300.0))
+    # 0.2 / gamma_expected = 250 lies past 0.8 t_end = 240: empty window.
+    with pytest.raises(FitWindowError, match="t_lo < t_hi"):
+        fit_decay_rate(synthetic_trajectory(0.01), gamma_expected=0.0008)
+    # The window [20, 240] holds only 8 of 12 samples on [0, 300].
+    with pytest.raises(FitWindowError, match="fewer than 10"):
+        fit_decay_rate(synthetic_trajectory(0.01, n=12), gamma_expected=0.01)

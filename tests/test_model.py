@@ -26,16 +26,17 @@ def test_unit_vector_rejects_non_normalized():
 
 
 def test_mu_a_inverts_einstein_a():
-    # Einstein A coefficient: gamma = 4 omega0^3 mu_a^2 / 3.
+    # Einstein A coefficient: gamma = 4 omega0^3 mu_a^2 / 3, omega0 = 1.
     system = make_system(gamma=0.0123)
-    assert 4.0 * system.omega0**3 * system.mu_a**2 / 3.0 == pytest.approx(
+    assert 4.0 * system.mu_a**2 / 3.0 == pytest.approx(
         0.0123, rel=1e-14)
 
 
 def test_mu_c_consistent_with_beta():
-    # Detector response: beta = 2 pi omega0^3 mu_c^2 rho(omega0) / 3.
+    # Detector response: beta = 2 pi omega0^3 mu_c^2 rho(omega0) / 3,
+    # omega0 = 1.
     system = make_system(beta=0.07)
-    beta = 2.0 * math.pi * system.omega0**3 * system.mu_c_sq_rho0 / 3.0
+    beta = 2.0 * math.pi * system.mu_c_sq_rho0 / 3.0
     assert beta == pytest.approx(0.07, rel=1e-14)
     assert system.mu_c_sq_rho0 == pytest.approx(
         3.0 * 0.07 / (2.0 * math.pi), rel=1e-14)

@@ -13,7 +13,7 @@ from watched_decay.discretize import (
     build_radial_vacuum,
     build_scalar_toy,
 )
-from watched_decay.model import DetectorAtom, PhysicalSystem
+from watched_decay.model import OMEGA0, DetectorAtom, PhysicalSystem
 from watched_decay.resolvent import (
     REF_ORDER,
     InversionError,
@@ -33,13 +33,13 @@ def vacuum_system(gamma=0.01):
     return PhysicalSystem(gamma=gamma, omega_i=0.3, beta=0.0)
 
 
-def empty_model(omega0=1.0):
+def empty_model():
     return DiscreteModel(
-        kind="radial1d", omega0=omega0, mode_omegas=np.empty(0),
+        kind="radial1d", mode_omegas=np.empty(0),
         mode_alphas=np.empty(0, complex),
         detector_factors=np.empty((0, 0), complex),
         channel_omegas=np.empty(0), channel_mu=np.empty(0),
-        t_rec=math.inf, omega_a=omega0, meta={"gamma": 0.0})
+        t_rec=math.inf, omega_a=1.0, meta={"gamma": 0.0})
 
 
 def direct_k(s, model):
@@ -57,7 +57,7 @@ def test_k_discrete_empty_model():
 
 def test_k_discrete_single_mode():
     model = DiscreteModel(
-        kind="radial1d", omega0=1.0, mode_omegas=np.array([1.0]),
+        kind="radial1d", mode_omegas=np.array([1.0]),
         mode_alphas=np.array([0.1 + 0.0j]),
         detector_factors=np.empty((1, 0), complex),
         channel_omegas=np.empty(0), channel_mu=np.empty(0),
@@ -108,7 +108,7 @@ def detector_model(n_modes=20, n_atoms=30, n_channels=10, seed=3):
     rng = np.random.default_rng(seed)
     shape = (n_modes, n_atoms)
     return DiscreteModel(
-        kind="scalar_toy", omega0=1.0,
+        kind="scalar_toy",
         mode_omegas=rng.uniform(0.5, 1.5, n_modes),
         mode_alphas=0.01 * (rng.normal(size=n_modes)
                             + 1j * rng.normal(size=n_modes)),
@@ -228,7 +228,7 @@ def full3d_detector_model():
 def test_ww_pole_rates_from_one_kernel_evaluation(build):
     model = build()
     pole = ww_pole(model)
-    s0 = -1j * model.omega0 + pole["gamma_eval"]
+    s0 = -1j * OMEGA0 + pole["gamma_eval"]
     assert pole["vacuum_rate"] == pytest.approx(2.0 * direct_k(s0, model).real,
                                                 rel=1e-13, abs=0.0)
     assert pole["rate"] == 2.0 * self_energy(s0, model).real
