@@ -36,7 +36,7 @@ def _as_unit_vector(v: Sequence[float], name: str) -> np.ndarray:
     if arr.shape != (3,):
         raise ValueError(f"{name} must be a 3-vector, got shape {arr.shape}")
     norm = float(np.linalg.norm(arr))
-    if abs(norm - 1.0) > _UNIT_NORM_TOL:
+    if not abs(norm - 1.0) <= _UNIT_NORM_TOL:
         raise ValueError(f"{name} must be unit-norm (|v| = {norm!r})")
     arr.setflags(write=False)
     return arr
@@ -93,12 +93,14 @@ def _default_dipole() -> AtomDipole:
 
 @dataclass(frozen=True, eq=False)
 class PhysicalSystem:
-    """Dimensionless description of atom + detector.
+    """Dimensionless description of atom + detector, in the pole regime.
 
     gamma and beta are the observable strengths; the dipole magnitudes are
-    derived properties.  omega0 is the unit, not a field; the read-only
-    class attribute equal to OMEGA0 stays because perfbench/workloads.py
-    reads system.omega0.
+    derived properties.  The constructor refuses a system outside the
+    regime the closed forms assume: 0 < gamma <= WW_GAMMA_CAP,
+    0 < omega_i < omega0 and beta >= 0, each written so that NaN fails.
+    omega0 is the unit, not a field; the read-only class attribute equal
+    to OMEGA0 stays because perfbench/workloads.py reads system.omega0.
     """
 
     omega0: ClassVar[float] = OMEGA0
@@ -109,6 +111,14 @@ class PhysicalSystem:
     detector_atoms: tuple[DetectorAtom, ...] = ()
 
     def __post_init__(self):
+        if not 0.0 < self.gamma <= WW_GAMMA_CAP:
+            raise ValueError(f"gamma must satisfy 0 < gamma <= "
+                             f"{WW_GAMMA_CAP}*omega0, got {self.gamma!r}")
+        if not 0.0 < self.omega_i < OMEGA0:
+            raise ValueError(f"omega_i must satisfy 0 < omega_i < omega0, "
+                             f"got {self.omega_i!r}")
+        if not self.beta >= 0.0:
+            raise ValueError(f"beta must satisfy beta >= 0, got {self.beta!r}")
         object.__setattr__(self, "detector_atoms", tuple(self.detector_atoms))
 
     @property
@@ -124,21 +134,3 @@ class PhysicalSystem:
         the squared channel coupling per unit frequency at every channel.
         """
         return 3.0 * self.beta / (2.0 * math.pi)
-
-
-def validate(system: PhysicalSystem) -> list[str]:
-    """Check the hard invariants of a system.
-
-    Returns the violated invariants; an empty list means every downstream
-    constructor will accept the system.
-    """
-    v = []
-    if not system.gamma > 0.0:
-        v.append("gamma > 0")
-    elif system.gamma > WW_GAMMA_CAP:
-        v.append(f"gamma <= {WW_GAMMA_CAP}*omega0")
-    if not (0.0 < system.omega_i < OMEGA0):
-        v.append("0 < omega_i < omega0")
-    if system.beta < 0.0:
-        v.append("beta >= 0")
-    return v

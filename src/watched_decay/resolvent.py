@@ -37,7 +37,7 @@ import numpy as np
 from .discretize import RECURRENCE_WINDOW, DiscreteModel
 # Unused here; kept because perfbench/workloads.py wraps resolvent.d_oracle.
 from .geometry import d_oracle  # noqa: F401
-from .model import OMEGA0, WW_GAMMA_CAP
+from .model import OMEGA0
 
 TWO_PI = 2.0 * math.pi
 
@@ -46,10 +46,6 @@ _POLE_TOL = 1e-12
 
 class PoleError(ValueError):
     """Evaluation point coincides with a propagator pole."""
-
-
-class RegimeError(ValueError):
-    """Pole-approximation result requested outside its validity regime."""
 
 
 class InversionError(RuntimeError):
@@ -164,8 +160,6 @@ def ww_pole(model: DiscreteModel) -> dict:
     vacuum_rate (2 Re K at the same point) and gamma_eval.
     """
     gamma = model.meta.get("gamma", 0.0)
-    if gamma > WW_GAMMA_CAP:
-        raise RegimeError("configured linewidth outside the pole regime")
     spacing = max(_max_local_spacing(model.mode_omegas),
                   _max_local_spacing(model.channel_omegas))
     gamma_eval = max(0.5 * gamma, 2.0 * spacing, 1e-6)

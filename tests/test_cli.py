@@ -251,7 +251,10 @@ def test_main_validation_failure(tmp_path, capsys):
 @pytest.mark.parametrize("scenario, assignment", [
     ("shell", 'seed="abc"'), ("vacuum", 't_max="x"'),
     ("vacuum", 'grid.n_modes="abc"'), ("vacuum", "grid.n_modes=null"),
-    ("toy", 'toy.n_modes="abc"')])
+    ("toy", 'toy.n_modes="abc"'), ("shell", "system.beta=NaN"),
+    ("shell", "shell.radius_z=NaN"), ("vacuum", "t_max=NaN"),
+    ("shell", "system.beta=1e999"), ("toy", "t_max=0"),
+    ("vacuum", "t_max=-5")])
 def test_main_rejects_mistyped_values(tmp_path, capsys, scenario,
                                       assignment):
     code = main([scenario, "--out", str(tmp_path / "o"),
@@ -260,6 +263,17 @@ def test_main_rejects_mistyped_values(tmp_path, capsys, scenario,
     err = json.loads(capsys.readouterr().err)
     assert err["error"] == "ConfigError"
     assert err["exit_code"] == 1
+    assert not (tmp_path / "o").exists()
+
+
+def test_main_rejects_nonfinite_config_file(tmp_path, capsys):
+    path = tmp_path / "run.json"
+    path.write_text('{"scenario": "shell", "shell": {"radius_z": Infinity}}')
+    code = main(["shell", "--config", str(path), "--out", str(tmp_path / "o")])
+    assert code == 1
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "ConfigError"
+    assert "Infinity" in err["message"]
     assert not (tmp_path / "o").exists()
 
 
@@ -319,9 +333,9 @@ def test_main_rejects_out_of_range_grids(tmp_path, capsys, scenario,
                                          assignments):
     # The specs must refuse these before any grid is built: a negative
     # strength makes NaN couplings that stall the solver, an empty grid
-    # divides by zero, and a toy linewidth above the pole-regime cap would
-    # integrate before ww_pole refuses it.  A warning would reach stderr
-    # too, so it fails here.
+    # divides by zero, and a toy linewidth above the pole-regime cap is
+    # outside the regime the analytic rate assumes.  A warning would reach
+    # stderr too, so it fails here.
     argv = [scenario, "--out", str(tmp_path / "o")]
     for assignment in assignments:
         argv += ["--set", assignment]

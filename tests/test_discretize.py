@@ -92,15 +92,6 @@ def test_vacuum_coupling_profile():
     assert model.n_channels == 0
 
 
-def test_zero_gamma_means_zero_couplings():
-    # gamma = 0 is outside validate()'s range but the builder is happy to
-    # produce the decoupled grid.
-    system = PhysicalSystem(gamma=0.0, omega_i=0.3, beta=0.0)
-    model = build_radial_vacuum(system, GridSpec(),
-                                enforce_sum_rule=False)
-    assert np.all(model.mode_alphas == 0.0)
-
-
 def test_recurrence_time_uniform_grid():
     omegas = np.arange(0.5, 1.5, 0.01)
     assert recurrence_time(omegas) == pytest.approx(
@@ -121,8 +112,9 @@ def test_model_rejects_nonpositive_frequencies():
 
 
 def test_model_rejects_nonfinite_couplings():
-    # The backstop for a NaN coupling from a system that skipped validate():
-    # the solver would otherwise reject steps forever.
+    # The backstop for a non-finite coupling that no spec caught, such as
+    # the one ToySpec(r=inf) makes: the solver would otherwise reject steps
+    # forever.
     with pytest.raises(GridError):
         two_mode_model([0.5, 1.0], [0.0, np.nan])
 

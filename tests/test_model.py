@@ -4,12 +4,7 @@ import numpy as np
 import pytest
 
 from watched_decay import model
-from watched_decay.model import (
-    AtomDipole,
-    DetectorAtom,
-    PhysicalSystem,
-    validate,
-)
+from watched_decay.model import AtomDipole, DetectorAtom, PhysicalSystem
 
 
 def make_system(**kw):
@@ -23,6 +18,8 @@ def test_unit_vector_rejects_non_normalized():
         AtomDipole(np.array([0.0, 0.0, 2.0]))
     with pytest.raises(ValueError):
         AtomDipole(np.array([1.0, 0.0]))
+    with pytest.raises(ValueError):
+        AtomDipole(np.array([np.nan, 0.0, 0.0]))
 
 
 def test_mu_a_inverts_einstein_a():
@@ -56,22 +53,29 @@ def test_detector_atom_at_origin_has_no_direction():
         atom.r_hat
 
 
-def test_validate_accepts_reference_system():
-    assert validate(make_system()) == []
+def test_system_accepts_reference_system():
+    assert make_system().gamma == 0.01
 
 
-def test_validate_flags_omega_i_range():
-    assert "0 < omega_i < omega0" in validate(make_system(omega_i=1.5))
+def test_system_rejects_omega_i_range():
+    for omega_i in (1.5, 0.0, math.nan):
+        with pytest.raises(ValueError, match="omega_i"):
+            make_system(omega_i=omega_i)
 
 
-def test_validate_flags_large_gamma_as_regime_violation():
-    assert any("omega0" in v for v in validate(make_system(gamma=0.2)))
+def test_system_rejects_gamma_outside_pole_regime():
+    for gamma in (0.2, 0.0, math.nan):
+        with pytest.raises(ValueError, match="gamma"):
+            make_system(gamma=gamma)
     # Just under the hard cap: allowed.
-    assert validate(make_system(gamma=0.08)) == []
+    assert make_system(gamma=0.08).gamma == 0.08
 
 
-def test_validate_flags_negative_beta():
-    assert "beta >= 0" in validate(make_system(beta=-0.1))
+def test_system_rejects_negative_beta():
+    for beta in (-0.1, math.nan):
+        with pytest.raises(ValueError, match="beta"):
+            make_system(beta=beta)
+    assert make_system(beta=0.0).beta == 0.0
 
 
 def test_ww_gamma_cap_value():

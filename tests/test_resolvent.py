@@ -18,7 +18,6 @@ from watched_decay.resolvent import (
     REF_ORDER,
     InversionError,
     PoleError,
-    RegimeError,
     _phase_sums,
     invert_laplace,
     resolvent_a0_discrete,
@@ -233,13 +232,6 @@ def test_ww_pole_rates_from_one_kernel_evaluation(build):
                                                 rel=1e-13, abs=0.0)
     assert pole["rate"] == 2.0 * self_energy(s0, model).real
     assert pole["u"] == pole["rate"] / pole["vacuum_rate"] < 1.0
-
-
-def test_ww_pole_regime_enforcement():
-    system = PhysicalSystem(gamma=0.2, omega_i=0.3, beta=0.0)
-    model = build_radial_vacuum(system, GridSpec(), enforce_sum_rule=False)
-    with pytest.raises(RegimeError):
-        ww_pole(model)
 
 
 # -- inverse transform -----------------------------------------------------
