@@ -1,11 +1,11 @@
-"""Command-line front end: scenarios, persistence, plot-ready data.
+"""Command-line front end: scenarios and persistence.
 
 Each subcommand builds a model from a JSON config (plus dotted-path
-overrides), runs one scenario, and writes four artifacts into the output
-directory: ``results.csv``, ``summary.json``, ``report.txt`` and
-``plotdata/*.dat``.  Outputs are deterministic for a given config + seed:
-all randomness flows from the single seed through named substreams and
-every float is serialized via repr.
+overrides), runs one scenario, and writes three artifacts into the output
+directory: ``results.csv``, ``summary.json`` and ``report.txt``.  Outputs
+are deterministic for a given config + seed: all randomness flows from the
+single seed through named substreams and every float is serialized via
+repr.
 
 Exit codes: 0 success, 1 config/validation failure, 2 numerical
 non-convergence, 3 I/O failure.  Failures emit a machine-readable JSON
@@ -254,38 +254,9 @@ def _plain(obj):
     return obj
 
 
-def _fmt(x) -> str:
-    if isinstance(x, float):
-        return repr(x)
-    return str(x)
-
-
 def _write_csv(path: Path, header: list[str], rows: list[list]):
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(_fmt(x) for x in row))
+    lines = [",".join(header)] + [",".join(map(str, row)) for row in rows]
     path.write_text("\n".join(lines) + "\n")
-
-
-def emit_plot_data(result, path: Path):
-    """Write plot-ready whitespace-free delimited data with one header line.
-
-    ``result`` is either a Trajectory-like payload
-    ``{"traj": Trajectory, "rate": float}`` (columns t, survival,
-    exp(-rate*t) reference) or a sweep payload
-    ``{"rows": [{parameter, fitted_rate, analytic_rate}, ...], "parameter"}``.
-    """
-    path.parent.mkdir(parents=True, exist_ok=True)
-    if "traj" in result:
-        traj, rate = result["traj"], result["rate"]
-        header = ["t", "survival", "reference"]
-        rows = [[float(t), float(p), math.exp(-rate * float(t))]
-                for t, p in zip(traj.times, traj.survival)]
-    else:
-        header = [result["parameter"], "fitted_rate", "analytic_rate"]
-        rows = [[row.get(result["parameter"]), row.get("fitted_rate", ""),
-                 row.get("analytic_rate", "")] for row in result["rows"]]
-    _write_csv(path, header, rows)
 
 
 # ---------------------------------------------------------------------------
@@ -332,53 +303,47 @@ def _normalization_section(beta: float) -> list[str]:
 
 
 # ---------------------------------------------------------------------------
-# Scenarios.  Each returns (csv_header, csv_rows, summary, report_lines,
-# plot_payload or None).
+# Scenarios.  Each returns (csv_header, csv_rows, summary, report_lines).
+# The builders, ``integrate`` and ``ww_pole`` are looked up as module
+# globals at call time, so wrappers set on this module see every call.
 
-def _run_trajectory(config: RunConfig, build, gamma: float, describe):
-    """Build a model, integrate it to min(t_max, 0.9 t_rec), fit its rate.
+_TRAJECTORY_HEADER = ["t", "re_a0", "im_a0", "survival", "norm"]
 
-    ``build()`` returns the model; ``describe(model, fit)`` returns the
-    scenario's own summary fields, report lines and plot reference rate.
-    The builder and ``integrate`` are looked up as module globals at call
-    time, so wrappers set on this module see both calls.
+
+def _run_trajectory(config: RunConfig, model, gamma: float):
+    """Integrate a model to min(t_max, 0.9 t_rec) and fit its rate.
+
+    Returns the fit, the csv rows and the summary fields that every
+    trajectory scenario shares.
     """
-    model = build()
     t_max = min(config.t_max, 0.9 * model.t_rec)
     traj = integrate(model, t_max)
     fit = fit_decay_rate(traj, gamma_expected=gamma)
-    extra, report, reference_rate = describe(model, fit)
     summary = {
         "fitted_rate": fit.rate, "rate_stderr": fit.stderr,
         "fit_window": list(fit.window), "r_squared": fit.r_squared,
         "gamma": gamma,
         "max_norm_drift": float(np.max(np.abs(traj.norm_drift))),
-        "t_rec": model.t_rec, "z_factor": model.meta["z_factor"], **extra,
+        "t_rec": model.t_rec, "z_factor": model.meta["z_factor"],
     }
     rows = [[float(t), float(a0.real), float(a0.imag), float(p),
              float(1.0 + drift)]
             for t, a0, p, drift in zip(traj.times, traj.a0, traj.survival,
                                        traj.norm_drift)]
-    return (["t", "re_a0", "im_a0", "survival", "norm"], rows, summary,
-            report, {"traj": traj, "rate": reference_rate,
-                     "name": "trajectory"})
+    return fit, rows, summary
 
 
 def _run_vacuum(config: RunConfig):
     system = config.build_system()
-    grid = GridSpec(**config.grid)
-
-    def describe(model, fit):
-        rel = abs(fit.rate - system.gamma) / system.gamma
-        report = _report_header(config, system) + [
-            "", f"fitted rate = {fit.rate!r} +/- {fit.stderr!r}",
-            f"configured gamma = {system.gamma!r} (relative error {rel:.3%})",
-        ] + _normalization_section(system.beta)
-        return ({"relative_rate_error": rel, "n_modes": model.n_modes},
-                report, system.gamma)
-
-    return _run_trajectory(config, lambda: build_radial_vacuum(system, grid),
-                           system.gamma, describe)
+    model = build_radial_vacuum(system, GridSpec(**config.grid))
+    fit, rows, summary = _run_trajectory(config, model, system.gamma)
+    rel = abs(fit.rate - system.gamma) / system.gamma
+    summary.update(relative_rate_error=rel, n_modes=model.n_modes)
+    report = _report_header(config, system) + [
+        "", f"fitted rate = {fit.rate!r} +/- {fit.stderr!r}",
+        f"configured gamma = {system.gamma!r} (relative error {rel:.3%})",
+    ] + _normalization_section(system.beta)
+    return _TRAJECTORY_HEADER, rows, summary, report
 
 
 def _run_single_detector(config: RunConfig):
@@ -390,36 +355,32 @@ def _run_single_detector(config: RunConfig):
     atom = system.detector_atoms[0]
     geom = DipoleGeometry(p_a=system.atom_dipole.dipole_dir,
                           p_d=atom.dipole_dir, r_hat=atom.r_hat, z=atom.r)
-
-    def describe(model, fit):
-        red = analytic.reduction_single(geom, system.beta)
-        pole = ww_pole(model)
-        u_fitted = fit.rate / (system.gamma * model.meta["z_factor"])
-        extra = {
-            "beta": system.beta, "z": geom.z, "u_fitted": u_fitted,
-            "u_discrete_kernels": pole["u"],
-            "u_general": red.u_general, "u_oracle": red.u_oracle,
-            "u_far_field": red.u_far_field, "u_near_field": red.u_near_field,
-            "u_variant_spread": red.discrepancy,
-        }
-        report = _report_header(config, system) + [
-            "",
-            f"fitted rate = {fit.rate!r} +/- {fit.stderr!r}",
-            f"fitted U = {u_fitted!r}",
-            f"analytic gamma*U targets at z = {geom.z!r}:",
-            f"  discrete kernels: {system.gamma * pole['u']!r} "
-            f"(U = {pole['u']!r})",
-            f"  printed kernel:   {system.gamma * red.u_general!r} "
-            f"(U = {red.u_general!r})",
-            f"  oracle kernel:    {system.gamma * red.u_oracle!r} "
-            f"(U = {red.u_oracle!r})",
-            f"  far field:        {system.gamma * red.u_far_field!r} "
-            f"(U = {red.u_far_field!r})",
-        ] + _normalization_section(system.beta)
-        return extra, report, system.gamma * pole["u"]
-
-    return _run_trajectory(config, lambda: build_full_3d(system, grid),
-                           system.gamma, describe)
+    model = build_full_3d(system, grid)
+    fit, rows, summary = _run_trajectory(config, model, system.gamma)
+    red = analytic.reduction_single(geom, system.beta)
+    pole = ww_pole(model)
+    u_fitted = fit.rate / (system.gamma * model.meta["z_factor"])
+    summary.update(
+        beta=system.beta, z=geom.z, u_fitted=u_fitted,
+        u_discrete_kernels=pole["u"],
+        u_general=red.u_general, u_oracle=red.u_oracle,
+        u_far_field=red.u_far_field, u_near_field=red.u_near_field,
+        u_variant_spread=red.discrepancy)
+    report = _report_header(config, system) + [
+        "",
+        f"fitted rate = {fit.rate!r} +/- {fit.stderr!r}",
+        f"fitted U = {u_fitted!r}",
+        f"analytic gamma*U targets at z = {geom.z!r}:",
+        f"  discrete kernels: {system.gamma * pole['u']!r} "
+        f"(U = {pole['u']!r})",
+        f"  printed kernel:   {system.gamma * red.u_general!r} "
+        f"(U = {red.u_general!r})",
+        f"  oracle kernel:    {system.gamma * red.u_oracle!r} "
+        f"(U = {red.u_oracle!r})",
+        f"  far field:        {system.gamma * red.u_far_field!r} "
+        f"(U = {red.u_far_field!r})",
+    ] + _normalization_section(system.beta)
+    return _TRAJECTORY_HEADER, rows, summary, report
 
 
 def _run_shell(config: RunConfig):
@@ -454,32 +415,28 @@ def _run_shell(config: RunConfig):
         f"U (isotropic 2/9 average) = {u_iso!r}",
         f"U (Monte Carlo, {n_samples} samples) = {mc_mean!r} +/- {mc_err!r}",
     ] + _normalization_section(system.beta)
-    return (["variant", "u", "stderr"], rows, summary, report, None)
+    return ["variant", "u", "stderr"], rows, summary, report
 
 
 def _run_toy(config: RunConfig):
     toy = ToySpec(**config.toy)
-
-    def describe(model, fit):
-        pole = ww_pole(model)
-        u_fitted = fit.rate / (toy.gamma * model.meta["z_factor"])
-        analytic_rate = toy.gamma * pole["u"]
-        extra = {"beta_toy": toy.beta_toy, "r": toy.r, "u_fitted": u_fitted,
-                 "u_discrete_kernels": pole["u"],
-                 "analytic_rate": analytic_rate}
-        report = _report_header(config, None) + [
-            f"toy parameters: gamma = {toy.gamma!r}, "
-            f"beta_toy = {toy.beta_toy!r}, r = {toy.r!r}",
-            "",
-            f"fitted rate = {fit.rate!r} +/- {fit.stderr!r}",
-            f"fitted U = {u_fitted!r}",
-            f"discrete-kernel U = {pole['u']!r} "
-            f"(analytic rate {analytic_rate!r})",
-        ]
-        return extra, report, analytic_rate
-
-    return _run_trajectory(config, lambda: build_scalar_toy(toy), toy.gamma,
-                           describe)
+    model = build_scalar_toy(toy)
+    fit, rows, summary = _run_trajectory(config, model, toy.gamma)
+    pole = ww_pole(model)
+    u_fitted = fit.rate / (toy.gamma * model.meta["z_factor"])
+    analytic_rate = toy.gamma * pole["u"]
+    summary.update(beta_toy=toy.beta_toy, r=toy.r, u_fitted=u_fitted,
+                   u_discrete_kernels=pole["u"], analytic_rate=analytic_rate)
+    report = _report_header(config, None) + [
+        f"toy parameters: gamma = {toy.gamma!r}, "
+        f"beta_toy = {toy.beta_toy!r}, r = {toy.r!r}",
+        "",
+        f"fitted rate = {fit.rate!r} +/- {fit.stderr!r}",
+        f"fitted U = {u_fitted!r}",
+        f"discrete-kernel U = {pole['u']!r} "
+        f"(analytic rate {analytic_rate!r})",
+    ]
+    return _TRAJECTORY_HEADER, rows, summary, report
 
 
 def _run_compare_routes(config: RunConfig):
@@ -515,22 +472,21 @@ def _run_compare_routes(config: RunConfig):
         f"  reference of order {info['ref_order']} with its pole at "
         f"-c, c = {info['c_ref']!r}",
     ]
-    return (["t", "abs_diff"], rows, summary, report, None)
+    return ["t", "abs_diff"], rows, summary, report
 
 
 # -- sweep -----------------------------------------------------------------
 
 def _sweep_point(args):
     """One sweep point; returns a plain row dict (picklable)."""
-    config_dict, parameter, value, index = args
-    config = RunConfig.from_dict(config_dict)
+    config, parameter, value, index = args
     row = {"index": index, parameter: value, "error": ""}
     try:
         if parameter in ("beta", "r"):
             toy_key = "beta_toy" if parameter == "beta" else "r"
             point = replace(config, scenario="toy", sweep=None,
                             toy={**config.toy, toy_key: value})
-            _, _, summary, _, _ = _run_toy(point)
+            _, _, summary, _ = _run_toy(point)
             row.update(fitted_rate=summary["fitted_rate"],
                        rate_stderr=summary["rate_stderr"],
                        analytic_rate=summary["analytic_rate"],
@@ -540,7 +496,7 @@ def _sweep_point(args):
         elif parameter == "n_atoms":
             point = replace(config, scenario="shell", sweep=None,
                             shell={**config.shell, "n_atoms": value})
-            _, _, summary, _, _ = _run_shell(point)
+            _, _, summary, _ = _run_shell(point)
             gamma = {**_SYSTEM_DEFAULTS, **config.system}["gamma"]
             row.update(fitted_rate="", rate_stderr="",
                        analytic_rate=gamma * summary["u_shell_printed"],
@@ -549,7 +505,7 @@ def _sweep_point(args):
         else:  # n_modes; RunConfig admits only SWEEP_PARAMETERS
             point = replace(config, scenario="vacuum", sweep=None,
                             grid={**config.grid, "n_modes": int(value)})
-            _, _, summary, _, _ = _run_vacuum(point)
+            _, _, summary, _ = _run_vacuum(point)
             row.update(fitted_rate=summary["fitted_rate"],
                        rate_stderr=summary["rate_stderr"],
                        analytic_rate=summary["gamma"],
@@ -578,8 +534,7 @@ def _pool_size(jobs: int, n_tasks: int) -> int:
 def _run_sweep(config: RunConfig, workers: int):
     parameter = config.sweep["parameter"]
     values = config.sweep["values"]
-    tasks = [(config.to_dict(), parameter, v, i)
-             for i, v in enumerate(values)]
+    tasks = [(config, parameter, v, i) for i, v in enumerate(values)]
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             rows = list(pool.map(_sweep_point, tasks))
@@ -601,8 +556,7 @@ def _run_sweep(config: RunConfig, workers: int):
             f"fitted = {r.get('fitted_rate')!r}, "
             f"analytic = {r.get('analytic_rate')!r}")
         report.append(f"  {parameter} = {r.get(parameter)!r}: {status}")
-    plot = {"rows": rows, "parameter": parameter, "name": "sweep"}
-    return header, csv_rows, summary, report, plot
+    return header, csv_rows, summary, report
 
 
 # ---------------------------------------------------------------------------
@@ -627,9 +581,9 @@ def run(config: RunConfig, out_dir: Path, jobs: int = 1) -> dict:
     workers = _pool_size(jobs, n_tasks)
 
     if config.scenario == "sweep":
-        header, rows, summary, report, plot = _run_sweep(config, workers)
+        header, rows, summary, report = _run_sweep(config, workers)
     else:
-        header, rows, summary, report, plot = _RUNNERS[config.scenario](config)
+        header, rows, summary, report = _RUNNERS[config.scenario](config)
 
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -645,10 +599,6 @@ def run(config: RunConfig, out_dir: Path, jobs: int = 1) -> dict:
     (out_dir / "summary.json").write_text(
         json.dumps(summary_doc, sort_keys=True, indent=2) + "\n")
     (out_dir / "report.txt").write_text("\n".join(report) + "\n")
-    if plot is not None:
-        emit_plot_data(plot, out_dir / "plotdata" / f"{plot['name']}.dat")
-    else:
-        (out_dir / "plotdata").mkdir(exist_ok=True)
     return summary_doc
 
 

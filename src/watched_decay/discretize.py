@@ -106,7 +106,6 @@ class ToySpec:
 class DiscreteModel:
     """Finite proxy of atom + field (+ detector) ready for both routes."""
 
-    kind: str                      # "radial1d" | "full3d" | "scalar_toy"
     mode_omegas: np.ndarray        # (K,)
     mode_alphas: np.ndarray        # (K,) complex
     detector_factors: np.ndarray   # (K, A) complex; A = 0 without detector
@@ -256,8 +255,8 @@ def build_radial_vacuum(system: PhysicalSystem, grid: GridSpec,
     t_rec = recurrence_time(omegas)
     shift, z_factor = _cubic_level_shift(system.gamma)
     model = DiscreteModel(
-        kind="radial1d", mode_omegas=omegas,
-        mode_alphas=alphas, detector_factors=np.empty((omegas.size, 0), complex),
+        mode_omegas=omegas, mode_alphas=alphas,
+        detector_factors=np.empty((omegas.size, 0), complex),
         channel_omegas=np.empty(0), channel_mu=np.empty(0), t_rec=t_rec,
         meta={"gamma": system.gamma, "mode_weights": weights,
               "z_factor": z_factor},
@@ -366,8 +365,7 @@ def build_full_3d(system: PhysicalSystem, grid: GridSpec) -> DiscreteModel:
     # O(beta * gamma) and left alone.
     shift, z_factor = _cubic_level_shift(system.gamma)
     return DiscreteModel(
-        kind="full3d", mode_omegas=omegas,
-        mode_alphas=alphas, detector_factors=factors,
+        mode_omegas=omegas, mode_alphas=alphas, detector_factors=factors,
         channel_omegas=om_c, channel_mu=channel_mu, t_rec=t_rec,
         meta={"gamma": system.gamma, "z_factor": z_factor},
         omega_a=OMEGA0 + shift)
@@ -390,9 +388,9 @@ def build_scalar_toy(params: ToySpec) -> DiscreteModel:
     t_rec = min(recurrence_time(omegas), recurrence_time(om_c))
     shift, z_factor = _flat_level_shift(params.gamma)
     return DiscreteModel(
-        kind="scalar_toy", omega_a=OMEGA0 + shift, mode_omegas=omegas,
-        mode_alphas=alphas, detector_factors=factors,
+        mode_omegas=omegas, mode_alphas=alphas, detector_factors=factors,
         channel_omegas=om_c, channel_mu=channel_mu, t_rec=t_rec,
         meta={"gamma": params.gamma, "mode_weights": weights,
-              "z_factor": z_factor})
+              "z_factor": z_factor},
+        omega_a=OMEGA0 + shift)
 

@@ -69,6 +69,8 @@ class DetectorAtom:
         pos = np.asarray(self.position, dtype=float)
         if pos.shape != (3,):
             raise ValueError("position must be a 3-vector")
+        if not np.all(np.isfinite(pos)):
+            raise ValueError("position must be finite")
         pos.setflags(write=False)
         object.__setattr__(self, "position", pos)
         object.__setattr__(

@@ -232,7 +232,7 @@ def route_runs(toy_runs, full3d_runs):
     out = {}
     for name, model in models.items():
         assert model.size <= 2000
-        t_end = FULL3D_T if model.kind == "full3d" else 0.8 * model.t_rec
+        t_end = FULL3D_T if name == "full3d-detector" else 0.8 * model.t_rec
         t_grid = np.linspace(0.0, t_end, 201)
         out[name] = (model, compare_routes(model, t_grid))
     return out

@@ -26,6 +26,10 @@ DETECTOR = {"position": [math.pi / 2.0, 0.0, 0.0],
             "dipole_dir": [0.0, 0.0, 1.0]}
 
 
+#: Every run writes exactly these files.
+ARTIFACTS = ["report.txt", "results.csv", "summary.json"]
+
+
 def read_summary(out_dir):
     return json.loads((out_dir / "summary.json").read_text())
 
@@ -145,13 +149,7 @@ def test_toy_scenario_trajectory_contract(tmp_path):
     assert float(first[0]) == 0.0
     assert float(first[3]) == pytest.approx(1.0)
     assert float(first[4]) == pytest.approx(1.0)
-    # plot data: three columns, reference equals exp(-analytic_rate * t)
-    summary = read_summary(tmp_path)
-    rate = summary["results"]["analytic_rate"]
-    plot = (tmp_path / "plotdata" / "trajectory.dat").read_text().splitlines()
-    assert plot[0] == "t,survival,reference"
-    t, _, ref = (float(x) for x in plot[5].split(","))
-    assert ref == pytest.approx(math.exp(-rate * t), rel=1e-12)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ARTIFACTS
 
 
 def test_vacuum_scenario_recovers_gamma(tmp_path):
@@ -193,8 +191,7 @@ def test_byte_identical_reruns(tmp_path):
     config = RunConfig(scenario="toy", toy=TOY_FAST, t_max=40.0, seed=9)
     run(config, tmp_path / "a")
     run(config, tmp_path / "b")
-    for name in ("results.csv", "summary.json", "report.txt",
-                 "plotdata/trajectory.dat"):
+    for name in ARTIFACTS:
         assert (tmp_path / "a" / name).read_bytes() == \
             (tmp_path / "b" / name).read_bytes(), name
 
@@ -223,8 +220,19 @@ def test_sweep_beta_runs_dynamics(tmp_path):
     rows = read_summary(tmp_path)["results"]["rows"]
     assert [r["error"] for r in rows] == ["", ""]
     assert rows[1]["fitted_rate"] < rows[0]["fitted_rate"]
-    plot = (tmp_path / "plotdata" / "sweep.dat").read_text().splitlines()
-    assert plot[0] == "beta,fitted_rate,analytic_rate"
+
+
+def test_sweep_pool_matches_serial(tmp_path):
+    # The pool pickles RunConfig into each worker; its artifacts must
+    # match the in-process loop's byte for byte.
+    config = RunConfig(
+        scenario="sweep", toy=TOY_FAST, t_max=40.0,
+        sweep={"parameter": "r", "values": [0.0, 2.3, 4.6]})
+    run(config, tmp_path / "serial", jobs=1)
+    run(config, tmp_path / "pool", jobs=2)
+    for name in ARTIFACTS:
+        assert (tmp_path / "serial" / name).read_bytes() == \
+            (tmp_path / "pool" / name).read_bytes(), name
 
 
 # -- command line entry point ----------------------------------------------

@@ -99,7 +99,7 @@ def test_recurrence_time_uniform_grid():
 
 
 def two_mode_model(omegas, alphas):
-    return DiscreteModel(kind="radial1d", mode_omegas=np.array(omegas),
+    return DiscreteModel(mode_omegas=np.array(omegas),
                          mode_alphas=np.array(alphas, complex),
                          detector_factors=np.zeros((2, 0), complex),
                          channel_omegas=np.empty(0),
@@ -141,7 +141,6 @@ def test_counterterm_scales_with_gamma():
 
 def test_toy_reference_model():
     model = build_scalar_toy(ToySpec())
-    assert model.kind == "scalar_toy"
     assert model.size == 1 + 200 + 60
     assert model.t_rec == pytest.approx(139.626, abs=1e-2)
     # A flat profile puts exactly gamma/2 in any window: only rounding shows.

@@ -33,8 +33,7 @@ def tiny_model(omegas, alphas, channel_omegas=(), channel_mu=(),
     else:
         factors = np.asarray(factors, complex).reshape(omegas.size, 1)
     return DiscreteModel(
-        kind="scalar_toy", mode_omegas=omegas,
-        mode_alphas=alphas, detector_factors=factors,
+        mode_omegas=omegas, mode_alphas=alphas, detector_factors=factors,
         channel_omegas=np.asarray(channel_omegas, dtype=float),
         channel_mu=np.asarray(channel_mu, dtype=float),
         t_rec=math.inf, meta={"gamma": 0.0}, omega_a=1.0)

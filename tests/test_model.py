@@ -53,6 +53,13 @@ def test_detector_atom_at_origin_has_no_direction():
         atom.r_hat
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_detector_atom_rejects_nonfinite_position(bad):
+    with pytest.raises(ValueError, match="position must be finite"):
+        DetectorAtom(position=np.array([bad, 0.0, 0.0]),
+                     dipole_dir=np.array([0.0, 0.0, 1.0]))
+
+
 def test_system_accepts_reference_system():
     assert make_system().gamma == 0.01
 

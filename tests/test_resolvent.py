@@ -34,8 +34,7 @@ def vacuum_system(gamma=0.01):
 
 def empty_model():
     return DiscreteModel(
-        kind="radial1d", mode_omegas=np.empty(0),
-        mode_alphas=np.empty(0, complex),
+        mode_omegas=np.empty(0), mode_alphas=np.empty(0, complex),
         detector_factors=np.empty((0, 0), complex),
         channel_omegas=np.empty(0), channel_mu=np.empty(0),
         t_rec=math.inf, omega_a=1.0, meta={"gamma": 0.0})
@@ -56,8 +55,7 @@ def test_k_discrete_empty_model():
 
 def test_k_discrete_single_mode():
     model = DiscreteModel(
-        kind="radial1d", mode_omegas=np.array([1.0]),
-        mode_alphas=np.array([0.1 + 0.0j]),
+        mode_omegas=np.array([1.0]), mode_alphas=np.array([0.1 + 0.0j]),
         detector_factors=np.empty((1, 0), complex),
         channel_omegas=np.empty(0), channel_mu=np.empty(0),
         t_rec=math.inf, omega_a=1.0, meta={"gamma": 0.0})
@@ -107,7 +105,6 @@ def detector_model(n_modes=20, n_atoms=30, n_channels=10, seed=3):
     rng = np.random.default_rng(seed)
     shape = (n_modes, n_atoms)
     return DiscreteModel(
-        kind="scalar_toy",
         mode_omegas=rng.uniform(0.5, 1.5, n_modes),
         mode_alphas=0.01 * (rng.normal(size=n_modes)
                             + 1j * rng.normal(size=n_modes)),
