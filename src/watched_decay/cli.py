@@ -52,9 +52,14 @@ SCHEMA_VERSION = 1
 SCENARIOS = ("vacuum", "single-detector", "shell", "toy", "compare-routes",
              "sweep")
 
-#: Parameters a sweep may scan: beta and r run the toy scenario at each
-#: point, n_atoms the shell and n_modes the vacuum scenario.
-SWEEP_PARAMETERS = ("beta", "r", "n_atoms", "n_modes")
+#: Parameters a sweep may scan, each mapped to the scenario that runs at
+#: every point and the config section and key that the point's value sets.
+SWEEP_PARAMETERS = {
+    "beta": ("toy", "toy", "beta_toy"),
+    "r": ("toy", "toy", "r"),
+    "n_atoms": ("shell", "shell", "n_atoms"),
+    "n_modes": ("vacuum", "grid", "n_modes"),
+}
 
 #: The report flags a smallness ratio of the closed-form approximations as
 #: LARGE from this value on.
@@ -93,6 +98,8 @@ _DETECTOR_ATOM_KEYS = {"position": [], "dipole_dir": []}
 
 _SHELL_DEFAULTS = {"n_atoms": 100, "radius_z": 0.5 * math.pi,
                    "n_samples": 10000}
+
+_SWEEP_DEFAULTS = {"parameter": "", "values": []}
 
 #: Config sections that map one to one onto a dataclass.
 _SPEC_SECTIONS = {"grid": GridSpec, "toy": ToySpec}
@@ -156,13 +163,14 @@ class RunConfig:
         if (self.sweep is not None) != (self.scenario == "sweep"):
             raise ConfigError("sweep section present iff scenario is sweep")
         if self.sweep is not None:
+            _check_section("sweep", self.sweep, _SWEEP_DEFAULTS)
             param = self.sweep.get("parameter")
             if param not in SWEEP_PARAMETERS:
                 raise ConfigError(
                     f"sweep parameter must be one of "
                     f"{sorted(SWEEP_PARAMETERS)}, got {param!r}")
-            if not isinstance(self.sweep.get("values"), list):
-                raise ConfigError("sweep.values must be a list")
+            if "values" not in self.sweep:
+                raise ConfigError("sweep section needs values")
         for name, spec in _SPEC_SECTIONS.items():
             _check_section(name, getattr(self, name),
                            {f.name: f.default for f in fields(spec)})
@@ -171,8 +179,9 @@ class RunConfig:
             _check_section(f"system.detector_atoms[{i}]", atom,
                            _DETECTOR_ATOM_KEYS)
         _check_section("shell", self.shell, _SHELL_DEFAULTS)
-        if type(self.seed) is not int:
-            raise ConfigError(f"seed must be an integer, got {self.seed!r}")
+        if type(self.seed) is not int or self.seed < 0:
+            raise ConfigError(
+                f"seed must be a non-negative integer, got {self.seed!r}")
         if not _is_number(self.t_max):
             raise ConfigError(f"t_max must be a number, got {self.t_max!r}")
         if not self.t_max > 0.0:
@@ -403,8 +412,6 @@ def _run_shell(config: RunConfig):
         "u_shell_mc": mc_mean, "u_shell_mc_stderr": mc_err,
         "mc_samples": n_samples,
     }
-    if n_atoms == 0:
-        summary["u"] = 1.0
     rows = [["printed_l2_average", u_printed, 0.0],
             ["isotropic_l2_average", u_iso, 0.0],
             ["monte_carlo", mc_mean, mc_err]]
@@ -478,46 +485,23 @@ def _run_compare_routes(config: RunConfig):
 # -- sweep -----------------------------------------------------------------
 
 def _sweep_point(args):
-    """One sweep point; returns a plain row dict (picklable)."""
-    config, parameter, value, index = args
-    row = {"index": index, parameter: value, "error": ""}
+    """One sweep point, run as its scenario's own run; a plain row dict.
+
+    The row is the point's value, every non-list field of the scenario's
+    summary and ``error``; a point that raises is its value and the error.
+    """
+    config, value = args
+    parameter = config.sweep["parameter"]
+    scenario, section, key = SWEEP_PARAMETERS[parameter]
     try:
-        if parameter in ("beta", "r"):
-            toy_key = "beta_toy" if parameter == "beta" else "r"
-            point = replace(config, scenario="toy", sweep=None,
-                            toy={**config.toy, toy_key: value})
-            _, _, summary, _ = _run_toy(point)
-            row.update(fitted_rate=summary["fitted_rate"],
-                       rate_stderr=summary["rate_stderr"],
-                       analytic_rate=summary["analytic_rate"],
-                       u_fitted=summary["u_fitted"],
-                       z_factor=summary["z_factor"],
-                       u_analytic=summary["u_discrete_kernels"])
-        elif parameter == "n_atoms":
-            point = replace(config, scenario="shell", sweep=None,
-                            shell={**config.shell, "n_atoms": value})
-            _, _, summary, _ = _run_shell(point)
-            gamma = {**_SYSTEM_DEFAULTS, **config.system}["gamma"]
-            row.update(fitted_rate="", rate_stderr="",
-                       analytic_rate=gamma * summary["u_shell_printed"],
-                       u_analytic=summary["u_shell_printed"],
-                       u_mc=summary["u_shell_mc"])
-        else:  # n_modes; RunConfig admits only SWEEP_PARAMETERS
-            point = replace(config, scenario="vacuum", sweep=None,
-                            grid={**config.grid, "n_modes": int(value)})
-            _, _, summary, _ = _run_vacuum(point)
-            row.update(fitted_rate=summary["fitted_rate"],
-                       rate_stderr=summary["rate_stderr"],
-                       analytic_rate=summary["gamma"],
-                       z_factor=summary["z_factor"],
-                       u_analytic=1.0)
+        point = replace(config, scenario=scenario, sweep=None, **{
+            section: {**getattr(config, section), key: value}})
+        summary = _RUNNERS[scenario](point)[2]
     except Exception as exc:  # per-point failures become row errors
-        row["error"] = f"{type(exc).__name__}: {exc}"
-        row.setdefault("fitted_rate", "")
-        row.setdefault("rate_stderr", "")
-        row.setdefault("analytic_rate", "")
-        row.setdefault("u_analytic", "")
-    return row
+        return {parameter: value, "error": f"{type(exc).__name__}: {exc}"}
+    return {parameter: value,
+            **{k: v for k, v in summary.items() if not isinstance(v, list)},
+            "error": ""}
 
 
 def _pool_size(jobs: int, n_tasks: int) -> int:
@@ -533,29 +517,25 @@ def _pool_size(jobs: int, n_tasks: int) -> int:
 
 def _run_sweep(config: RunConfig, workers: int):
     parameter = config.sweep["parameter"]
-    values = config.sweep["values"]
-    tasks = [(config, parameter, v, i) for i, v in enumerate(values)]
+    tasks = [(config, v) for v in config.sweep["values"]]
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             rows = list(pool.map(_sweep_point, tasks))
     else:
         rows = [_sweep_point(t) for t in tasks]
 
-    header = [parameter, "fitted_rate", "rate_stderr", "analytic_rate",
-              "u_analytic", "error"]
-    csv_rows = [[r.get(parameter), r.get("fitted_rate", ""),
-                 r.get("rate_stderr", ""), r.get("analytic_rate", ""),
-                 r.get("u_analytic", ""), r.get("error", "")] for r in rows]
+    header = list(dict.fromkeys(
+        [parameter] + [k for r in rows for k in r if k != "error"]
+        + ["error"]))
+    csv_rows = [[r.get(k, "") for k in header] for r in rows]
     n_failed = sum(1 for r in rows if r["error"])
     summary = {"parameter": parameter, "n_points": len(rows),
                "n_failed": n_failed, "rows": rows}
     report = _report_header(config, None) + [
         f"sweep over {parameter}: {len(rows)} points, {n_failed} failed", ""]
     for r in rows:
-        status = r["error"] if r["error"] else (
-            f"fitted = {r.get('fitted_rate')!r}, "
-            f"analytic = {r.get('analytic_rate')!r}")
-        report.append(f"  {parameter} = {r.get(parameter)!r}: {status}")
+        report.append(f"  {parameter} = {r[parameter]!r}: "
+                      f"{r['error'] or 'ok'}")
     return header, csv_rows, summary, report
 
 

@@ -88,6 +88,11 @@ def test_sweep_section_only_for_sweep_scenario():
     with pytest.raises(ConfigError):
         RunConfig(scenario="sweep",
                   sweep={"parameter": "gamma", "values": [0.1]})
+    with pytest.raises(ConfigError, match="unknown key 'bogus'"):
+        RunConfig(scenario="sweep",
+                  sweep={"parameter": "r", "values": [2.3], "bogus": 1})
+    with pytest.raises(ConfigError, match="values must be list"):
+        RunConfig(scenario="sweep", sweep={"parameter": "r", "values": 2.3})
 
 
 def test_apply_override_nested_and_typed():
@@ -137,7 +142,10 @@ def test_shell_empty_gives_unity(tmp_path):
     config = RunConfig(scenario="shell", shell={"n_atoms": 0,
                                                 "n_samples": 10})
     run(config, tmp_path)
-    assert read_summary(tmp_path)["results"]["u"] == 1.0
+    results = read_summary(tmp_path)["results"]
+    assert results["u_shell_printed"] == results["u_shell_isotropic"] \
+        == results["u_shell_mc"] == 1.0
+    assert results["u_shell_mc_stderr"] == 0.0
 
 
 def test_toy_scenario_trajectory_contract(tmp_path):
@@ -210,6 +218,22 @@ def test_sweep_orders_rows_and_keeps_failures(tmp_path):
     assert "ValueError" in failed
     summary = read_summary(tmp_path)
     assert summary["results"]["n_failed"] == 1
+    for row in summary["results"]["rows"][::2]:  # the two good points
+        assert {"u_shell_printed", "u_shell_isotropic",
+                "u_shell_mc"} <= set(row)
+        assert "u_analytic" not in row
+
+
+def test_sweep_n_modes_is_validated_per_point(tmp_path):
+    # A point's value goes through the same config check as a plain run.
+    config = RunConfig(scenario="sweep",
+                       sweep={"parameter": "n_modes", "values": [400.9, 400]})
+    run(config, tmp_path)
+    rows = read_summary(tmp_path)["results"]["rows"]
+    assert rows[0] == {"n_modes": 400.9, "error": "ConfigError: bad grid "
+                       "section: n_modes must be int, got 400.9"}
+    assert rows[1]["error"] == ""
+    assert rows[1]["n_modes"] == 400
 
 
 def test_sweep_beta_runs_dynamics(tmp_path):
@@ -233,6 +257,15 @@ def test_sweep_pool_matches_serial(tmp_path):
     for name in ARTIFACTS:
         assert (tmp_path / "serial" / name).read_bytes() == \
             (tmp_path / "pool" / name).read_bytes(), name
+    # A row is the point's value, its toy run's scalar summary fields and
+    # the error, in that order; the header follows the row.
+    header = (tmp_path / "serial" / "results.csv").read_text().splitlines()[0]
+    row = cli._sweep_point((config, 0.0))
+    assert header.split(",") == list(row)
+    assert list(row)[0] == "r" and list(row)[-1] == "error"
+    for row in read_summary(tmp_path / "serial")["results"]["rows"]:
+        assert row["error"] == ""
+        assert {"u_fitted", "u_discrete_kernels", "z_factor"} <= set(row)
 
 
 # -- command line entry point ----------------------------------------------
@@ -262,7 +295,7 @@ def test_main_validation_failure(tmp_path, capsys):
     ("toy", 'toy.n_modes="abc"'), ("shell", "system.beta=NaN"),
     ("shell", "shell.radius_z=NaN"), ("vacuum", "t_max=NaN"),
     ("shell", "system.beta=1e999"), ("toy", "t_max=0"),
-    ("vacuum", "t_max=-5")])
+    ("vacuum", "t_max=-5"), ("toy", "seed=-1"), ("shell", "seed=-1")])
 def test_main_rejects_mistyped_values(tmp_path, capsys, scenario,
                                       assignment):
     code = main([scenario, "--out", str(tmp_path / "o"),
