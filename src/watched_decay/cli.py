@@ -15,6 +15,7 @@ object on stderr.
 from __future__ import annotations
 
 import argparse
+import csv
 import json
 import math
 import os
@@ -264,8 +265,10 @@ def _plain(obj):
 
 
 def _write_csv(path: Path, header: list[str], rows: list[list]):
-    lines = [",".join(header)] + [",".join(map(str, row)) for row in rows]
-    path.write_text("\n".join(lines) + "\n")
+    with open(path, "w", newline="") as f:
+        writer = csv.writer(f, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
 
 
 # ---------------------------------------------------------------------------

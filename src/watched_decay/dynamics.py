@@ -1,4 +1,4 @@
-"""Time-domain integration of the coupled amplitude equations.
+"""Time-domain propagation of the coupled amplitude equations.
 
 The amplitudes (excited state a0, one-photon modes a_k, ionization
 channels a_c per detector atom) evolve under
@@ -7,11 +7,21 @@ channels a_c per detector atom) evolve under
     dak/dt = -i wk ak - i conj(alpha_k) a0 - i sum_{c,i} m_c conj(f_ki) a_ci
     dac/dt = -i wc ac - i m_c sum_k f_ki a_k
 
-which is generated by a Hermitian matrix, so the total norm is conserved
-exactly and any drift measures integrator error.  Integration runs in
-the frame rotating at w0 (every frequency replaced by its detuning), which
-removes the fast common phase and lets an explicit adaptive Runge-Kutta
-method (DOP853) take steps set by the physical rates; the stored
+that is dy/dt = -i H y with H Hermitian and constant in time, so
+a0(t) = <0|exp(-i H t)|0>.  In the frame rotating at w0 (every frequency
+replaced by its detuning) the spectrum of H lies in [c - r, c + r], and
+the amplitude is the Chebyshev series of Tal-Ezer & Kosloff (J. Chem.
+Phys. 81, 3967, 1984)
+
+    a0(t) = exp(-i (w0 + c) t) sum_k (2 - delta_k0) (-i)^k J_k(r t) mu_k
+
+over the moments mu_k = <0|T_k((H - c) / r)|0>, in the moment form of
+the kernel polynomial method (Weisse et al., Rev. Mod. Phys. 78, 275,
+2006): one recursion of N generator products gives the 2N + 1 moments
+that serve every output time at once.  The series stops where every
+later |J_k(r t_max)| is below ``TAIL_TOL``, so its error has a bound.
+The norm, which the same moments give, is exact up to that tail and
+rounding and so indicates the propagator's health.  The stored
 trajectory is in the lab frame.
 """
 
@@ -21,13 +31,27 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from .discretize import DiscreteModel, RecurrenceError
 from .model import OMEGA0
 
 
-ATOL = 1e-12  # absolute tolerance of the ODE solver
+#: Every Bessel function past the series cut is below this at r t_max.
+TAIL_TOL = 1e-17
+#: Miller's recurrence starts each argument's column at the first order
+#: from which |J_k(x)| stays below this.
+MILLER_TOL = 1e-30
+#: Start value of Miller's recurrence: a column grows by at most
+#: 1 / J_start(x) on its way down to order 0, which cannot overflow from
+#: here for any x above 1e-300, while the values that matter stay normal.
+MILLER_SEED = 1e-250
+#: Values one chunk of output times holds per array (Bessel table, norm
+#: spectra), so memory stays bounded whatever the series length and the
+#: number of times.
+CHUNK_VALUES = 1 << 18
+#: With the spectrum inside the interval every |mu_k| <= 1; a moment past
+#: 1 + this means the interval is too small and the series diverges.
+MOMENT_SLACK = 1e-9
 
 
 class FitWindowError(ValueError):
@@ -35,11 +59,12 @@ class FitWindowError(ValueError):
 
 
 class IntegrationError(RuntimeError):
-    """The ODE solver stopped before reaching the requested horizon."""
+    """The Chebyshev moments left [-1, 1]: the series would diverge."""
 
 
 @dataclass(frozen=True)
 class SolverSpec:
+    # The propagator has no tolerance; ROADMAP item 1 deletes this class.
     rtol: float = 1e-9
 
 
@@ -101,34 +126,226 @@ def _rhs_factory(model: DiscreteModel):
     return rhs
 
 
+def _spectral_interval(model: DiscreteModel) -> tuple[float, float]:
+    """Centre c and half-width r of an interval holding the spectrum of
+    the rotating-frame generator.
+
+    By Weyl's inequality the eigenvalues lie within the range of the
+    diagonal (the detunings), widened by the norm of the off-diagonal
+    part: at most |alpha|_2 + |F|_2 |m|_2, since the mode-channel block
+    is conj(F) kron m^T.
+    """
+    diag = np.concatenate(([model.omega_a], model.mode_omegas,
+                           model.channel_omegas)) - OMEGA0
+    lo, hi = float(np.min(diag)), float(np.max(diag))
+    off = float(np.linalg.norm(model.mode_alphas))
+    if model.n_atoms and model.n_channels:
+        off += float(np.linalg.norm(model.detector_factors, 2)
+                     * np.linalg.norm(model.channel_mu))
+    half = 0.5 * (hi - lo) + off
+    # A generator with a single eigenvalue is c itself; any r serves.
+    return 0.5 * (lo + hi), half if half > 0.0 else 1.0
+
+
+def _moments(model: DiscreteModel, c: float, r: float, n: int) -> np.ndarray:
+    """mu_0 .. mu_2n of (H - c) / r from n generator products.
+
+    With t_k = T_k((H - c) / r)|0> and H Hermitian, T_k T_l =
+    (T_k+l + T_|k-l|) / 2 gives mu_2k = 2 <t_k|t_k> - mu_0 and
+    mu_2k-1 = 2 <t_k|t_k-1> - mu_1.
+    """
+    rhs = _rhs_factory(model)
+
+    def step(v):  # 2 (H - c) / r v, with H v = i rhs(v)
+        return (2j / r) * rhs(0.0, v) - (2.0 * c / r) * v
+
+    mu = np.empty(2 * n + 1)
+    prev = np.zeros(model.size, dtype=complex)
+    prev[0] = 1.0
+    cur = 0.5 * step(prev)
+    mu[0], mu[1] = 1.0, cur[0].real
+    limit = 1.0 + MOMENT_SLACK
+    for k in range(1, n + 1):                 # cur = t_k, prev = t_k-1
+        if k > 1:
+            prev, cur = cur, step(cur) - prev
+        mu[2 * k - 1] = 2.0 * np.vdot(cur, prev).real - mu[1]
+        mu[2 * k] = 2.0 * np.vdot(cur, cur).real - mu[0]
+        if not (abs(mu[2 * k - 1]) <= limit and abs(mu[2 * k]) <= limit):
+            raise IntegrationError(
+                f"Chebyshev moments {2 * k - 1} and {2 * k} are "
+                f"{mu[2 * k - 1]:.3g} and {mu[2 * k]:.3g}, outside [-1, 1]: "
+                f"the spectral interval c = {c:.6g}, r = {r:.6g} is too "
+                f"small")
+    return mu
+
+
+def _log_kapteyn(k, x):
+    """Kapteyn's bound (DLMF 10.14.5) on log |J_k(x)| for k > x >= 0.
+
+    It is sqrt(k^2 - x^2) - k arccosh(k / x), which falls with k at the
+    rate arccosh(k / x); NaN, which no comparison passes, for k <= x.
+    """
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.sqrt(k * k - x * x) - k * np.arccosh(k / x)
+
+
+def _kapteyn_order(x, tol: float) -> np.ndarray:
+    """Smallest order k > x from which Kapteyn's bound keeps every
+    |J_k(x)| below tol, for each x >= 0."""
+    x = np.asarray(x, dtype=float)
+    log_tol = math.log(tol)
+    lo = np.floor(x)                          # the bound needs k > x
+    hi = lo + 1.0
+    while True:                               # double the step until it fits
+        fits = _log_kapteyn(hi, x) <= log_tol
+        if np.all(fits):
+            break
+        hi = np.where(fits, hi, 2.0 * hi - lo)
+    while np.any(hi - lo > 1.0):              # then bisect down to it
+        mid = np.floor(0.5 * (lo + hi))
+        fits = _log_kapteyn(mid, x) <= log_tol
+        lo, hi = np.where(fits, lo, mid), np.where(fits, mid, hi)
+    return hi.astype(int)
+
+
+def _kapteyn_tail(k: int, x: float) -> float:
+    """Bound on sum_{j >= k} |J_j(x)| for k > x >= 0.
+
+    From order k on, Kapteyn's bound falls by at least exp(-arccosh(k/x))
+    per order, so the sum is below a geometric series.
+    """
+    x = np.float64(x)
+    with np.errstate(divide="ignore"):
+        ratio = np.exp(-np.arccosh(k / x))
+    return float(np.exp(_log_kapteyn(k, x)) / (1.0 - ratio))
+
+
+def _bessel_table(n: int, x) -> np.ndarray:
+    """J_k(x) for k = 0 .. n (rows) at each x >= 0 (columns).
+
+    Miller's backward recurrence J_k-1 = (2k / x) J_k - J_k+1 (DLMF
+    10.74(iv)), one vector step per order over every x.  Each column
+    starts from ``MILLER_SEED`` at its own Kapteyn order for
+    ``MILLER_TOL`` and is normalized by J_0 + 2 sum_k J_2k = 1.
+    """
+    x = np.atleast_1d(np.asarray(x, dtype=float))
+    zero = x == 0.0
+    x = np.where(zero, 1.0, x)
+    start = _kapteyn_order(x, MILLER_TOL)
+    two_over_x = 2.0 / x
+    table = np.zeros((n + 1, x.size))
+    total = np.zeros(x.size)
+    above = np.zeros(x.size)                  # J_k+1
+    here = np.zeros(x.size)                   # J_k
+    for k in range(int(start.max()), -1, -1):
+        here[start == k] = MILLER_SEED
+        if k <= n:
+            table[k] = here
+        if k % 2 == 0:
+            total += here if k == 0 else 2.0 * here
+        above, here = here, (k * two_over_x) * here - above
+    table /= total
+    table[:, zero] = 0.0
+    table[0, zero] = 1.0
+    return table
+
+
+def _norm_form(mu: np.ndarray, first: int, m: int):
+    """Spectral weights of the quadratic form of one parity of the norm.
+
+    The form is Q(v) = sum_ab v_a v_b (h_a+b + g_|a-b|) / 2 over
+    a, b < m, with h_s = mu_2s+first and g_d = mu_2d: a Hankel part, the
+    linear autoconvolution of v against h, and a Toeplitz part, its
+    autocorrelation against g.  On an FFT of a length L >= 2m neither
+    wraps, so with V = rfft(v, L), Q(v) = Re(sum_f A_f V_f^2) +
+    sum_f B_f |V_f|^2 by Parseval.  Returns L, A and B.
+    """
+    size = 2 << (m - 1).bit_length()          # a power of two >= 2m
+    h = mu[first::2][:2 * m - 1]
+    g = mu[0::2][:m]
+    g_circ = np.zeros(size)
+    g_circ[:m] = g
+    g_circ[size - m + 1:] = g[:0:-1]
+    weight = np.full(size // 2 + 1, 1.0 / size)
+    weight[1:-1] *= 2.0                       # the bins that stand for two
+    return (size, 0.5 * weight * np.conj(np.fft.rfft(h, size)),
+            0.5 * weight * np.fft.rfft(g_circ).real)
+
+
+def _series(mu: np.ndarray, x: np.ndarray):
+    """The rotating-frame series at each x = r t, and its norm squared.
+
+    With w_k = (2 - delta_k0) J_k(x) and v_k = (-1)^(k // 2) w_k, the
+    amplitude is sum_even v_k mu_k - i sum_odd v_k mu_k.  In the norm
+    sum_kl conj(c_k) c_l (mu_k+l + mu_|k-l|) / 2, with c_k = (-i)^k w_k,
+    the terms with k - l odd cancel in pairs, which leaves one real
+    quadratic form in v per parity.  The times go in chunks of
+    ``CHUNK_VALUES`` table entries.
+    """
+    n = (mu.size - 1) // 2
+    scale = np.where(np.arange(n + 1) % 4 < 2, 2.0, -2.0)
+    scale[0] = 1.0
+    forms = [_norm_form(mu, 0, n // 2 + 1), _norm_form(mu, 2, (n + 1) // 2)]
+    amp = np.empty(x.size, dtype=complex)
+    norm = np.zeros(x.size)
+    chunk = max(1, CHUNK_VALUES // (n + 1))
+    for lo in range(0, x.size, chunk):
+        sl = slice(lo, lo + chunk)
+        v = scale[:, None] * _bessel_table(n, x[sl])
+        amp[sl] = mu[0:n + 1:2] @ v[0::2] - 1j * (mu[1:n + 1:2] @ v[1::2])
+        for p, (size, a, b) in enumerate(forms):
+            spec = np.fft.rfft(np.ascontiguousarray(v[p::2].T), size)
+            norm[sl] += (spec**2 @ a).real + (spec.real**2
+                                              + spec.imag**2) @ b
+    return amp, norm
+
+
 def integrate(model: DiscreteModel, t_max: float,
               solver: SolverSpec = SolverSpec(),
               t_eval: np.ndarray | None = None) -> Trajectory:
-    """Evolve from the fully excited state and sample the trajectory.
+    """Propagate from the fully excited state and sample the trajectory.
 
     Initial condition: atom excited, field empty, detector in its ground
-    state.  Refuses horizons beyond the grid recurrence time.
+    state.  Refuses horizons beyond the grid recurrence time.  The
+    metadata hold ``nfev``, the generator products; ``n_terms``, the
+    series length; and ``error_bound``, a bound on the amplitude error
+    at every sampled time.  It is the Bessel tail
+    2 sum_{k >= n_terms} |J_k(r t_max)| (every |mu_k| <= 1) plus the
+    rounding term eps (2 N^(3/2) + (omega0 + |c|) t_max), N = n_terms - 1.
+    Its first part takes moment errors that grow linearly in the order,
+    as rounding does in a stable three-term recursion, |d mu_k| <= k eps,
+    against series weights whose absolute sum is at most sqrt(2 (N + 1))
+    (Cauchy-Schwarz with sum_k w_k^2 <= 2); its second part is the
+    rounding of the phase exp(-i (omega0 + c) t).
+    ``solver`` is unused.
     """
+    if not 0.0 <= t_max < math.inf:
+        raise ValueError(f"t_max must be finite and >= 0, got {t_max}")
     if t_max > model.t_rec:
         raise RecurrenceError(
             f"t_max = {t_max:.3g} exceeds grid recurrence time "
             f"{model.t_rec:.3g}")
     if t_eval is None:
         t_eval = np.linspace(0.0, t_max, 301)
-    t_eval = np.asarray(t_eval, dtype=float)
+    t_eval = np.array(t_eval, dtype=float)
+    if t_eval.size and not (t_eval.min() >= 0.0 and t_eval.max() <= t_max):
+        raise ValueError("t_eval must lie within [0, t_max]")
 
-    y0 = np.zeros(model.size, dtype=complex)
-    y0[0] = 1.0
-    sol = solve_ivp(_rhs_factory(model), (0.0, t_max), y0, method="DOP853",
-                    t_eval=t_eval, rtol=solver.rtol, atol=ATOL)
-    if not sol.success:
-        raise IntegrationError(f"integration failed: {sol.message}")
+    c, r = _spectral_interval(model)
+    x_max = r * t_max
+    n_terms = max(2, int(_kapteyn_order(x_max, TAIL_TOL)))
+    n = n_terms - 1
+    mu = _moments(model, c, r, n)
+    rotated, norm = _series(mu, r * t_eval)
+    a0 = rotated * np.exp(-1j * (OMEGA0 + c) * t_eval)
 
-    a0 = sol.y[0] * np.exp(-1j * OMEGA0 * sol.t)
-    norm = np.sum(np.abs(sol.y) ** 2, axis=0)
+    tail = 2.0 * _kapteyn_tail(n_terms, x_max)
+    rounding = np.finfo(float).eps * (2.0 * n**1.5
+                                      + (OMEGA0 + abs(c)) * t_max)
     return Trajectory(
-        times=sol.t, a0=a0, survival=np.abs(a0) ** 2, norm_drift=norm - 1.0,
-        metadata={"nfev": sol.nfev})
+        times=t_eval, a0=a0, survival=np.abs(a0) ** 2, norm_drift=norm - 1.0,
+        metadata={"nfev": n, "n_terms": n_terms,
+                  "error_bound": float(tail + rounding)})
 
 
 def fit_decay_rate(traj: Trajectory, gamma_expected: float) -> RateFit:
@@ -171,12 +388,13 @@ class RouteComparison:
 
 
 def compare_routes(model: DiscreteModel, t_grid) -> RouteComparison:
-    """Time-domain integration vs resolvent inversion on the same model.
+    """Chebyshev propagation vs resolvent inversion on the same model.
 
     The inversion runs on the rotated resolvent A0(s - i w0) so the contour
     sees only detuning-scale oscillations; the comparison is in the lab
     frame.  Its moments <0|M^n|0> at infinity come from the rotating-frame
-    generator M of the ODE, one rhs evaluation each.
+    generator M = -i (H - w0) that the propagator expands, one rhs
+    evaluation each.
     """
     from .resolvent import REF_ORDER, invert_laplace, resolvent_a0_discrete
 

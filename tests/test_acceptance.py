@@ -26,6 +26,7 @@ from oracles import (
 from watched_decay import analytic
 from watched_decay.discretize import (
     OMEGA_CUT,
+    DiscreteModel,
     GridSpec,
     ToySpec,
     build_full_3d,
@@ -278,7 +279,7 @@ def exact_a0(model, t):
 def test_route_monitors_bound_exact_error(route_runs, name):
     model, comp = route_runs[name]
     # The oracle's generator, less omega0 on the diagonal, is the
-    # rotating-frame generator the ODE integrates.
+    # rotating-frame generator the propagator expands.
     rng = np.random.default_rng(3)
     y = rng.normal(size=model.size) + 1j * rng.normal(size=model.size)
     H = hermitian_generator(model) - OMEGA0 * np.eye(model.size)
@@ -290,7 +291,45 @@ def test_route_monitors_bound_exact_error(route_runs, name):
     assert bromwich_err <= comp.inversion_info["error_estimate"]
     traj = integrate(model, float(comp.times[-1]), t_eval=comp.times)
     np.testing.assert_array_equal(traj.a0, comp.a0_ode)
-    assert np.max(np.abs(traj.a0 - exact)) <= np.max(np.abs(traj.norm_drift))
+    # The norm drift is no error bound (a phase error leaves the norm
+    # alone); the propagator's Bessel tail plus rounding is.
+    ode_err = np.max(np.abs(traj.a0 - exact))
+    assert ode_err <= traj.metadata["error_bound"]
+    assert ode_err <= 1e-12
+
+
+def random_discrete_model(rng):
+    """A small model with 0-3 detector atoms, random coupling phases and
+    omega^3 or flat profiles, omega_a detuned from omega0 by about 0.05."""
+    n_modes = int(rng.integers(5, 61))
+    n_atoms = int(rng.integers(0, 4))
+    n_channels = int(rng.integers(1, 21)) if n_atoms else 0
+    n_channels = min(n_channels, (124 - n_modes) // max(n_atoms, 1))
+    omegas = np.sort(rng.uniform(0.2, 3.0, n_modes))
+    profile = omegas**3 if rng.random() < 0.5 else np.ones(n_modes)
+    phases = np.exp(2j * np.pi * rng.random(n_modes))
+    alphas = np.sqrt(0.01 * profile / n_modes) * phases
+    factors = 0.05 * (rng.normal(size=(n_modes, n_atoms))
+                      + 1j * rng.normal(size=(n_modes, n_atoms)))
+    return DiscreteModel(
+        mode_omegas=omegas, mode_alphas=alphas, detector_factors=factors,
+        channel_omegas=rng.uniform(0.5, 2.5, n_channels),
+        channel_mu=rng.uniform(0.05, 0.3, n_channels),
+        t_rec=math.inf, meta={}, omega_a=1.0 + rng.normal(scale=0.05))
+
+
+def test_integrate_within_error_bound_on_random_models():
+    rng = np.random.default_rng(11)
+    sizes = []
+    for _ in range(10):
+        model = random_discrete_model(rng)
+        sizes.append(model.size)
+        t = np.linspace(0.0, 60.0, 121)
+        traj = integrate(model, 60.0, t_eval=t)
+        err = np.max(np.abs(traj.a0 - exact_a0(model, t)))
+        assert err <= traj.metadata["error_bound"]
+        assert err <= 1e-12
+    assert min(sizes) >= 6 and max(sizes) <= 125
 
 
 @pytest.mark.parametrize("name, max_nodes", [("toy", 40_000),

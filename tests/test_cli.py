@@ -1,3 +1,4 @@
+import csv
 import json
 import math
 import os
@@ -234,6 +235,11 @@ def test_sweep_n_modes_is_validated_per_point(tmp_path):
                        "section: n_modes must be int, got 400.9"}
     assert rows[1]["error"] == ""
     assert rows[1]["n_modes"] == 400
+    # The error holds a comma; the CSV quotes it instead of splitting it.
+    with open(tmp_path / "results.csv", newline="") as f:
+        header, *lines = list(csv.reader(f))
+    assert [len(line) for line in lines] == [len(header)] * 2
+    assert lines[0][-1] == rows[0]["error"]
 
 
 def test_sweep_beta_runs_dynamics(tmp_path):
@@ -410,17 +416,21 @@ def test_main_numerical_failure(tmp_path, capsys):
 
 
 def test_main_integration_failure(tmp_path, capsys, monkeypatch):
-    class Failed:
-        success = False
-        message = "step size too small"
+    # An interval too small for the spectrum makes the moments diverge.
+    real = dynamics._spectral_interval
 
-    monkeypatch.setattr(dynamics, "solve_ivp", lambda *a, **k: Failed())
+    def undersized(model):
+        c, r = real(model)
+        return c, 0.5 * r
+
+    monkeypatch.setattr(dynamics, "_spectral_interval", undersized)
     code = main(["toy", "--out", str(tmp_path / "o")])
     assert code == 2
     err = json.loads(capsys.readouterr().err)
-    assert err == {"error": "IntegrationError",
-                   "message": "integration failed: step size too small",
-                   "exit_code": 2}
+    assert err["error"] == "IntegrationError"
+    assert err["exit_code"] == 2
+    assert "spectral interval" in err["message"]
+    assert not (tmp_path / "o").exists()
 
 
 def test_main_linalg_failure(tmp_path, capsys, monkeypatch):

@@ -1,8 +1,11 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from scipy.special import jv
 
+from watched_decay import dynamics
 from watched_decay.discretize import (
     DiscreteModel,
     GridSpec,
@@ -12,10 +15,15 @@ from watched_decay.discretize import (
     build_scalar_toy,
 )
 from watched_decay.dynamics import (
+    TAIL_TOL,
     FitWindowError,
+    IntegrationError,
     SolverSpec,
     Trajectory,
+    _bessel_table,
+    _kapteyn_order,
     _rhs_factory,
+    _spectral_interval,
     compare_routes,
     fit_decay_rate,
     integrate,
@@ -112,6 +120,68 @@ def test_norm_drift_within_tolerance():
     model = build_scalar_toy(ToySpec())
     traj = integrate(model, 100.0, solver=solver)
     assert np.max(np.abs(traj.norm_drift)) <= 100.0 * solver.rtol
+
+
+def test_integrate_refuses_times_outside_horizon():
+    model = tiny_model([1.3], [0.01])
+    with pytest.raises(ValueError, match="t_eval"):
+        integrate(model, 10.0, t_eval=np.array([0.0, 5.0, 11.0]))
+    # No series length exists for an infinite horizon.
+    with pytest.raises(ValueError, match="t_max"):
+        integrate(model, math.inf)
+
+
+# -- Chebyshev propagator --------------------------------------------------
+
+def test_bessel_table_matches_scipy():
+    x = np.array([0.0, 1e-3, 1.0, 50.0, 460.0, 1e4])
+    n = int(_kapteyn_order(x[-1], TAIL_TOL))
+    with np.errstate(over="raise", invalid="raise", divide="raise"):
+        table = _bessel_table(n, x)
+    assert np.all(np.isfinite(table))
+    ref = jv(np.arange(n + 1)[:, None], x)
+    assert np.max(np.abs(table - ref)) <= 1e-13
+    np.testing.assert_array_equal(table[:, 0], np.eye(n + 1)[0])
+    # The series length leaves every later order below the tail tolerance.
+    for xi in x:
+        cut = int(_kapteyn_order(xi, TAIL_TOL))
+        assert np.max(np.abs(jv(np.arange(cut, cut + 200), xi))) <= TAIL_TOL
+
+
+def test_spectral_interval_holds_spectrum():
+    rng = np.random.default_rng(8)
+    for _ in range(10):
+        model = random_model(rng)
+        y = np.eye(model.size, dtype=complex)
+        H = 1j * np.column_stack([_rhs_factory(model)(0.0, v) for v in y])
+        c, r = _spectral_interval(model)
+        lam = np.linalg.eigvalsh(H)
+        assert c - r <= lam[0] and lam[-1] <= c + r
+
+
+def test_undersized_interval_raises(monkeypatch):
+    model = build_scalar_toy(ToySpec())
+    c, r = _spectral_interval(model)
+    monkeypatch.setattr(dynamics, "_spectral_interval",
+                        lambda model: (c, 0.5 * r))
+    with pytest.raises(IntegrationError, match="too small"):
+        integrate(model, 100.0)
+
+
+def test_integrate_memory_is_bounded():
+    # The series runs over chunks of times: 20,000 samples of a 261-amplitude
+    # model stay within a fixed budget beside the output arrays.
+    model = build_scalar_toy(ToySpec())
+    t_max = 0.9 * model.t_rec
+    t = np.linspace(0.0, t_max, 20_000)
+    tracemalloc.start()
+    try:
+        traj = integrate(model, t_max, t_eval=t)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert traj.metadata["n_terms"] > 300
+    assert peak < 24e6
 
 
 def test_vacuum_survival_tracks_exponential():
