@@ -47,6 +47,11 @@ L2_AVERAGE_PRINTED = 2.0 / 7.0
 #: (closed form 1/3 - 2/9 + 1/9 by moment algebra on the unit sphere).
 L2_AVERAGE_ISOTROPIC = 2.0 / 9.0
 
+#: Variance of l^2 over the same orientations, <l^4> - <l^2>^2 with
+#: <l^4> = 8/75 (sin^4 of the emitter-to-separation angle averages 8/15,
+#: and a uniform detector dipole gives the fourth moment 1/5 of it).
+L2_VARIANCE_ISOTROPIC = 8.0 / 75.0 - 4.0 / 81.0
+
 FAR_FIELD_THRESHOLD = TWO_PI
 NEAR_FIELD_THRESHOLD = 0.1
 
@@ -155,6 +160,23 @@ def reduction_shell(n_atoms: int, radius_z: float, beta: float,
     return 1.0 - deficit
 
 
+def shell_placement_spread(n_atoms: int, radius_z: float,
+                           beta: float) -> float:
+    """Standard deviation of U over uniform shell placements.
+
+    The atoms' l^2 are independent, each with variance
+    L2_VARIANCE_ISOTROPIC, so the deficit's variance is n_atoms times
+    that.  This is the spread about reduction_shell(...,
+    L2_AVERAGE_ISOTROPIC), the placement average.
+    """
+    if n_atoms < 0:
+        raise ValueError("n_atoms must be >= 0")
+    if radius_z <= 0.0:
+        raise ValueError("radius_z must be > 0")
+    return 2.25 * beta * (math.sin(radius_z) / radius_z) ** 2 * math.sqrt(
+        n_atoms * L2_VARIANCE_ISOTROPIC)
+
+
 def shell_reduction_mc(n_atoms: int, radius_z: float, beta: float,
                        n_samples: int, seed: int | None = None,
                        ) -> tuple[float, float]:
@@ -162,7 +184,10 @@ def shell_reduction_mc(n_atoms: int, radius_z: float, beta: float,
 
     Each sample draws n_atoms uniformly on the shell with independent uniform
     detector dipoles and a fixed emitter dipole.  Returns (mean, stderr);
-    the standard error needs n_samples >= 2.
+    the standard error needs n_samples >= 2.  The closed forms
+    reduction_shell(..., L2_AVERAGE_ISOTROPIC) and shell_placement_spread
+    give its mean and per-sample spread; it is the sampled reference they
+    are checked against.
     """
     if n_samples < 2:
         raise ValueError(f"n_samples must be >= 2, got {n_samples}")

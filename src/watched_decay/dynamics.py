@@ -79,7 +79,8 @@ class Trajectory:
     metadata: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        if self.times.size and abs(self.survival[0] - 1.0) > 1e-9:
+        if (self.times.size and self.times[0] == 0.0
+                and abs(self.survival[0] - 1.0) > 1e-9):
             raise ValueError("trajectory must start fully excited")
         if np.any(np.diff(self.times) <= 0.0):
             raise ValueError("times must be strictly increasing")

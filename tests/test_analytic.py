@@ -9,10 +9,12 @@ from watched_decay.analytic import (
     DEFICIT_COEFF,
     L2_AVERAGE_ISOTROPIC,
     L2_AVERAGE_PRINTED,
+    L2_VARIANCE_ISOTROPIC,
     normalization_report,
     reduction_multi,
     reduction_shell,
     reduction_single,
+    shell_placement_spread,
     shell_reduction_mc,
 )
 from watched_decay.geometry import DipoleGeometry, dipole_factor_l
@@ -131,6 +133,7 @@ def test_shell_example_printed():
 
 def test_shell_empty_is_unity():
     assert reduction_shell(0, 1.0, 0.3) == 1.0
+    assert shell_placement_spread(0, 1.0, 0.3) == 0.0
 
 
 def test_shell_mc_reproducible_and_matches_isotropic_formula():
@@ -161,6 +164,16 @@ def test_shell_mc_matches_per_sample_draws():
                                    / math.sqrt(n_samples), rel=1e-10)
 
 
+@pytest.mark.parametrize("n_atoms", [100, 10])
+def test_shell_spread_matches_mc(n_atoms):
+    # The Monte Carlo's per-sample standard deviation is stderr sqrt(n).
+    n_samples = 10_000
+    _, stderr = shell_reduction_mc(n_atoms, math.pi / 2.0, 0.05, n_samples,
+                                   seed=3)
+    assert shell_placement_spread(n_atoms, math.pi / 2.0, 0.05) == \
+        pytest.approx(stderr * math.sqrt(n_samples), rel=0.05)
+
+
 @pytest.mark.parametrize("n_samples", [0, 1])
 def test_shell_mc_needs_two_samples(n_samples):
     with pytest.raises(ValueError, match="n_samples"):
@@ -170,6 +183,7 @@ def test_shell_mc_needs_two_samples(n_samples):
 def test_l2_average_constants():
     assert L2_AVERAGE_PRINTED == pytest.approx(2.0 / 7.0)
     assert L2_AVERAGE_ISOTROPIC == pytest.approx(2.0 / 9.0)
+    assert L2_VARIANCE_ISOTROPIC == pytest.approx(348.0 / 6075.0, rel=1e-15)
 
 
 def test_normalization_report_structure():

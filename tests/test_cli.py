@@ -114,8 +114,8 @@ def test_apply_override_nested_and_typed():
 def test_shell_scenario_artifacts(tmp_path):
     config = RunConfig(scenario="shell",
                        system={"beta": 0.01},
-                       shell={"n_atoms": 100, "radius_z": math.pi / 2.0,
-                              "n_samples": 500}, seed=5)
+                       shell={"n_atoms": 100, "radius_z": math.pi / 2.0},
+                       seed=5)
     run(config, tmp_path)
     summary = read_summary(tmp_path)
     assert summary["schema_version"] == 1
@@ -123,30 +123,36 @@ def test_shell_scenario_artifacts(tmp_path):
     assert results["u_shell_printed"] == pytest.approx(0.73946, abs=1e-5)
     assert (tmp_path / "report.txt").read_text().startswith("scenario:")
     header = (tmp_path / "results.csv").read_text().splitlines()[0]
-    assert header == "variant,u,stderr"
+    assert header == "variant,u"
 
 
-@pytest.mark.parametrize("system, l_times_i", [
-    ({}, "L*I = 0.05 -> ok"), ({"beta": 0.4}, "L*I = 0.4 -> LARGE")],
-    ids=["defaults", "strong"])
-def test_report_regime_lines(tmp_path, system, l_times_i):
-    config = RunConfig(scenario="shell", system=system,
-                       shell={"n_atoms": 0, "n_samples": 10})
+@pytest.mark.parametrize("system, shell, l_times_i, collective, flag", [
+    ({}, {"n_atoms": 0}, "L*I = 0.05 -> ok", "0.0", "ok"),
+    ({"beta": 0.4}, {"n_atoms": 0}, "L*I = 0.4 -> LARGE", "0.0", "ok"),
+    ({}, {}, "L*I = 0.05 -> ok", "1.0132", "LARGE"),
+    ({"beta": 0.01}, {"n_atoms": 10}, "L*I = 0.01 -> ok", "0.0202", "ok")],
+    ids=["defaults", "strong", "collective_large", "collective_ok"])
+def test_report_regime_lines(tmp_path, system, shell, l_times_i,
+                             collective, flag):
+    config = RunConfig(scenario="shell", system=system, shell=shell)
     run(config, tmp_path)
     lines = (tmp_path / "report.txt").read_text().splitlines()
     start = lines.index("regime checks (smallness ratios, threshold 0.1):")
     assert lines[start + 1:start + 3] == [
         f"  {l_times_i}", "  mu_a^2 I / omega0 = 0.005 -> ok"]
+    # The shell's own line: 1 - U is the sum of the additive deficits.
+    line = lines[start + 3]
+    assert line.startswith(
+        f"  collective deficit 1 - U (isotropic) = {collective}")
+    assert line.endswith(f" -> {flag}")
 
 
 def test_shell_empty_gives_unity(tmp_path):
-    config = RunConfig(scenario="shell", shell={"n_atoms": 0,
-                                                "n_samples": 10})
+    config = RunConfig(scenario="shell", shell={"n_atoms": 0})
     run(config, tmp_path)
     results = read_summary(tmp_path)["results"]
-    assert results["u_shell_printed"] == results["u_shell_isotropic"] \
-        == results["u_shell_mc"] == 1.0
-    assert results["u_shell_mc_stderr"] == 0.0
+    assert results["u_shell_printed"] == results["u_shell_isotropic"] == 1.0
+    assert results["u_shell_placement_spread"] == 0.0
 
 
 def test_toy_scenario_trajectory_contract(tmp_path):
@@ -221,7 +227,7 @@ def test_sweep_orders_rows_and_keeps_failures(tmp_path):
     assert summary["results"]["n_failed"] == 1
     for row in summary["results"]["rows"][::2]:  # the two good points
         assert {"u_shell_printed", "u_shell_isotropic",
-                "u_shell_mc"} <= set(row)
+                "u_shell_placement_spread"} <= set(row)
         assert "u_analytic" not in row
 
 
@@ -277,11 +283,19 @@ def test_sweep_pool_matches_serial(tmp_path):
 # -- command line entry point ----------------------------------------------
 
 def test_main_success_and_outputs(tmp_path, capsys):
-    code = main(["shell", "--out", str(tmp_path / "o"), "--seed", "3",
-                 "--set", "shell.n_samples=200"])
+    code = main(["shell", "--out", str(tmp_path / "o"), "--seed", "3"])
     assert code == 0
     assert (tmp_path / "o" / "summary.json").exists()
-    assert read_summary(tmp_path / "o")["seed"] == 3
+    doc = read_summary(tmp_path / "o")
+    assert doc["seed"] == 3
+    # The default shell: closed forms only, no sampled fields.
+    results = doc["results"]
+    assert results["u_shell_placement_spread"] == pytest.approx(0.109126,
+                                                                abs=1e-6)
+    assert not {"u_shell_mc", "u_shell_mc_stderr",
+                "mc_samples"} & set(results)
+    assert (tmp_path / "o" / "results.csv").read_text().splitlines()[0] \
+        == "variant,u"
     # Oracle values in the normalization section print as plain floats.
     assert "np.float64(" not in (tmp_path / "o" / "report.txt").read_text()
 
@@ -340,6 +354,7 @@ def test_main_rejects_solver_section(tmp_path, capsys):
 @pytest.mark.parametrize("scenario, assignment, key", [
     ("vacuum", "system.gama=0.5", "gama"),
     ("shell", "shell.n_atom=5", "n_atom"),
+    ("shell", "shell.n_samples=10", "n_samples"),
     ("single-detector",
      "system.detector_atoms=" + json.dumps([{**DETECTOR, "mu_c_scal": 0.0}]),
      "mu_c_scal"),
@@ -350,8 +365,8 @@ def test_main_rejects_solver_section(tmp_path, capsys):
     ("single-detector",
      "system.detector_atoms=" + json.dumps([{**DETECTOR, "mu_c_scale": 1.0}]),
      "mu_c_scale")],
-    ids=["system", "shell", "detector_atom", "dos", "grid", "toy", "omega0",
-         "mu_c_scale"])
+    ids=["system", "shell", "shell_n_samples", "detector_atom", "dos",
+         "grid", "toy", "omega0", "mu_c_scale"])
 def test_main_rejects_unknown_keys(tmp_path, capsys, scenario, assignment,
                                    key):
     code = main([scenario, "--out", str(tmp_path / "o"),
@@ -394,16 +409,6 @@ def test_main_rejects_out_of_range_grids(tmp_path, capsys, scenario,
     assert err["error"] == "GridError"
     assert err["exit_code"] == 1
     assert not (tmp_path / "o").exists()
-
-
-@pytest.mark.parametrize("n_samples", [0, 1])
-def test_main_rejects_too_few_shell_samples(tmp_path, capsys, n_samples):
-    code = main(["shell", "--out", str(tmp_path / "o"),
-                 "--set", f"shell.n_samples={n_samples}"])
-    assert code == 1
-    err = json.loads(capsys.readouterr().err)
-    assert err["exit_code"] == 1
-    assert "n_samples" in err["message"]
 
 
 def test_main_numerical_failure(tmp_path, capsys):
@@ -458,8 +463,7 @@ def test_pool_size_is_bounded():
 
 
 def test_main_rejects_nonpositive_jobs(tmp_path, capsys):
-    code = main(["shell", "--out", str(tmp_path / "o"), "--jobs", "0",
-                 "--set", "shell.n_samples=10"])
+    code = main(["shell", "--out", str(tmp_path / "o"), "--jobs", "0"])
     assert code == 1
     err = json.loads(capsys.readouterr().err)
     assert err["error"] == "ConfigError"

@@ -109,6 +109,16 @@ def test_trajectory_invariants():
                    norm_drift=np.zeros(2))
 
 
+def test_integrate_serves_grids_that_start_late():
+    # Only a grid that holds t = 0 must start fully excited; the
+    # propagator serves any time in [0, t_max] on its own.
+    model = build_scalar_toy(ToySpec())
+    late = integrate(model, 10.0, t_eval=[5.0, 10.0])
+    full = integrate(model, 10.0, t_eval=[0.0, 2.5, 5.0, 7.5, 10.0])
+    bound = late.metadata["error_bound"] + full.metadata["error_bound"]
+    assert np.max(np.abs(late.a0 - full.a0[2::2])) <= bound
+
+
 def test_integrate_refuses_horizon_beyond_recurrence():
     model = build_scalar_toy(ToySpec())
     with pytest.raises(RecurrenceError):
