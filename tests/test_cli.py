@@ -354,7 +354,6 @@ def test_main_rejects_solver_section(tmp_path, capsys):
 @pytest.mark.parametrize("scenario, assignment, key", [
     ("vacuum", "system.gama=0.5", "gama"),
     ("shell", "shell.n_atom=5", "n_atom"),
-    ("shell", "shell.n_samples=10", "n_samples"),
     ("single-detector",
      "system.detector_atoms=" + json.dumps([{**DETECTOR, "mu_c_scal": 0.0}]),
      "mu_c_scal"),
@@ -365,8 +364,8 @@ def test_main_rejects_solver_section(tmp_path, capsys):
     ("single-detector",
      "system.detector_atoms=" + json.dumps([{**DETECTOR, "mu_c_scale": 1.0}]),
      "mu_c_scale")],
-    ids=["system", "shell", "shell_n_samples", "detector_atom", "dos",
-         "grid", "toy", "omega0", "mu_c_scale"])
+    ids=["system", "shell", "detector_atom", "dos", "grid", "toy", "omega0",
+         "mu_c_scale"])
 def test_main_rejects_unknown_keys(tmp_path, capsys, scenario, assignment,
                                    key):
     code = main([scenario, "--out", str(tmp_path / "o"),
@@ -408,6 +407,20 @@ def test_main_rejects_out_of_range_grids(tmp_path, capsys, scenario,
     err = json.loads(capsys.readouterr().err)
     assert err["error"] == "GridError"
     assert err["exit_code"] == 1
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("n_samples", [0, 1])
+def test_main_rejects_too_few_shell_samples(tmp_path, capsys, n_samples):
+    # The shell placement average is closed form, so the CLI draws no
+    # samples: shell.n_samples is an unknown key whatever its value.
+    code = main(["shell", "--out", str(tmp_path / "o"),
+                 "--set", f"shell.n_samples={n_samples}"])
+    assert code == 1
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "ConfigError"
+    assert err["exit_code"] == 1
+    assert "unknown key 'n_samples'" in err["message"]
     assert not (tmp_path / "o").exists()
 
 
