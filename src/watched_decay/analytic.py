@@ -116,6 +116,15 @@ def reduction_single(geom: DipoleGeometry, beta: float) -> ReductionReport:
     )
 
 
+def _warn_below_zero(u: float) -> float:
+    """u as-is, with a warning at the public caller's caller when u < 0."""
+    if u < 0.0:
+        warnings.warn(
+            "reduction factor below zero: additive single-atom deficits are "
+            "outside their validity regime", stacklevel=3)
+    return u
+
+
 def reduction_multi(atoms: Sequence[DetectorAtom], p_a,
                     beta: float) -> float:
     """Additive far-field reduction factor for many detector atoms.
@@ -133,12 +142,7 @@ def reduction_multi(atoms: Sequence[DetectorAtom], p_a,
             raise ValueError("far-field formula is singular at r = 0")
         li = dipole_factor_l(p_a, atom.dipole_dir, atom.r_hat)
         deficit += (li * math.sin(r) / r) ** 2
-    u = 1.0 - 2.25 * beta * deficit
-    if u < 0.0:
-        warnings.warn(
-            "reduction factor below zero: additive single-atom deficits are "
-            "outside their validity regime", stacklevel=2)
-    return u
+    return _warn_below_zero(1.0 - 2.25 * beta * deficit)
 
 
 def reduction_shell(n_atoms: int, radius_z: float, beta: float,
@@ -149,7 +153,8 @@ def reduction_shell(n_atoms: int, radius_z: float, beta: float,
     the placement average that shell_reduction_mc samples: for independent
     uniform detector dipoles and positions the average is 2/9, so pass
     L2_AVERAGE_ISOTROPIC for the closed form of that Monte Carlo.  The two
-    differ by 2.25 beta n_atoms (sin z / z)^2 (2/7 - 2/9).
+    differ by 2.25 beta n_atoms (sin z / z)^2 (2/7 - 2/9).  Like
+    reduction_multi, it warns when U drops below zero.
     """
     if n_atoms < 0:
         raise ValueError("n_atoms must be >= 0")
@@ -157,7 +162,7 @@ def reduction_shell(n_atoms: int, radius_z: float, beta: float,
         raise ValueError("radius_z must be > 0")
     deficit = 2.25 * l2_average * beta * n_atoms * (
         math.sin(radius_z) / radius_z) ** 2
-    return 1.0 - deficit
+    return _warn_below_zero(1.0 - deficit)
 
 
 def shell_placement_spread(n_atoms: int, radius_z: float,

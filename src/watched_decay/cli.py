@@ -19,7 +19,6 @@ import json
 import math
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
 
@@ -520,6 +519,9 @@ def _run_sweep(config: RunConfig, workers: int):
     parameter = config.sweep["parameter"]
     tasks = [(config, v) for v in config.sweep["values"]]
     if workers > 1:
+        # Only a pooled sweep needs multiprocessing, so only it imports it.
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             rows = list(pool.map(_sweep_point, tasks))
     else:

@@ -28,6 +28,10 @@ against a direct per-direction quadrature.  That half-T kernel reproduces
 both the far-field sin(z)/z limit and the z -> 0 limit of the reduction
 factor, so the raw integral is the physically consistent choice for
 quantitative work.
+
+S and T come from the spherical Bessel functions j0 and j2, evaluated here
+with ``math`` alone: j0 = sin z/z, and j2 from its power series at small z
+and from the elementary form above that (DLMF 10.49.3, 10.53.1).
 """
 
 from __future__ import annotations
@@ -36,11 +40,15 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import spherical_jn
 
 from .model import _as_unit_vector
 
 TWO_PI = 2.0 * math.pi
+
+# j2 comes from its power series up to this argument, from the elementary
+# form above it.  Ten terms of the series reach double precision there.
+_J2_SERIES_MAX = 2.0
+_J2_SERIES_TERMS = 10
 
 
 @dataclass(frozen=True, eq=False)
@@ -64,25 +72,47 @@ class DipoleGeometry:
             raise ValueError("z must be >= 0")
 
 
+def _j0(z: float) -> float:
+    return math.sin(z) / z if z != 0.0 else 1.0
+
+
+def _j2(z: float) -> float:
+    """Spherical Bessel function j2(z) for z >= 0."""
+    if z <= _J2_SERIES_MAX:
+        # z^2 sum_k (-z^2/2)^k / (k! (2k+5)!!) in Horner form: the terms
+        # fall fast here, so the sum keeps full relative accuracy at small
+        # z, where the elementary form cancels, and it is 0 at z = 0.
+        z2 = z * z
+        p = 1.0
+        for k in range(_J2_SERIES_TERMS, 0, -1):
+            p = 1.0 - 0.5 * z2 * p / (k * (2 * k + 5))
+        return z2 / 15.0 * p
+    # (3/z^2 - 1) sin z/z - 3 cos z/z^2, written as the upward recurrence
+    # j2 = 3 j1/z - j0 with j1 = (j0 - cos z)/z, the order of operations
+    # scipy.special.spherical_jn uses, so that the two agree bit for bit.
+    j0 = math.sin(z) / z
+    j1 = (j0 - math.cos(z)) / z
+    return 3.0 * j1 / z - j0
+
+
 def s_func(z: float) -> float:
     """sin(z)/z, the spherical Bessel function j0(z)."""
     if z < 0.0:
         raise ValueError("z must be >= 0")
-    return float(spherical_jn(0, z))
+    return _j0(float(z))
 
 
 def t_func(z: float) -> float:
     """int_{-1}^{1} xi^2 exp(-i z xi) dxi (real by symmetry).
 
-    Closed form (2/3)(j0(z) - 2 j2(z)) in spherical Bessel functions, which
-    scipy evaluates without the cancellation of the elementary form
+    Closed form (2/3)(j0(z) - 2 j2(z)) in spherical Bessel functions.  The
+    power series of j2 avoids the cancellation of the elementary form
     2 sin z/z + 4 cos z/z^2 - 4 sin z/z^3 at small z.
     """
     if z < 0.0:
         raise ValueError("z must be >= 0")
-    # spherical_jn(2, z) is nan at subnormal z; below 1e-100, j2 < 1e-200.
-    j2 = float(spherical_jn(2, z)) if z >= 1e-100 else 0.0
-    return 2.0 / 3.0 * (float(spherical_jn(0, z)) - 2.0 * j2)
+    z = float(z)
+    return 2.0 / 3.0 * (_j0(z) - 2.0 * _j2(z))
 
 
 def _kernel(geom: DipoleGeometry, t_weight: float) -> float:

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -122,6 +123,17 @@ def test_reduction_multi_warns_below_zero():
     with pytest.warns(UserWarning):
         u = reduction_multi(atoms, ZHAT, beta=0.5)
     assert u < 0.0
+
+
+def test_reduction_shell_warns_below_zero():
+    # The default shell scenario: 100 atoms at z = pi/2 with beta = 0.05.
+    with pytest.warns(UserWarning, match="below zero") as record:
+        u = reduction_shell(100, math.pi / 2.0, 0.05)
+    assert u < 0.0
+    assert record[0].filename == __file__
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert reduction_shell(100, math.pi / 2.0, 0.01) > 0.0
 
 
 def test_shell_example_printed():

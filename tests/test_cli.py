@@ -56,6 +56,22 @@ def test_module_entry_point_runs_without_runpy_warning():
     assert "RuntimeWarning" not in proc.stderr
 
 
+def test_import_loads_neither_scipy_nor_process_pool():
+    # Every CLI call is a fresh process that pays for what cli imports:
+    # scipy is not a run-time dependency, and only a pooled sweep needs
+    # multiprocessing.
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+    code = ("import json, sys, watched_decay.cli; "
+            "print(json.dumps(sorted(sys.modules)))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    loaded = json.loads(proc.stdout)
+    assert "watched_decay.cli" in loaded
+    assert [m for m in loaded if m == "scipy" or m.startswith("scipy.")] == []
+    assert "concurrent.futures.process" not in loaded
+
+
 # -- configuration ---------------------------------------------------------
 
 def test_config_round_trip():
@@ -135,7 +151,13 @@ def test_shell_scenario_artifacts(tmp_path):
 def test_report_regime_lines(tmp_path, system, shell, l_times_i,
                              collective, flag):
     config = RunConfig(scenario="shell", system=system, shell=shell)
-    run(config, tmp_path)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        run(config, tmp_path)
+    # A collective deficit above 1 is a U below zero, which reduction_shell
+    # warns about.
+    assert any("below zero" in str(w.message) for w in caught) == (
+        float(collective) > 1.0)
     lines = (tmp_path / "report.txt").read_text().splitlines()
     start = lines.index("regime checks (smallness ratios, threshold 0.1):")
     assert lines[start + 1:start + 3] == [
@@ -283,7 +305,9 @@ def test_sweep_pool_matches_serial(tmp_path):
 # -- command line entry point ----------------------------------------------
 
 def test_main_success_and_outputs(tmp_path, capsys):
-    code = main(["shell", "--out", str(tmp_path / "o"), "--seed", "3"])
+    # The default shell's U is below zero, which is warned about, not fatal.
+    with pytest.warns(UserWarning, match="below zero"):
+        code = main(["shell", "--out", str(tmp_path / "o"), "--seed", "3"])
     assert code == 0
     assert (tmp_path / "o" / "summary.json").exists()
     doc = read_summary(tmp_path / "o")

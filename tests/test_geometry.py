@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import spherical_jn
 
 from oracles import (
     angular_average_l2,
@@ -38,8 +39,9 @@ def random_unit(rng, n=1):
 # -- special functions -----------------------------------------------------
 
 def test_s_t_limits_at_zero():
-    # 5e-324 is subnormal, where scipy's j2 alone would be nan.
-    for z in (0.0, 5e-324):
+    # 5e-324 is subnormal, where scipy's j2 alone would be nan; at the
+    # other two, the elementary form of j2 would cancel to nothing.
+    for z in (0.0, 5e-324, 1e-300, 1e-100):
         assert s_func(z) == pytest.approx(1.0, abs=1e-15)
         assert t_func(z) == pytest.approx(2.0 / 3.0, abs=1e-15)
 
@@ -54,6 +56,20 @@ def test_t_func_at_pi():
 def test_s_t_match_quadrature(z):
     assert abs(s_func(z) - s_func_quadrature(z)) < 1e-10
     assert abs(t_func(z) - t_func_quadrature(z)) < 1e-10
+
+
+def test_s_t_match_spherical_jn():
+    # 20,000 log-spaced points and the series/elementary crossover of j2 at
+    # z = 2 from both sides; test_s_t_limits_at_zero covers z -> 0.
+    zs = np.concatenate([np.logspace(-6.0, 4.0, 20_000),
+                         np.linspace(1.99, 2.01, 21),
+                         [np.nextafter(2.0, 0.0), 2.0, np.nextafter(2.0, 3.0)]])
+    j0 = spherical_jn(0, zs)
+    t_ref = 2.0 / 3.0 * (j0 - 2.0 * spherical_jn(2, zs))
+    s = np.array([s_func(z) for z in zs])
+    t = np.array([t_func(z) for z in zs])
+    assert np.max(np.abs(s - j0)) <= 1e-15
+    assert np.max(np.abs(t - t_ref)) <= 1e-15
 
 
 def test_negative_argument_rejected():
