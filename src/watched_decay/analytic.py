@@ -80,10 +80,15 @@ class ReductionReport:
     oracle_ratio: float = float("nan")
 
 
+def _check_beta(beta: float) -> None:
+    """Refuse beta < 0, written so that NaN fails too."""
+    if not beta >= 0.0:
+        raise ValueError(f"beta must satisfy beta >= 0, got {beta!r}")
+
+
 def reduction_single(geom: DipoleGeometry, beta: float) -> ReductionReport:
     """Reduction factor of a single detector atom, all variants."""
-    if beta < 0.0:
-        raise ValueError("beta must be >= 0")
+    _check_beta(beta)
     z = geom.z
     l = dipole_factor_l(geom.p_a, geom.p_d, geom.r_hat)
     dp = d_func(geom)
@@ -133,8 +138,7 @@ def reduction_multi(atoms: Sequence[DetectorAtom], p_a,
     a warning because it signals that neglecting inter-atom coupling is no
     longer valid, which clamping would hide.
     """
-    if beta < 0.0:
-        raise ValueError("beta must be >= 0")
+    _check_beta(beta)
     deficit = 0.0
     for atom in atoms:
         r = atom.r  # positions are in units of c/omega0, so z = r
@@ -160,6 +164,7 @@ def reduction_shell(n_atoms: int, radius_z: float, beta: float,
         raise ValueError("n_atoms must be >= 0")
     if radius_z <= 0.0:
         raise ValueError("radius_z must be > 0")
+    _check_beta(beta)
     deficit = 2.25 * l2_average * beta * n_atoms * (
         math.sin(radius_z) / radius_z) ** 2
     return _warn_below_zero(1.0 - deficit)
@@ -178,6 +183,7 @@ def shell_placement_spread(n_atoms: int, radius_z: float,
         raise ValueError("n_atoms must be >= 0")
     if radius_z <= 0.0:
         raise ValueError("radius_z must be > 0")
+    _check_beta(beta)
     return 2.25 * beta * (math.sin(radius_z) / radius_z) ** 2 * math.sqrt(
         n_atoms * L2_VARIANCE_ISOTROPIC)
 

@@ -2,9 +2,12 @@
 
 Each subcommand builds a model from a JSON config (plus dotted-path
 overrides), runs one scenario, and writes three artifacts into the output
-directory: ``results.csv``, ``summary.json`` and ``report.txt``.  Outputs
-are deterministic for a given config: no scenario draws random numbers
-(the seed is only recorded), and every float is serialized via repr.
+directory: ``results.csv``, ``summary.json`` and ``report.txt``.  The
+report is a rendering of the summary: the parameters and regime checks,
+then one ``key = value`` line per non-list summary field with the value
+as summary.json holds it.  Outputs are deterministic for a given config:
+no scenario draws random numbers (the seed is only recorded), and every
+float is serialized via repr.
 
 Exit codes: 0 success, 1 config/validation failure, 2 numerical
 non-convergence, 3 I/O failure.  Failures emit a machine-readable JSON
@@ -249,13 +252,14 @@ def _plain(obj):
         return {str(k): _plain(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple, np.ndarray)):
         return [_plain(v) for v in obj]
+    # bool before int: a Python bool is an int.
+    if isinstance(obj, (np.bool_, bool)):
+        return bool(obj)
     if isinstance(obj, (np.floating, float)):
         v = float(obj)
         return v if math.isfinite(v) else repr(v)
     if isinstance(obj, (np.integer, int)):
         return int(obj)
-    if isinstance(obj, (np.bool_, bool)):
-        return bool(obj)
     if isinstance(obj, complex):
         return {"re": _plain(obj.real), "im": _plain(obj.imag)}
     return obj
@@ -271,10 +275,21 @@ def _write_csv(path: Path, header: list[str], rows: list[list]):
 # ---------------------------------------------------------------------------
 # Report text
 
-def _report_header(config: RunConfig, system: PhysicalSystem | None,
-                   ratios: tuple = ()) -> list[str]:
-    """Report head; ``ratios`` adds (name, ratio) pairs to the regime
-    checks."""
+def _field_lines(record: dict, indent: str) -> list[str]:
+    """One ``key = value`` line per non-list field, valued as in JSON."""
+    return [f"{indent}{key} = {json.dumps(_plain(value))}"
+            for key, value in record.items() if not isinstance(value, list)]
+
+
+def _report(config: RunConfig, system: PhysicalSystem | None, summary: dict,
+            ratios: tuple = ()) -> list[str]:
+    """report.txt lines, a rendering of the summary.
+
+    The head, and with a system its parameters and regime checks
+    (``ratios`` adds (name, ratio) pairs to them), then the summary's
+    non-list fields as they read in summary.json, then with a system the
+    kernel-normalization report, rendered the same way.
+    """
     lines = [f"scenario: {config.scenario}", f"seed: {config.seed}", ""]
     if system is not None:
         lines += [
@@ -295,23 +310,13 @@ def _report_header(config: RunConfig, system: PhysicalSystem | None,
                             *ratios):
             flag = "ok" if ratio < REGIME_THRESHOLD else "LARGE"
             lines.append(f"  {name} = {ratio!r} -> {flag}")
-    return lines
-
-
-def _normalization_section(beta: float) -> list[str]:
-    lines = ["", "angular-kernel normalization discrepancy "
-             "(parallel dipoles, transverse separation):"]
-    for rep in analytic.normalization_report(beta):
-        lines += [
-            f"  z = {rep.z!r}:",
-            f"    D printed = {rep.d_printed!r}, "
-            f"raw spherical integral = {rep.d_oracle_raw!r}, "
-            f"ratio = {rep.oracle_ratio!r}",
-            f"    U variants: general = {rep.u_general!r}, "
-            f"oracle = {rep.u_oracle!r}, far = {rep.u_far_field!r}, "
-            f"near = {rep.u_near_field!r}",
-            f"    spread of applicable variants = {rep.discrepancy!r}",
-        ]
+        lines.append("")
+    lines += ["results:"] + _field_lines(summary, "  ")
+    if system is not None:
+        lines += ["", "angular-kernel normalization discrepancy "
+                  "(parallel dipoles, transverse separation):"]
+        for rep in analytic.normalization_report(system.beta):
+            lines += [f"  z = {rep.z!r}:"] + _field_lines(asdict(rep), "    ")
     return lines
 
 
@@ -352,11 +357,7 @@ def _run_vacuum(config: RunConfig):
     fit, rows, summary = _run_trajectory(config, model, system.gamma)
     rel = abs(fit.rate - system.gamma) / system.gamma
     summary.update(relative_rate_error=rel, n_modes=model.n_modes)
-    report = _report_header(config, system) + [
-        "", f"fitted rate = {fit.rate!r} +/- {fit.stderr!r}",
-        f"configured gamma = {system.gamma!r} (relative error {rel:.3%})",
-    ] + _normalization_section(system.beta)
-    return _TRAJECTORY_HEADER, rows, summary, report
+    return _TRAJECTORY_HEADER, rows, summary, _report(config, system, summary)
 
 
 def _run_single_detector(config: RunConfig):
@@ -371,29 +372,14 @@ def _run_single_detector(config: RunConfig):
     model = build_full_3d(system, grid)
     fit, rows, summary = _run_trajectory(config, model, system.gamma)
     red = analytic.reduction_single(geom, system.beta)
-    pole = ww_pole(model)
-    u_fitted = fit.rate / (system.gamma * model.meta["z_factor"])
     summary.update(
-        beta=system.beta, z=geom.z, u_fitted=u_fitted,
-        u_discrete_kernels=pole["u"],
+        beta=system.beta, z=geom.z,
+        u_fitted=fit.rate / (system.gamma * model.meta["z_factor"]),
+        u_discrete_kernels=ww_pole(model)["u"],
         u_general=red.u_general, u_oracle=red.u_oracle,
         u_far_field=red.u_far_field, u_near_field=red.u_near_field,
         u_variant_spread=red.discrepancy)
-    report = _report_header(config, system) + [
-        "",
-        f"fitted rate = {fit.rate!r} +/- {fit.stderr!r}",
-        f"fitted U = {u_fitted!r}",
-        f"analytic gamma*U targets at z = {geom.z!r}:",
-        f"  discrete kernels: {system.gamma * pole['u']!r} "
-        f"(U = {pole['u']!r})",
-        f"  printed kernel:   {system.gamma * red.u_general!r} "
-        f"(U = {red.u_general!r})",
-        f"  oracle kernel:    {system.gamma * red.u_oracle!r} "
-        f"(U = {red.u_oracle!r})",
-        f"  far field:        {system.gamma * red.u_far_field!r} "
-        f"(U = {red.u_far_field!r})",
-    ] + _normalization_section(system.beta)
-    return _TRAJECTORY_HEADER, rows, summary, report
+    return _TRAJECTORY_HEADER, rows, summary, _report(config, system, summary)
 
 
 def _run_shell(config: RunConfig):
@@ -415,35 +401,18 @@ def _run_shell(config: RunConfig):
             ["isotropic_l2_average", u_iso]]
     # The additive deficits hold only while their sum stays small.
     ratios = (("collective deficit 1 - U (isotropic)", 1.0 - u_iso),)
-    report = _report_header(config, system, ratios) + [
-        "",
-        f"shell: {n_atoms} atoms at z = {radius_z!r}",
-        f"U (printed 2/7 average)  = {u_printed!r}",
-        f"U (isotropic 2/9 average) = {u_iso!r}",
-        f"U spread over placements (1 sigma) = {spread!r}",
-    ] + _normalization_section(system.beta)
-    return ["variant", "u"], rows, summary, report
+    return (["variant", "u"], rows, summary,
+            _report(config, system, summary, ratios))
 
 
 def _run_toy(config: RunConfig):
     toy = ToySpec(**config.toy)
     model = build_scalar_toy(toy)
     fit, rows, summary = _run_trajectory(config, model, toy.gamma)
-    pole = ww_pole(model)
-    u_fitted = fit.rate / (toy.gamma * model.meta["z_factor"])
-    analytic_rate = toy.gamma * pole["u"]
-    summary.update(beta_toy=toy.beta_toy, r=toy.r, u_fitted=u_fitted,
-                   u_discrete_kernels=pole["u"], analytic_rate=analytic_rate)
-    report = _report_header(config, None) + [
-        f"toy parameters: gamma = {toy.gamma!r}, "
-        f"beta_toy = {toy.beta_toy!r}, r = {toy.r!r}",
-        "",
-        f"fitted rate = {fit.rate!r} +/- {fit.stderr!r}",
-        f"fitted U = {u_fitted!r}",
-        f"discrete-kernel U = {pole['u']!r} "
-        f"(analytic rate {analytic_rate!r})",
-    ]
-    return _TRAJECTORY_HEADER, rows, summary, report
+    summary.update(beta_toy=toy.beta_toy, r=toy.r,
+                   u_fitted=fit.rate / (toy.gamma * model.meta["z_factor"]),
+                   u_discrete_kernels=ww_pole(model)["u"])
+    return _TRAJECTORY_HEADER, rows, summary, _report(config, None, summary)
 
 
 def _run_compare_routes(config: RunConfig):
@@ -454,6 +423,7 @@ def _run_compare_routes(config: RunConfig):
     comp = compare_routes(model, t_grid)
     info = comp.inversion_info
     summary = {
+        "gamma": toy.gamma, "beta_toy": toy.beta_toy,
         "max_abs_diff": comp.max_abs_diff,
         "t_end": t_end, "n_times": int(t_grid.size),
         "inversion_error_estimate": info["error_estimate"],
@@ -467,19 +437,7 @@ def _run_compare_routes(config: RunConfig):
     }
     rows = [[float(t), float(abs(a - b))]
             for t, a, b in zip(comp.times, comp.a0_ode, comp.a0_resolvent)]
-    report = _report_header(config, None) + [
-        f"toy parameters: gamma = {toy.gamma!r}, beta_toy = {toy.beta_toy!r}",
-        "",
-        f"max |A0_ode - A0_resolvent| = {comp.max_abs_diff!r} "
-        f"on [0, {t_end!r}]",
-        f"inversion self-estimate = {info['error_estimate']!r} "
-        f"({info['n_nodes']} contour nodes)",
-        f"  truncation {info['truncation_estimate']!r}, "
-        f"alias {info['alias_estimate']!r}",
-        f"  reference of order {info['ref_order']} with its pole at "
-        f"-c, c = {info['c_ref']!r}",
-    ]
-    return ["t", "abs_diff"], rows, summary, report
+    return ["t", "abs_diff"], rows, summary, _report(config, None, summary)
 
 
 # -- sweep -----------------------------------------------------------------
@@ -534,11 +492,9 @@ def _run_sweep(config: RunConfig, workers: int):
     n_failed = sum(1 for r in rows if r["error"])
     summary = {"parameter": parameter, "n_points": len(rows),
                "n_failed": n_failed, "rows": rows}
-    report = _report_header(config, None) + [
-        f"sweep over {parameter}: {len(rows)} points, {n_failed} failed", ""]
-    for r in rows:
-        report.append(f"  {parameter} = {r[parameter]!r}: "
-                      f"{r['error'] or 'ok'}")
+    report = _report(config, None, summary) + [""] + [
+        f"  {parameter} = {r[parameter]!r}: {r['error'] or 'ok'}"
+        for r in rows]
     return header, csv_rows, summary, report
 
 

@@ -58,14 +58,13 @@ def _as_s_array(s) -> tuple[np.ndarray, bool]:
 
 
 def _check_poles(s_arr: np.ndarray, omegas: np.ndarray):
-    if omegas.size == 0 or s_arr.size == 0:
+    if omegas.size == 0:
         return
-    # Only worth checking for scalar-ish inputs; contour evaluations stay
-    # off the imaginary axis by construction.
-    if s_arr.size <= 4:
-        for s in s_arr:
-            if np.min(np.abs(s + 1j * omegas)) < _POLE_TOL:
-                raise PoleError(f"s = {s} hits a propagator pole")
+    # |s + i w| >= |Re s|, so only points this close to the imaginary axis
+    # can hit a pole; a contour (Re s = sigma > 0) passes in one comparison.
+    for s in s_arr[np.abs(s_arr.real) < _POLE_TOL]:
+        if np.min(np.abs(s + 1j * omegas)) < _POLE_TOL:
+            raise PoleError(f"s = {s} hits a propagator pole")
 
 
 #: Complex values one chunk of the transform holds per array: a chunk of

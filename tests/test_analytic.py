@@ -103,6 +103,19 @@ def test_reduction_single_rejects_negative_beta():
         reduction_single(geom(1.0), -0.1)
 
 
+@pytest.mark.parametrize("beta", [-0.5, math.nan], ids=["negative", "nan"])
+@pytest.mark.parametrize("call", [
+    lambda beta: reduction_single(geom(1.0), beta),
+    lambda beta: reduction_multi(
+        [DetectorAtom(position=XHAT, dipole_dir=ZHAT)], ZHAT, beta),
+    lambda beta: reduction_shell(10, 1.0, beta),
+    lambda beta: shell_placement_spread(10, 1.0, beta)],
+    ids=["single", "multi", "shell", "spread"])
+def test_reductions_reject_negative_or_nan_beta(call, beta):
+    with pytest.raises(ValueError, match="beta must"):
+        call(beta)
+
+
 def test_reduction_multi_single_atom_equals_far_field():
     z = 5.5
     atom = DetectorAtom(position=z * XHAT, dipole_dir=ZHAT)

@@ -1,4 +1,4 @@
-"""The traced benchmark still finds every name it wraps.
+"""The traced benchmark still finds every name it wraps, and its checks work.
 
 ``perfbench/workloads.instrument`` looks up each public function it traces
 in the module where its caller finds it.  A rename or deletion there would
@@ -21,3 +21,12 @@ def test_instrument_finds_every_wrapped_name(monkeypatch):
     assert len(tracer._patches) == 19
     for module, attr, original, _ in tracer._patches:
         assert getattr(module, attr) is original
+
+
+def test_benchmark_checks_pass_their_selftest(monkeypatch):
+    # The benchmark's accuracy checks must still flag what they exist to
+    # flag; checks.py carries its own self-test.
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import checks
+
+    assert checks.selftest() == []

@@ -220,8 +220,43 @@ def test_compare_routes_reports_inversion_record(tmp_path):
     assert results["inversion_c_ref"]["re"] == 1.0
     assert results["inversion_sigma"] > 0.0
     assert results["inversion_omega_max"] >= 16.0
-    report = (tmp_path / "a" / "report.txt").read_text()
-    assert "truncation" in report and "reference of order 3" in report
+    report = (tmp_path / "a" / "report.txt").read_text().splitlines()
+    assert "  inversion_ref_order = 3" in report
+
+
+def report_results(path) -> dict:
+    """The results block of a report.txt, each value parsed as JSON."""
+    lines = path.read_text().splitlines()
+    block = lines[lines.index("results:") + 1:]
+    block = block[:block.index("")] if "" in block else block
+    return {key: json.loads(value)
+            for key, value in (line.strip().split(" = ", 1)
+                               for line in block)}
+
+
+@pytest.mark.parametrize("config", [
+    RunConfig(scenario="toy", toy=TOY_FAST, t_max=40.0),
+    RunConfig(scenario="compare-routes", toy=TOY_FAST, t_max=40.0),
+    RunConfig(scenario="shell", system={"beta": 0.01},
+              shell={"n_atoms": 10}),
+    RunConfig(scenario="vacuum"),
+    RunConfig(scenario="sweep", toy=TOY_FAST, t_max=40.0,
+              sweep={"parameter": "r", "values": [0.0, 2.3]})],
+    ids=["toy", "compare-routes", "shell", "vacuum", "sweep"])
+def test_report_renders_the_summary(tmp_path, config):
+    # The report's results block is the summary's non-list fields, with
+    # the digits summary.json holds.
+    run(config, tmp_path)
+    results = read_summary(tmp_path)["results"]
+    assert report_results(tmp_path / "report.txt") == {
+        k: v for k, v in results.items() if not isinstance(v, list)}
+
+
+def test_plain_keeps_bools():
+    assert cli._plain([True, np.bool_(False), 1, np.int64(2)]) == [
+        True, False, 1, 2]
+    assert type(cli._plain(True)) is bool
+    assert json.dumps(cli._plain({"ok": np.bool_(True)})) == '{"ok": true}'
 
 
 def test_byte_identical_reruns(tmp_path):

@@ -69,6 +69,16 @@ def test_k_discrete_pole_detection():
         self_energy(-1j * model.mode_omegas[3], model)
 
 
+@pytest.mark.parametrize("n", [1, 5, 64])
+def test_pole_detection_at_any_array_size(n):
+    # One point on a mode pole among n - 1 contour points off the axis.
+    model = build_scalar_toy(ToySpec())
+    s = 0.05 + 1j * np.linspace(-2.0, 0.0, n)
+    s[n // 2] = -1j * model.mode_omegas[3]
+    with np.errstate(all="raise"), pytest.raises(PoleError):
+        resolvent_a0_discrete(s, model)
+
+
 def test_k_discrete_continuum_limit():
     # Re K(-i omega0 + Gamma) approaches the cutoff Lorentzian integral;
     # the omega^3 wings inflate it above the ideal Gamma/2 by ~6% at this
