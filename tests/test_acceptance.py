@@ -20,6 +20,7 @@ from scipy.integrate import quad
 from oracles import (
     angular_average_l2,
     polarization_sum,
+    resolvent_a0_dense,
     s_func_quadrature,
     t_func_quadrature,
 )
@@ -51,7 +52,11 @@ from watched_decay.model import (
     DetectorAtom,
     PhysicalSystem,
 )
-from watched_decay.resolvent import self_energy, ww_pole
+from watched_decay.resolvent import (
+    resolvent_a0_discrete,
+    self_energy,
+    ww_pole,
+)
 
 GAMMA = 0.01
 BETA = 0.05
@@ -330,6 +335,26 @@ def test_integrate_within_error_bound_on_random_models():
         assert err <= traj.metadata["error_bound"]
         assert err <= 1e-12
     assert min(sizes) >= 6 and max(sizes) <= 125
+
+
+def test_laplace_route_on_random_models():
+    # The Laplace half of the random-model audit: the rank-per-atom
+    # transform against the dense channel solve off the axis, both routes
+    # against the eigen oracle, and the Bromwich error under its estimate.
+    rng = np.random.default_rng(7)
+    s = np.array([0.05 - 0.9j, 0.3 - 1.2j, 1.0 + 0.4j])
+    t = np.linspace(0.0, 60.0, 121)
+    for _ in range(20):
+        model = random_discrete_model(rng)
+        np.testing.assert_allclose(
+            resolvent_a0_discrete(s, model),
+            [resolvent_a0_dense(x, model) for x in s], rtol=1e-12, atol=0.0)
+        comp = compare_routes(model, t)
+        exact = exact_a0(model, t)
+        bromwich_err = np.max(np.abs(comp.a0_resolvent - exact))
+        assert np.max(np.abs(comp.a0_ode - exact)) <= 1e-6
+        assert bromwich_err <= 1e-6
+        assert bromwich_err <= comp.inversion_info["error_estimate"]
 
 
 @pytest.mark.parametrize("name, max_nodes", [("toy", 40_000),
