@@ -86,6 +86,13 @@ def _check_beta(beta: float) -> None:
         raise ValueError(f"beta must satisfy beta >= 0, got {beta!r}")
 
 
+def _check_radius(radius_z: float) -> None:
+    """Refuse a shell radius outside (0, inf), written so that NaN fails."""
+    if not 0.0 < radius_z < math.inf:
+        raise ValueError(f"radius_z must satisfy 0 < radius_z < inf, "
+                         f"got {radius_z!r}")
+
+
 def reduction_single(geom: DipoleGeometry, beta: float) -> ReductionReport:
     """Reduction factor of a single detector atom, all variants."""
     _check_beta(beta)
@@ -162,8 +169,7 @@ def reduction_shell(n_atoms: int, radius_z: float, beta: float,
     """
     if n_atoms < 0:
         raise ValueError("n_atoms must be >= 0")
-    if radius_z <= 0.0:
-        raise ValueError("radius_z must be > 0")
+    _check_radius(radius_z)
     _check_beta(beta)
     deficit = 2.25 * l2_average * beta * n_atoms * (
         math.sin(radius_z) / radius_z) ** 2
@@ -181,8 +187,7 @@ def shell_placement_spread(n_atoms: int, radius_z: float,
     """
     if n_atoms < 0:
         raise ValueError("n_atoms must be >= 0")
-    if radius_z <= 0.0:
-        raise ValueError("radius_z must be > 0")
+    _check_radius(radius_z)
     _check_beta(beta)
     return 2.25 * beta * (math.sin(radius_z) / radius_z) ** 2 * math.sqrt(
         n_atoms * L2_VARIANCE_ISOTROPIC)

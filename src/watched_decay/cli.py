@@ -355,7 +355,8 @@ def _run_vacuum(config: RunConfig):
     system = config.build_system()
     model = build_radial_vacuum(system, GridSpec(**config.grid))
     fit, rows, summary = _run_trajectory(config, model, system.gamma)
-    rel = abs(fit.rate - system.gamma) / system.gamma
+    reference = system.gamma * model.meta["z_factor"]
+    rel = abs(fit.rate - reference) / reference
     summary.update(relative_rate_error=rel, n_modes=model.n_modes)
     return _TRAJECTORY_HEADER, rows, summary, _report(config, system, summary)
 

@@ -108,7 +108,7 @@ def _rhs_factory(model: DiscreteModel):
     n_modes, n_atoms = f.shape
     n_ch = m.size
 
-    def rhs(t, y):
+    def rhs(y):
         a0 = y[0]
         ak = y[1:1 + n_modes]
         dy = np.empty_like(y)
@@ -158,7 +158,7 @@ def _moments(model: DiscreteModel, c: float, r: float, n: int) -> np.ndarray:
     rhs = _rhs_factory(model)
 
     def step(v):  # 2 (H - c) / r v, with H v = i rhs(v)
-        return (2j / r) * rhs(0.0, v) - (2.0 * c / r) * v
+        return (2j / r) * rhs(v) - (2.0 * c / r) * v
 
     mu = np.empty(2 * n + 1)
     prev = np.zeros(model.size, dtype=complex)
@@ -408,10 +408,10 @@ def compare_routes(model: DiscreteModel, t_grid) -> RouteComparison:
     rhs = _rhs_factory(model)
     y = np.zeros(model.size, dtype=complex)
     y[0] = 1.0
-    moments = []
-    for _ in range(REF_ORDER + 1):
+    moments = [y[0]]
+    for _ in range(REF_ORDER):
+        y = rhs(y)
         moments.append(y[0])
-        y = rhs(0.0, y)
     rotated, info = invert_laplace(shifted, moments, t_grid)
     a0_res = rotated * np.exp(-1j * OMEGA0 * t_grid)
     diff = float(np.max(np.abs(traj.a0 - a0_res)))

@@ -13,18 +13,20 @@ channel-count solve.
 
 The time signal is recovered by a trapezoidal Bromwich integral on a
 vertical contour.  A reference R(s) = sum_n b_n / (s + c)^(n+1) of order
-3, built from the exact moments m_n = <0|M^n|0> of the generator (the
-coefficients of the transform at infinity), is split off and inverted in
-closed form, so the remaining integrand decays ~ 1/|s|^5.  The
-contour nodes are equispaced, w_j = j h, so the phase sum
-sum_j g_j exp(i t w_j) factors exactly: writing j = q B + r with
-B ~ sqrt(N) turns it into one matrix product of a T x Q table of row
-phases with the Q x B node block, followed by a row-wise product with a
-T x B table of column phases.  That costs T (Q + B) exponentials instead
-of T N and works on any time grid.  A chirp-z transform would need a
-uniform time grid, and so a second code path for other grids, and scipy's
-czt builds its chirp as w**(k^2/2), whose phase at 773,697 nodes is off
-by up to 1.6e-7 rad.
+P = REF_ORDER = 7, built from the exact moments m_n = <0|M^n|0> of the
+generator (the coefficients of the transform at infinity), is split off
+and inverted in closed form, so the remaining integrand decays
+~ 1/|s|^(P+2) = 1/|s|^9.  The contour ends at the first omega_max, doubled
+from max(16, 8 h), where the tail it drops, e^(sigma t_max) |g| omega_max /
+((P + 1) pi), is below TOL / 4.  The contour nodes are equispaced,
+w_j = j h, so the phase sum sum_j g_j exp(i t w_j) factors exactly:
+writing j = q B + r with B ~ sqrt(N) turns it into one matrix product of
+a T x Q table of row phases with the Q x B node block, followed by a
+row-wise product with a T x B table of column phases.  That costs
+T (Q + B) exponentials instead of T N and works on any time grid.  A
+chirp-z transform would need a uniform time grid, and so a second code
+path for other grids, and scipy's czt builds its chirp as w**(k^2/2),
+whose phase at 773,697 nodes is off by up to 1.6e-7 rad.
 """
 
 from __future__ import annotations
@@ -203,7 +205,10 @@ def _phase_sums(g: np.ndarray, h: float, t: np.ndarray,
 
 
 #: Order P of the moment reference: it matches m_0..m_P of the transform.
-REF_ORDER = 3
+#: Each order makes the remainder decay one power faster and so shortens
+#: the contour; at 9 a vacuum model's contour stops at the floor of 16 with
+#: an error estimate above TOL.
+REF_ORDER = 7
 #: Re c of the reference pole at -c, in units of omega0.  At Re c = 0 the
 #: order-P pole sits only sigma from the contour and its aliases exceed
 #: the error estimate; near the spectral radius the remainder is larger.
@@ -221,11 +226,15 @@ def invert_laplace(f: Callable[[np.ndarray], np.ndarray], moments,
 
     Trapezoidal Bromwich rule.  f must be analytic to the right of the
     contour and accept an ndarray of complex s; moments are its exact
-    coefficients at infinity, f(s) = sum_n m_n / s^(n+1), for n = 0..3.
-    For an amplitude resolvent <0|(s - M)^-1|0> they are m_n = <0|M^n|0>.
-    The reference sum_n b_n / (s + c)^(n+1), with b_n the moments
-    re-expanded about -c, is inverted exactly as sum_n b_n t^n e^(-ct)/n!;
-    the contour only sees the remainder, which decays ~ 1/|s|^5.  Returns
+    coefficients at infinity, f(s) = sum_n m_n / s^(n+1), for
+    n = 0..P with P = REF_ORDER.  For an amplitude resolvent
+    <0|(s - M)^-1|0> they are m_n = <0|M^n|0>.  The reference
+    sum_n b_n / (s + c)^(n+1), with b_n the moments re-expanded about -c,
+    is inverted exactly as sum_n b_n t^n e^(-ct)/n!; the contour only sees
+    the remainder g, which decays ~ 1/|s|^(P+2).  The contour half-width
+    omega_max is the first of max(16, 8 h) times 1, 2, 4, ... at which
+    e^(sigma t_max) |g(sigma + i omega_max)| omega_max / ((P + 1) pi), the
+    bound on the dropped tail at the last time, is below TOL / 4.  Returns
     (values, info); info carries the contour settings, the reference and
     a self-reported error estimate, the sum of a truncation estimate from
     comparing two truncations and an alias estimate.  Raises
@@ -269,11 +278,14 @@ def invert_laplace(f: Callable[[np.ndarray], np.ndarray], moments,
             ref = u * (b_p + ref)
         return np.asarray(f(s_arr)) - ref
 
-    # Double omega_max until the tail bound |g| omega / pi drops below
-    # TOL / 4, up to 1e9.
+    # Double omega_max until the dropped tail drops below TOL / 4, up to
+    # 1e9.  With |g| ~ 1/|s|^(P+2) the nodes beyond W add up to about
+    # e^(sigma t) |g(W)| W / ((P + 1) pi) at time t; the bound takes the
+    # contour growth at t_max, as the truncation estimate does.
+    tail = math.exp(sigma * t_max) / ((REF_ORDER + 1) * math.pi)
     probe = max(16.0, 8.0 * h)
     while probe < 1e9 and (abs(g(np.array([sigma + 1j * probe]))[0])
-                           * probe / math.pi >= 0.25 * TOL):
+                           * probe * tail >= 0.25 * TOL):
         probe *= 2.0
     omega_max = min(probe, 1e9)
     n_half = int(math.ceil(omega_max / h))

@@ -116,6 +116,15 @@ def test_reductions_reject_negative_or_nan_beta(call, beta):
         call(beta)
 
 
+@pytest.mark.parametrize("radius_z", [0.0, -1.0, math.nan, math.inf],
+                         ids=["zero", "negative", "nan", "inf"])
+@pytest.mark.parametrize("call", [reduction_shell, shell_placement_spread],
+                         ids=["shell", "spread"])
+def test_shell_forms_reject_radius_outside_open_half_line(call, radius_z):
+    with pytest.raises(ValueError, match="radius_z must"):
+        call(10, radius_z, 0.05)
+
+
 def test_reduction_multi_single_atom_equals_far_field():
     z = 5.5
     atom = DetectorAtom(position=z * XHAT, dipole_dir=ZHAT)

@@ -19,6 +19,7 @@ from watched_decay.cli import (
     main,
     run,
 )
+from watched_decay.resolvent import REF_ORDER, TOL
 
 TOY_FAST = {"n_modes": 120, "n_channels": 40}
 
@@ -194,6 +195,11 @@ def test_vacuum_scenario_recovers_gamma(tmp_path):
     # Criterion 1's bound: the fitted vacuum rate is within 3% of gamma.
     assert abs(results["fitted_rate"] - results["gamma"]) \
         <= 0.03 * results["gamma"]
+    # The reported error is against the rate the fit should find, gamma Z.
+    reference = results["gamma"] * results["z_factor"]
+    assert results["relative_rate_error"] == pytest.approx(
+        abs(results["fitted_rate"] - reference) / reference, rel=1e-12)
+    assert results["relative_rate_error"] < 1e-3
 
 
 def test_single_detector_scenario_slows_decay(tmp_path):
@@ -216,12 +222,17 @@ def test_compare_routes_reports_inversion_record(tmp_path):
     assert results["inversion_error_estimate"] == (
         results["inversion_truncation_estimate"]
         + results["inversion_alias_estimate"])
-    assert results["inversion_ref_order"] == 3
+    assert results["inversion_ref_order"] == REF_ORDER
     assert results["inversion_c_ref"]["re"] == 1.0
     assert results["inversion_sigma"] > 0.0
     assert results["inversion_omega_max"] >= 16.0
     report = (tmp_path / "a" / "report.txt").read_text().splitlines()
-    assert "  inversion_ref_order = 3" in report
+    assert f"  inversion_ref_order = {REF_ORDER}" in report
+
+
+def test_default_compare_routes_error_estimate_meets_tol(tmp_path):
+    results = run(RunConfig(scenario="compare-routes"), tmp_path)["results"]
+    assert results["inversion_error_estimate"] <= TOL
 
 
 def report_results(path) -> dict:

@@ -83,7 +83,7 @@ def test_derivative_is_anti_hermitian():
     for _ in range(25):
         model = random_model(rng)
         y = random_state(rng, model)
-        dy = _rhs_factory(model)(0.0, y)
+        dy = _rhs_factory(model)(y)
         assert abs(np.vdot(y, dy).real) < 1e-14
 
 
@@ -163,7 +163,7 @@ def test_spectral_interval_holds_spectrum():
     for _ in range(10):
         model = random_model(rng)
         y = np.eye(model.size, dtype=complex)
-        H = 1j * np.column_stack([_rhs_factory(model)(0.0, v) for v in y])
+        H = 1j * np.column_stack([_rhs_factory(model)(v) for v in y])
         c, r = _spectral_interval(model)
         lam = np.linalg.eigvalsh(H)
         assert c - r <= lam[0] and lam[-1] <= c + r

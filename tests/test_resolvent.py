@@ -248,6 +248,17 @@ def pole_moments(a, weight=1.0):
     return [weight * (-a) ** n for n in range(REF_ORDER + 1)]
 
 
+def cosine_moments(omega):
+    """m_0..m_P of s / (s^2 + omega^2) = sum_k (-omega^2)^k / s^(2k+1)."""
+    return [(-omega**2) ** (n // 2) if n % 2 == 0 else 0.0
+            for n in range(REF_ORDER + 1)]
+
+
+def double_pole_moments(a):
+    """m_0..m_P of 1 / (s + a)^2 = sum_n n (-a)^(n-1) / s^(n+1)."""
+    return [n * (-a) ** (n - 1) if n else 0.0 for n in range(REF_ORDER + 1)]
+
+
 def test_invert_known_oscillator():
     t = np.linspace(0.0, 20.0, 81)
     vals, info = invert_laplace(lambda s: 1.0 / (s + 1.0j), pole_moments(1j),
@@ -272,7 +283,7 @@ def test_invert_two_pole_cosine():
     omega = 0.7
     t = np.linspace(0.0, 30.0, 61)
     vals, _ = invert_laplace(lambda s: s / (s**2 + omega**2),
-                             [1.0, 0.0, -omega**2, 0.0], t)
+                             cosine_moments(omega), t)
     np.testing.assert_allclose(vals.real, np.cos(omega * t), atol=1e-8)
 
 
@@ -315,7 +326,7 @@ def test_phase_sums_match_direct_sum(n_nodes, uniform_t):
 @pytest.mark.parametrize("transform, moments, expected", [
     (lambda s: 2.0 / (s + 1.0), pole_moments(1.0, 2.0),
      lambda t: 2.0 * np.exp(-t)),
-    (lambda s: 1.0 / (s + 1.0) ** 2, [0.0, 1.0, -2.0, 3.0],
+    (lambda s: 1.0 / (s + 1.0) ** 2, double_pole_moments(1.0),
      lambda t: t * np.exp(-t)),
 ], ids=["scaled", "double-pole"])
 def test_invert_non_unit_initial_value(transform, moments, expected):
@@ -340,7 +351,7 @@ def test_inversion_self_check_raises_when_starved(monkeypatch):
     # severely truncated contour must fail its own error estimate.
     monkeypatch.setattr(resolvent, "MAX_NODES", 128)
     with pytest.raises(InversionError):
-        invert_laplace(lambda s: s / (s**2 + 1.0), [1.0, 0.0, -1.0, 0.0],
+        invert_laplace(lambda s: s / (s**2 + 1.0), cosine_moments(1.0),
                        np.linspace(0.0, 20.0, 21))
 
 
