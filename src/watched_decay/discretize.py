@@ -22,12 +22,11 @@ from dataclasses import dataclass, field
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
-from .geometry import _orthonormal_transverse
+from .geometry import TWO_PI, _orthonormal_transverse
 from .model import OMEGA0, WW_GAMMA_CAP, PhysicalSystem
 
-TWO_PI = 2.0 * math.pi
-
-#: Half-width of the band about omega0 whose spacing sets t_rec.
+#: Half-width of the band about omega0 whose largest spacing sets t_rec,
+#: and through t_rec the evaluation width of resolvent.ww_pole.
 RECURRENCE_WINDOW = 0.1
 #: Width of the sum-rule window centred on omega0.
 SUM_RULE_WINDOW = 0.05
@@ -180,18 +179,25 @@ def _frequency_grid(scheme: str, a: float, b: float,
 
 
 def recurrence_time(omegas: np.ndarray) -> float:
-    """2 pi over the minimum mode spacing near omega0.
+    """2 pi over the largest grid spacing near omega0: the horizon.
 
-    Falls back to the global minimum spacing when no two modes sit inside
-    the window |omega - omega0| <= RECURRENCE_WINDOW.
+    A discrete set of modes stands in for the continuum only until its
+    spacing shows: modes spaced d apart near the resonance rephase, and
+    the amplitude they carried away starts to return, after 2 pi / d.  On
+    an uneven grid the widest gap shows first, so the horizon is set by
+    the largest spacing within |omega - omega0| <= RECURRENCE_WINDOW (the
+    global largest when fewer than two modes sit there), and it is the
+    time up to which the grid resolves the resonance.  It is a necessary
+    limit, not a sufficient one: a default vacuum run fitted up to
+    0.9 t_rec reads rate / (gamma Z) 1.3e-3 below its converged value on
+    400 Gauss modes (t_rec 783) and 5.9e-3 above it on 800 (t_rec 1,505).
     """
     uniq = np.unique(np.round(omegas, 12))
     if uniq.size < 2:
         return math.inf
     near = uniq[np.abs(uniq - OMEGA0) <= RECURRENCE_WINDOW]
     spacings = np.diff(near) if near.size >= 2 else np.diff(uniq)
-    dmin = float(np.min(spacings))
-    return TWO_PI / dmin if dmin > 0.0 else math.inf
+    return TWO_PI / float(np.max(spacings))
 
 
 def check_sum_rule(model: DiscreteModel) -> float:

@@ -36,12 +36,11 @@ from typing import Callable
 
 import numpy as np
 
-from .discretize import RECURRENCE_WINDOW, DiscreteModel
+from .discretize import DiscreteModel
+from .geometry import TWO_PI
 # Unused here; kept because perfbench/workloads.py wraps resolvent.d_oracle.
 from .geometry import d_oracle  # noqa: F401
 from .model import OMEGA0
-
-TWO_PI = 2.0 * math.pi
 
 _POLE_TOL = 1e-12
 
@@ -138,32 +137,20 @@ def resolvent_a0_discrete(s, model: DiscreteModel):
     return complex(out[0]) if scalar else out
 
 
-def _max_local_spacing(omegas: np.ndarray) -> float:
-    """Largest gap between grid frequencies inside the resonance window."""
-    if omegas.size < 2:
-        return 0.0
-    uniq = np.unique(omegas)
-    near = uniq[np.abs(uniq - OMEGA0) <= RECURRENCE_WINDOW]
-    if near.size < 2:
-        return float(np.max(np.diff(uniq)))
-    return float(np.max(np.diff(near)))
-
-
 def ww_pole(model: DiscreteModel) -> dict:
     """Effective pole of the excited-state resolvent of a DiscreteModel.
 
     The kernels are summed once at s = -i omega0 + gamma_eval, with
-    gamma_eval = max(gamma/2, 2 x the largest grid spacing near omega0,
-    1e-6): far enough off the imaginary axis to smooth over the discrete
-    pole spacing, so the kernel sums approximate their continuum values.
+    gamma_eval = max(gamma/2, 4 pi / t_rec, 1e-6): 4 pi / t_rec is twice
+    the largest grid spacing near omega0 (discretize.recurrence_time), far
+    enough off the imaginary axis to smooth over the discrete pole
+    spacing, so the kernel sums approximate their continuum values.
     Returns rate (decay of the survival probability), shift (frequency
     pull, reported only), u (rate over the same model's vacuum rate),
     vacuum_rate (2 Re K at the same point) and gamma_eval.
     """
     gamma = model.meta.get("gamma", 0.0)
-    spacing = max(_max_local_spacing(model.mode_omegas),
-                  _max_local_spacing(model.channel_omegas))
-    gamma_eval = max(0.5 * gamma, 2.0 * spacing, 1e-6)
+    gamma_eval = max(0.5 * gamma, 2.0 * TWO_PI / model.t_rec, 1e-6)
     s0 = np.array([-1j * OMEGA0 + gamma_eval])
     sigma, k_val = (complex(v[0]) for v in _sigma_and_k(s0, model))
     rate = 2.0 * sigma.real

@@ -215,6 +215,20 @@ def test_single_detector_scenario_slows_decay(tmp_path):
     assert results["u_fitted"] == pytest.approx(results["u_oracle"], abs=1e-3)
 
 
+def test_single_detector_long_horizon_keeps_u(tmp_path):
+    # t_max = 1000 is clipped to 0.9 t_rec, which the grid resolves; on the
+    # smallest-spacing horizon (t_rec 16,258) the fit ran to 800 and read
+    # U 9.4e-3 low, 57% of the deficit, with no flag raised.
+    short, long = (
+        run(RunConfig(scenario="single-detector", t_max=t_max,
+                      system={"detector_atoms": [DETECTOR]}),
+            tmp_path / str(t_max))["results"]
+        for t_max in (200.0, 1000.0))
+    assert long["t_rec"] == pytest.approx(499.47, abs=0.01)
+    assert long["fit_window"][1] < 0.9 * long["t_rec"]
+    assert long["u_fitted"] == pytest.approx(short["u_fitted"], abs=1e-3)
+
+
 def test_compare_routes_reports_inversion_record(tmp_path):
     config = RunConfig(scenario="compare-routes", toy=TOY_FAST, t_max=40.0)
     results = run_twice(config, tmp_path)

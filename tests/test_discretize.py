@@ -98,6 +98,18 @@ def test_recurrence_time_uniform_grid():
         2.0 * math.pi / 0.01, rel=1e-9)
 
 
+def test_recurrence_time_takes_largest_spacing_near_resonance():
+    # Two 4-point Gauss panels meet at omega0; 2.0 lies outside the window.
+    x, _ = leggauss(4)
+    omegas = np.concatenate([0.95 + 0.05 * x, 1.05 + 0.05 * x, [2.0]])
+    # The widest in-window gap is the middle one of a panel, 2 * 0.05 * x[2];
+    # the narrowest, 2 * 0.05 * (1 - x[3]), straddles omega0.
+    widest = 0.1 * x[2]
+    assert widest > 0.1 * (1.0 - x[3])
+    assert recurrence_time(omegas) == pytest.approx(2.0 * math.pi / widest,
+                                                    rel=1e-10)
+
+
 def two_mode_model(omegas, alphas):
     return DiscreteModel(mode_omegas=np.array(omegas),
                          mode_alphas=np.array(alphas, complex),

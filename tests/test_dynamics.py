@@ -125,6 +125,16 @@ def test_integrate_refuses_horizon_beyond_recurrence():
         integrate(model, 2.0 * model.t_rec)
 
 
+def test_integrate_refuses_horizon_the_gauss_grid_cannot_resolve():
+    # The largest spacing near omega0 of 400 Gauss modes recurs at 783; the
+    # smallest, where the panels meet at omega0, only at 43,676.
+    model = build_radial_vacuum(
+        PhysicalSystem(gamma=0.01, omega_i=0.3, beta=0.0), GridSpec())
+    assert model.t_rec < 1000.0
+    with pytest.raises(RecurrenceError):
+        integrate(model, 1000.0)
+
+
 def test_norm_drift_within_tolerance():
     solver = SolverSpec()
     model = build_scalar_toy(ToySpec())

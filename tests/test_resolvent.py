@@ -234,6 +234,8 @@ def full3d_detector_model():
 def test_ww_pole_rates_from_one_kernel_evaluation(build):
     model = build()
     pole = ww_pole(model)
+    assert pole["gamma_eval"] == max(0.5 * model.meta["gamma"],
+                                     4.0 * math.pi / model.t_rec, 1e-6)
     s0 = -1j * OMEGA0 + pole["gamma_eval"]
     assert pole["vacuum_rate"] == pytest.approx(2.0 * direct_k(s0, model).real,
                                                 rel=1e-13, abs=0.0)
