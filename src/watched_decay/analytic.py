@@ -31,6 +31,7 @@ from .geometry import (
     d_func,
     d_oracle,
     dipole_factor_l,
+    s_func,
 )
 from .model import DetectorAtom
 
@@ -93,6 +94,12 @@ def _check_radius(radius_z: float) -> None:
                          f"got {radius_z!r}")
 
 
+def _far_field_deficit(beta: float, l2_sum, z: float):
+    """(9/4) beta (sin z / z)^2 l2_sum: the far-field deficit of atoms at
+    retardation z whose l^2 sum (or its spread) is l2_sum, also an array."""
+    return 2.25 * beta * s_func(z) ** 2 * l2_sum
+
+
 def reduction_single(geom: DipoleGeometry, beta: float) -> ReductionReport:
     """Reduction factor of a single detector atom, all variants."""
     _check_beta(beta)
@@ -103,10 +110,7 @@ def reduction_single(geom: DipoleGeometry, beta: float) -> ReductionReport:
 
     u_general = 1.0 - DEFICIT_COEFF * beta * dp * dp
     u_oracle = 1.0 - DEFICIT_COEFF * beta * draw * draw
-    if z > 0.0:
-        u_far = 1.0 - 2.25 * beta * (l * math.sin(z) / z) ** 2
-    else:
-        u_far = 1.0 - 2.25 * beta * l * l  # limit sin(z)/z -> 1
+    u_far = 1.0 - _far_field_deficit(beta, l * l, z)
     cos_pd_pa = float(np.dot(geom.p_d, geom.p_a))
     u_near = 1.0 - beta * cos_pd_pa**2
 
@@ -148,12 +152,10 @@ def reduction_multi(atoms: Sequence[DetectorAtom], p_a,
     _check_beta(beta)
     deficit = 0.0
     for atom in atoms:
-        r = atom.r  # positions are in units of c/omega0, so z = r
-        if r == 0.0:
-            raise ValueError("far-field formula is singular at r = 0")
+        # r_hat refuses an atom at the origin; z = r in units of c/omega0.
         li = dipole_factor_l(p_a, atom.dipole_dir, atom.r_hat)
-        deficit += (li * math.sin(r) / r) ** 2
-    return _warn_below_zero(1.0 - 2.25 * beta * deficit)
+        deficit += _far_field_deficit(beta, li * li, atom.r)
+    return _warn_below_zero(1.0 - deficit)
 
 
 def reduction_shell(n_atoms: int, radius_z: float, beta: float,
@@ -171,9 +173,8 @@ def reduction_shell(n_atoms: int, radius_z: float, beta: float,
         raise ValueError("n_atoms must be >= 0")
     _check_radius(radius_z)
     _check_beta(beta)
-    deficit = 2.25 * l2_average * beta * n_atoms * (
-        math.sin(radius_z) / radius_z) ** 2
-    return _warn_below_zero(1.0 - deficit)
+    return _warn_below_zero(
+        1.0 - _far_field_deficit(beta, l2_average * n_atoms, radius_z))
 
 
 def shell_placement_spread(n_atoms: int, radius_z: float,
@@ -189,8 +190,8 @@ def shell_placement_spread(n_atoms: int, radius_z: float,
         raise ValueError("n_atoms must be >= 0")
     _check_radius(radius_z)
     _check_beta(beta)
-    return 2.25 * beta * (math.sin(radius_z) / radius_z) ** 2 * math.sqrt(
-        n_atoms * L2_VARIANCE_ISOTROPIC)
+    return _far_field_deficit(
+        beta, math.sqrt(n_atoms * L2_VARIANCE_ISOTROPIC), radius_z)
 
 
 def shell_reduction_mc(n_atoms: int, radius_z: float, beta: float,
@@ -209,7 +210,6 @@ def shell_reduction_mc(n_atoms: int, radius_z: float, beta: float,
         raise ValueError(f"n_samples must be >= 2, got {n_samples}")
     rng = np.random.default_rng(seed)
     p_a = np.array([0.0, 0.0, 1.0])
-    sin_term = (math.sin(radius_z) / radius_z) ** 2
     values = np.empty(n_samples)
     for lo in range(0, n_samples, 512):
         # Each sample draws its n_atoms directions, then its n_atoms
@@ -218,8 +218,8 @@ def shell_reduction_mc(n_atoms: int, radius_z: float, beta: float,
         v /= np.linalg.norm(v, axis=-1, keepdims=True)
         r_hat, p_d = v[:, 0], v[:, 1]
         l = (p_d @ p_a) - (r_hat @ p_a) * np.sum(r_hat * p_d, axis=-1)
-        values[lo:lo + 512] = (1.0 - 2.25 * beta * sin_term
-                               * np.sum(l * l, axis=-1))
+        values[lo:lo + 512] = 1.0 - _far_field_deficit(
+            beta, np.sum(l * l, axis=-1), radius_z)
     mean = float(np.mean(values))
     stderr = float(np.std(values, ddof=1) / math.sqrt(n_samples))
     return mean, stderr
