@@ -342,6 +342,8 @@ def _run_trajectory(config: RunConfig, model, gamma: float):
         "fit_window": list(fit.window), "r_squared": fit.r_squared,
         "gamma": gamma,
         "max_norm_drift": float(np.max(np.abs(traj.norm_drift))),
+        "error_bound": traj.metadata["error_bound"],
+        "n_terms": traj.metadata["n_terms"],
         "t_rec": model.t_rec, "z_factor": model.meta["z_factor"],
     }
     rows = [[float(t), float(a0.real), float(a0.imag), float(p),

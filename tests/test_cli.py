@@ -19,6 +19,7 @@ from watched_decay.cli import (
     main,
     run,
 )
+from watched_decay.discretize import ToySpec, build_scalar_toy
 from watched_decay.resolvent import REF_ORDER, TOL
 
 TOY_FAST = {"n_modes": 120, "n_channels": 40}
@@ -188,6 +189,17 @@ def test_toy_scenario_trajectory_contract(tmp_path):
     assert float(first[3]) == pytest.approx(1.0)
     assert float(first[4]) == pytest.approx(1.0)
     assert sorted(p.name for p in tmp_path.iterdir()) == ARTIFACTS
+
+
+def test_trajectory_summary_carries_propagator_accuracy(tmp_path):
+    results = run(RunConfig(scenario="toy", toy=TOY_FAST, t_max=40.0),
+                  tmp_path)["results"]
+    meta = dynamics.integrate(build_scalar_toy(ToySpec(**TOY_FAST)),
+                              40.0).metadata
+    assert results["error_bound"] == meta["error_bound"] < 1e-10
+    assert results["n_terms"] == meta["n_terms"]
+    report = (tmp_path / "report.txt").read_text().splitlines()
+    assert f"  n_terms = {meta['n_terms']}" in report
 
 
 def test_vacuum_scenario_recovers_gamma(tmp_path):
