@@ -237,7 +237,6 @@ def test_single_detector_long_horizon_keeps_u(tmp_path):
             tmp_path / str(t_max))["results"]
         for t_max in (200.0, 1000.0))
     assert long["t_rec"] == pytest.approx(499.47, abs=0.01)
-    assert long["fit_window"][1] < 0.9 * long["t_rec"]
     assert long["u_fitted"] == pytest.approx(short["u_fitted"], abs=1e-3)
 
 
