@@ -94,7 +94,13 @@ class RateFit:
     r_squared: float
 
 
-def _rhs_factory(model: DiscreteModel):
+def _generator_product(model: DiscreteModel):
+    """The product v -> H v with the rotating-frame generator.
+
+    Returns apply(v, out=None), which writes H v into out (a new array
+    when out is None; out must not be v) and returns it.  Its scratch
+    buffers are allocated once, here.
+    """
     # Bare atom frequency (with its level-shift counterterm); the frame
     # still rotates at the dressed omega0 on every tier.
     w0 = model.omega_a - OMEGA0
@@ -106,25 +112,28 @@ def _rhs_factory(model: DiscreteModel):
     fc = np.conj(f)
     m = model.channel_mu
     n_modes, n_atoms = f.shape
-    n_ch = m.size
+    detector = n_atoms > 0 and m.size > 0
+    mode_tmp = np.empty(n_modes, dtype=complex)
+    channel_tmp = np.empty((n_atoms, m.size), dtype=complex)
 
-    def rhs(y):
-        a0 = y[0]
-        ak = y[1:1 + n_modes]
-        dy = np.empty_like(y)
-        dy[0] = -1j * (w0 * a0 + alpha @ ak)
-        dak = -1j * (wk * ak + alpha_c * a0)
-        if n_atoms and n_ch:
-            ac = y[1 + n_modes:].reshape(n_atoms, n_ch)
-            s_atom = ac @ m                       # (A,)
-            dak -= 1j * (fc @ s_atom)
-            p_atom = f.T @ ak                     # (A,)
-            dac = -1j * (wc[None, :] * ac + np.outer(p_atom, m))
-            dy[1 + n_modes:] = dac.reshape(-1)
-        dy[1:1 + n_modes] = dak
-        return dy
+    def apply(v, out=None):
+        if out is None:
+            out = np.empty_like(v)
+        a0 = v[0]
+        ak = v[1:1 + n_modes]
+        hk = out[1:1 + n_modes]
+        out[0] = w0 * a0 + alpha @ ak
+        np.multiply(wk, ak, out=hk)
+        hk += np.multiply(alpha_c, a0, out=mode_tmp)
+        if detector:
+            ac = v[1 + n_modes:].reshape(n_atoms, -1)
+            hk += np.matmul(fc, ac @ m, out=mode_tmp)
+            hc = out[1 + n_modes:].reshape(n_atoms, -1)
+            np.multiply(wc, ac, out=hc)
+            hc += np.multiply((f.T @ ak)[:, None], m, out=channel_tmp)
+        return out
 
-    return rhs
+    return apply
 
 
 def _spectral_interval(model: DiscreteModel) -> tuple[float, float]:
@@ -155,20 +164,27 @@ def _moments(model: DiscreteModel, c: float, r: float, n: int) -> np.ndarray:
     (T_k+l + T_|k-l|) / 2 gives mu_2k = 2 <t_k|t_k> - mu_0 and
     mu_2k-1 = 2 <t_k|t_k-1> - mu_1.
     """
-    rhs = _rhs_factory(model)
+    apply = _generator_product(model)
+    scale, shift = 2.0 / r, 2.0 * c / r
+    prev, cur, nxt, tmp = (np.zeros(model.size, dtype=complex)
+                           for _ in range(4))
 
-    def step(v):  # 2 (H - c) / r v, with H v = i rhs(v)
-        return (2j / r) * rhs(v) - (2.0 * c / r) * v
+    def step(v, out):  # out = 2 (H - c) / r v
+        apply(v, out)
+        out *= scale
+        out -= np.multiply(v, shift, out=tmp)
 
     mu = np.empty(2 * n + 1)
-    prev = np.zeros(model.size, dtype=complex)
     prev[0] = 1.0
-    cur = 0.5 * step(prev)
+    step(prev, cur)
+    cur *= 0.5
     mu[0], mu[1] = 1.0, cur[0].real
     limit = 1.0 + MOMENT_SLACK
     for k in range(1, n + 1):                 # cur = t_k, prev = t_k-1
         if k > 1:
-            prev, cur = cur, step(cur) - prev
+            step(cur, nxt)
+            nxt -= prev
+            prev, cur, nxt = cur, nxt, prev
         mu[2 * k - 1] = 2.0 * np.vdot(cur, prev).real - mu[1]
         mu[2 * k] = 2.0 * np.vdot(cur, cur).real - mu[0]
         if not (abs(mu[2 * k - 1]) <= limit and abs(mu[2 * k]) <= limit):
@@ -233,18 +249,28 @@ def _bessel_table(n: int, x) -> np.ndarray:
     zero = x == 0.0
     x = np.where(zero, 1.0, x)
     start = _kapteyn_order(x, MILLER_TOL)
+    order = np.argsort(start, kind="stable")
+    starts, first = np.unique(start[order], return_index=True)
+    ends = first.tolist()[1:] + [x.size]
+    seeds = {k: order[i:j]                    # the columns that start at k
+             for k, i, j in zip(starts.tolist(), first.tolist(), ends)}
     two_over_x = 2.0 / x
     table = np.zeros((n + 1, x.size))
     total = np.zeros(x.size)
     above = np.zeros(x.size)                  # J_k+1
     here = np.zeros(x.size)                   # J_k
-    for k in range(int(start.max()), -1, -1):
-        here[start == k] = MILLER_SEED
+    below = np.empty(x.size)                  # J_k-1, and scratch
+    for k in range(int(starts[-1]), -1, -1):
+        if k in seeds:
+            here[seeds[k]] = MILLER_SEED
         if k <= n:
             table[k] = here
         if k % 2 == 0:
-            total += here if k == 0 else 2.0 * here
-        above, here = here, (k * two_over_x) * here - above
+            total += here if k == 0 else np.multiply(here, 2.0, out=below)
+        np.multiply(two_over_x, k, out=below)
+        below *= here
+        below -= above
+        above, here, below = here, below, above
     table /= total
     table[:, zero] = 0.0
     table[0, zero] = 1.0
@@ -394,8 +420,8 @@ def compare_routes(model: DiscreteModel, t_grid) -> RouteComparison:
     The inversion runs on the rotated resolvent A0(s - i w0) so the contour
     sees only detuning-scale oscillations; the comparison is in the lab
     frame.  Its moments <0|M^n|0> at infinity come from the rotating-frame
-    generator M = -i (H - w0) that the propagator expands, one rhs
-    evaluation each.
+    generator M = -i (H - w0) that the propagator expands, one generator
+    product each.
     """
     from .resolvent import REF_ORDER, invert_laplace, resolvent_a0_discrete
 
@@ -405,12 +431,12 @@ def compare_routes(model: DiscreteModel, t_grid) -> RouteComparison:
     def shifted(s_arr):
         return resolvent_a0_discrete(s_arr - 1j * OMEGA0, model)
 
-    rhs = _rhs_factory(model)
+    apply = _generator_product(model)
     y = np.zeros(model.size, dtype=complex)
     y[0] = 1.0
     moments = [y[0]]
     for _ in range(REF_ORDER):
-        y = rhs(y)
+        y = -1j * apply(y)
         moments.append(y[0])
     rotated, info = invert_laplace(shifted, moments, t_grid)
     a0_res = rotated * np.exp(-1j * OMEGA0 * t_grid)

@@ -10,7 +10,8 @@ Regenerate every file after a change that moves an artifact on purpose:
 
     PYTHONPATH=src python tests/golden_runs.py
 
-and say in CHANGES.md why; the diff of ``tests/golden/`` shows what moved.
+and say in CHANGES.md why.  Before it writes, the script prints each
+summary key that moved and each hashed artifact whose SHA-256 changed.
 """
 
 from __future__ import annotations
@@ -108,12 +109,24 @@ def moved(expected, actual, path: str = "") -> list[str]:
 
 
 def regenerate() -> None:
+    """Rewrite every golden file, printing first, run by run, what moves:
+    the summary keys that ``moved`` finds and each hashed artifact whose
+    SHA-256 changed."""
+    old_sums = read_sums() if (GOLDEN_DIR / "SHA256SUMS").exists() else {}
     sums = []
     with tempfile.TemporaryDirectory() as tmp:
         for name in RUNS:
             summary, digests = produce(name, Path(tmp) / name)
-            (GOLDEN_DIR / name).mkdir(parents=True, exist_ok=True)
-            (GOLDEN_DIR / name / "summary.json").write_text(summary)
+            path = GOLDEN_DIR / name / "summary.json"
+            if path.exists():
+                for line in moved(json.loads(path.read_text()),
+                                  json.loads(summary)):
+                    print(f"{name}: {line}")
+            for f in HASHED:
+                if digests[f] != old_sums.get(f"{name}/{f}"):
+                    print(f"{name}/{f}: SHA-256 changed")
+            path.parent.mkdir(parents=True, exist_ok=True)
+            path.write_text(summary)
             sums += [f"{digests[f]}  {name}/{f}" for f in HASHED]
     (GOLDEN_DIR / "SHA256SUMS").write_text("\n".join(sums) + "\n")
     (GOLDEN_DIR / "VERSIONS").write_text(
