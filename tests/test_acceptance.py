@@ -37,6 +37,7 @@ from watched_decay.discretize import (
 from watched_decay.dynamics import (
     SolverSpec,
     _generator_product,
+    _spectral_interval,
     compare_routes,
     fit_decay_rate,
     integrate,
@@ -291,6 +292,11 @@ def test_route_monitors_bound_exact_error(route_runs, name):
     H = hermitian_generator(model) - OMEGA0 * np.eye(model.size)
     np.testing.assert_allclose(_generator_product(model)(y), H @ y,
                                atol=1e-12)
+    # The propagator's interval holds its spectrum, within 1e-3 of tight.
+    c, r = _spectral_interval(model)
+    lam = np.linalg.eigvalsh(H)
+    assert c - r <= lam[0] and lam[-1] <= c + r
+    assert r <= (1.0 + 1e-3) * 0.5 * (lam[-1] - lam[0])
 
     exact = exact_a0(model, comp.times)
     bromwich_err = np.max(np.abs(comp.a0_resolvent - exact))

@@ -28,7 +28,7 @@ from watched_decay.dynamics import (
     fit_decay_rate,
     integrate,
 )
-from watched_decay.model import PhysicalSystem
+from watched_decay.model import OMEGA0, PhysicalSystem
 
 
 def tiny_model(omegas, alphas, channel_omegas=(), channel_mu=(),
@@ -169,6 +169,8 @@ def test_bessel_table_matches_scipy():
 
 
 def test_spectral_interval_holds_spectrum():
+    # The interval holds the spectrum and is no wider than it needs to be;
+    # test_route_monitors_bound_exact_error checks criterion 3's models.
     rng = np.random.default_rng(8)
     for _ in range(10):
         model = random_model(rng)
@@ -177,6 +179,28 @@ def test_spectral_interval_holds_spectrum():
         c, r = _spectral_interval(model)
         lam = np.linalg.eigvalsh(H)
         assert c - r <= lam[0] and lam[-1] <= c + r
+        assert r <= (1.0 + 1e-3) * 0.5 * (lam[-1] - lam[0])
+
+
+@pytest.mark.parametrize("model", [
+    tiny_model([1.3], [0.0]),                            # no coupling
+    tiny_model([0.8, 1.3], [0.0, 0.0], channel_omegas=[0.9],
+               channel_mu=[0.2], factors=[0.0, 0.0]),    # no coupling
+    tiny_model([1.0], [0.02]),                           # one mode
+    tiny_model([1.0], [0.02], channel_omegas=[0.9],
+               channel_mu=[0.2], factors=[0.3]),         # one mode
+], ids=["free", "free-detector", "single-mode", "single-mode-detector"])
+def test_degenerate_models_integrate_without_float_errors(model):
+    # Weyl's bound is an exact end of the first three spectra, and the
+    # inertia test's 1 / (lam - w) must not meet a zero on any of them.
+    with np.errstate(all="raise"):
+        traj = integrate(model, 50.0)
+    H = np.column_stack([_generator_product(model)(v)
+                         for v in np.eye(model.size, dtype=complex)])
+    lam, vec = np.linalg.eigh(H)
+    exact = (np.exp(-1j * np.outer(traj.times, lam + OMEGA0))
+             @ np.abs(vec[0]) ** 2)
+    assert np.max(np.abs(traj.a0 - exact)) <= traj.metadata["error_bound"]
 
 
 def test_undersized_interval_raises(monkeypatch):
