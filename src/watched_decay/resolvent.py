@@ -18,7 +18,8 @@ generator (the coefficients of the transform at infinity), is split off
 and inverted in closed form, so the remaining integrand decays
 ~ 1/|s|^(P+2) = 1/|s|^9.  The contour ends at the first omega_max, doubled
 from max(16, 8 h), where the tail it drops, e^(sigma t_max) |g| omega_max /
-((P + 1) pi), is below TOL / 4.  The contour nodes are equispaced,
+((P + 1) pi), is below TOL / 4, and doubles again while the summed error
+estimate exceeds TOL.  The contour nodes are equispaced,
 w_j = j h, so the phase sum sum_j g_j exp(i t w_j) factors exactly:
 writing j = q B + r with B ~ sqrt(N) turns it into one matrix product of
 a T x Q table of row phases with the Q x B node block, followed by a
@@ -193,8 +194,8 @@ def _phase_sums(g: np.ndarray, h: float, t: np.ndarray,
 
 #: Order P of the moment reference: it matches m_0..m_P of the transform.
 #: Each order makes the remainder decay one power faster and so shortens
-#: the contour; at 9 a vacuum model's contour stops at the floor of 16 with
-#: an error estimate above TOL.
+#: the contour; at 9 a vacuum model's probe passes at the floor of 16 with
+#: an error estimate above TOL there, so its contour is summed again.
 REF_ORDER = 7
 #: Re c of the reference pole at -c, in units of omega0.  At Re c = 0 the
 #: order-P pole sits only sigma from the contour and its aliases exceed
@@ -221,7 +222,9 @@ def invert_laplace(f: Callable[[np.ndarray], np.ndarray], moments,
     the remainder g, which decays ~ 1/|s|^(P+2).  The contour half-width
     omega_max is the first of max(16, 8 h) times 1, 2, 4, ... at which
     e^(sigma t_max) |g(sigma + i omega_max)| omega_max / ((P + 1) pi), the
-    bound on the dropped tail at the last time, is below TOL / 4.  Returns
+    bound on the dropped tail at the last time, is below TOL / 4; the sum
+    is taken again on a doubled omega_max while its error estimate exceeds
+    TOL and the contour fits in MAX_NODES.  Returns
     (values, info); info carries the contour settings, the reference and
     a self-reported error estimate, the sum of a truncation estimate from
     comparing two truncations and an alias estimate.  Raises
@@ -275,23 +278,32 @@ def invert_laplace(f: Callable[[np.ndarray], np.ndarray], moments,
                            * probe * tail >= 0.25 * TOL):
         probe *= 2.0
     omega_max = min(probe, 1e9)
-    n_half = int(math.ceil(omega_max / h))
-    if 2 * n_half + 1 > MAX_NODES:
-        n_half = (MAX_NODES - 1) // 2
-        omega_max = n_half * h
-
-    n_nodes = 2 * n_half + 1
-    g_vals = g(sigma + 1j * ((np.arange(n_nodes) - n_half) * h))
-    g_vals[[0, -1]] *= 0.5                     # trapezoid end weights
-    result_inner, result_outer = _phase_sums(g_vals, h, t, 0.5 * omega_max)
-
     scale = (h / TWO_PI) * np.exp(sigma * t)
+    alias_est = math.exp(-sigma * (2.0 * period - t_max))
+    # The probe bounds the tail only once |g| falls as 1/|s|^(P+2); while
+    # the summed estimate still exceeds TOL, sum again on a doubled
+    # contour, up to MAX_NODES.
+    while True:
+        n_half = int(math.ceil(omega_max / h))
+        capped = 2 * n_half + 1 > MAX_NODES
+        if capped:
+            n_half = (MAX_NODES - 1) // 2
+            omega_max = n_half * h
+        n_nodes = 2 * n_half + 1
+        g_vals = g(sigma + 1j * ((np.arange(n_nodes) - n_half) * h))
+        g_vals[[0, -1]] *= 0.5                 # trapezoid end weights
+        result_inner, result_outer = _phase_sums(g_vals, h, t,
+                                                 0.5 * omega_max)
+        trunc_est = (float(np.max(np.abs(scale * result_outer)))
+                     if t.size else 0.0)
+        err_est = trunc_est + alias_est
+        if err_est <= TOL or capped:
+            break
+        omega_max *= 2.0
+
     reference = np.exp(-c_ref * t) * sum(
         b_p * t**p / math.factorial(p) for p, b_p in enumerate(b))
     values = reference + scale * (result_inner + result_outer)
-    trunc_est = float(np.max(np.abs(scale * result_outer))) if t.size else 0.0
-    alias_est = math.exp(-sigma * (2.0 * period - t_max))
-    err_est = trunc_est + alias_est
 
     info = {"sigma": sigma, "omega_max": omega_max,
             "n_nodes": n_nodes, "h": h, "c_ref": complex(c_ref),

@@ -24,7 +24,7 @@ from oracles import (
     s_func_quadrature,
     t_func_quadrature,
 )
-from watched_decay import analytic
+from watched_decay import analytic, resolvent
 from watched_decay.discretize import (
     OMEGA_CUT,
     DiscreteModel,
@@ -373,6 +373,18 @@ def test_route_contour_node_count(route_runs, name, max_nodes):
     # needs 51,203, 91,025, 91,025 and 162,977.
     _, comp = route_runs[name]
     assert comp.inversion_info["n_nodes"] <= max_nodes
+
+
+def test_contour_doubles_until_estimate_meets_tol(route_runs, monkeypatch):
+    # At order 9 the one-point probe passes at the floor omega_max = 16 on
+    # vacuum-1d, where the summed error estimate is 3.4e-8; the contour is
+    # summed again on a doubled one until the estimate is within TOL.
+    monkeypatch.setattr(resolvent, "REF_ORDER", 9)
+    model, comp = route_runs["vacuum-1d"]
+    info = compare_routes(model, comp.times).inversion_info
+    assert info["ref_order"] == 9
+    assert info["omega_max"] > 16.0
+    assert info["error_estimate"] <= TOL
 
 
 def test_bromwich_initial_value(route_runs):
