@@ -16,6 +16,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 from scipy.integrate import quad
+from scipy.special import jv
 
 from oracles import (
     angular_average_l2,
@@ -37,6 +38,8 @@ from watched_decay.discretize import (
 from watched_decay.dynamics import (
     SolverSpec,
     _generator_product,
+    _moments,
+    _series,
     _spectral_interval,
     compare_routes,
     fit_decay_rate,
@@ -342,6 +345,29 @@ def test_integrate_within_error_bound_on_random_models():
         assert err <= traj.metadata["error_bound"]
         assert err <= 1e-12
     assert min(sizes) >= 6 and max(sizes) <= 125
+
+
+def test_norm_monitor_is_norm_of_series_on_random_models():
+    # Cut far below r t, the series is no propagator, and its norm is far
+    # from 1; the moments' quadratic form must still be its exact norm,
+    # sum_j w_j |sum_k (2 - delta_k0) (-i)^k J_k(x) T_k(e_j)|^2 over the
+    # eigenvalues of H rescaled to e_j = (lambda_j - c) / r.
+    rng = np.random.default_rng(17)
+    x = np.linspace(0.0, 60.0, 61)
+    n = 12
+    k = np.arange(n + 1)
+    weights = np.where(k == 0, 1.0, 2.0) * np.array([1, -1j, -1, 1j])[k % 4]
+    series = weights * jv(k, x[:, None])                  # (x, k)
+    for _ in range(6):
+        model = random_discrete_model(rng)
+        c, r = _spectral_interval(model)
+        lam, vec = np.linalg.eigh(hermitian_generator(model)
+                                  - OMEGA0 * np.eye(model.size))
+        cheb = np.polynomial.chebyshev.chebvander((lam - c) / r, n)
+        exact = np.abs(series @ cheb.T) ** 2 @ np.abs(vec[0]) ** 2
+        _, norm = _series(_moments(model, c, r, n), x)
+        assert np.max(np.abs(exact - 1.0)) > 0.1
+        np.testing.assert_allclose(norm, exact, rtol=0.0, atol=1e-12)
 
 
 def test_laplace_route_on_random_models():
