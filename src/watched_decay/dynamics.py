@@ -36,6 +36,7 @@ import numpy as np
 
 from .discretize import DiscreteModel, RecurrenceError
 from .model import OMEGA0
+from .resolvent import _chunk_points, _mode_sums
 
 
 #: Every Bessel function past the series cut is below this at r t_max.
@@ -146,47 +147,33 @@ def _inertia_test(model: DiscreteModel):
     """The test of lam I - sign H > 0 for the rotating-frame generator H.
 
     Returns passes(lam, sign): for each lam above every diagonal entry of
-    sign H, whether lam I - sign H is positive definite.  By Haynsworth's
-    inertia additivity over the Schur complements of the channel, mode
-    and atom blocks it is exactly when two tests pass.  With
-    D = diag(lam - w_k) and g = sum_c m_c^2 / (lam - w_c), the channels
-    leave the mode block S = D - g conj(F) F^T, which is positive
-    definite when the A x A matrix I - g G is, G = F^T D^-1 conj(F).  The
-    atom's complement lam - w0 - alpha^T S^-1 conj(alpha) is then, by
-    Woodbury, lam - w0 - K - g v^H (I - g G)^-1 v with
-    K = sum_k |alpha_k|^2 / (lam - w_k) and v = F^T D^-1 conj(alpha).
-    These are the sums K, J, G and L of resolvent._sigma_and_k at
-    s = -i lam, here in real arithmetic: one product of the real matrix
-    1 / (lam - w_k) with the per-mode terms of all of them.  For
-    sign = -1 the frequencies change sign, and the couplings' signs
-    cancel in every product.
+    sign H, whether sign (E - H) is positive definite, with
+    E = sign lam + omega0 in the lab frame.  By Haynsworth's inertia
+    additivity over the Schur complements of the channel, mode and atom
+    blocks, that holds exactly when two tests pass.  The channels leave
+    the mode block S = D - g conj(F) F^T, D = diag(E - w_k), and sign S is
+    positive definite when I - g G is, g = sum_c m_c^2 / (E - w_c).  The
+    atom's complement, by Woodbury E - omega_a - K - g v^H (I - g G)^-1 v,
+    must then have the sign of sign.  K, v = J_ca and G are
+    resolvent._mode_sums at the real propagators d_k = 1 / (E - w_k):
+    the sums the resolvent takes at s = -i E, divided by i.
     """
-    wk = model.mode_omegas - OMEGA0
-    wc = model.channel_omegas - OMEGA0
-    w0 = model.omega_a - OMEGA0
-    a = model.n_atoms if model.n_channels else 0
-    f = model.detector_factors[:, :a]
-    v_terms = np.conj(model.mode_alphas)[:, None] * f
-    g_terms = (f[:, :, None] * np.conj(f)[:, None, :]).reshape(wk.size, -1)
-    terms = np.column_stack((np.abs(model.mode_alphas) ** 2, v_terms.real,
-                             v_terms.imag, g_terms.real, g_terms.imag))
-    eye = np.eye(a)
+    eye = np.eye(model.n_atoms)
 
     def passes(lam, sign):
-        sums = (1.0 / (lam[:, None] - sign * wk)) @ terms
-        schur = lam - sign * w0 - sums[:, 0]
-        if not a:
-            return schur > 0.0
-        v = sums[:, 1:1 + a] + 1j * sums[:, 1 + a:1 + 2 * a]
-        G = (sums[:, 1 + 2 * a:1 + 2 * a + a * a]
-             + 1j * sums[:, 1 + 2 * a + a * a:]).reshape(-1, a, a)
-        g = 1.0 / (lam[:, None] - sign * wc) @ model.channel_mu**2
+        E = sign * lam + OMEGA0
+        K, _, v, G = _mode_sums(1.0 / (E[:, None] - model.mode_omegas),
+                                model)
+        schur = E - model.omega_a - K
+        if G is None:
+            return sign * schur > 0.0
+        g = (1.0 / (E[:, None] - model.channel_omegas)) @ model.channel_mu**2
         e, vec = np.linalg.eigh(eye - g[:, None, None] * G)
         ok = np.all(e > 0.0, axis=1)
         proj = np.einsum("bji,bj->bi", np.conj(vec), v)   # in the eigenbasis
         schur -= g * np.sum(np.abs(proj) ** 2
                             / np.where(ok[:, None], e, 1.0), axis=1)
-        return ok & (schur > 0.0)
+        return ok & (sign * schur > 0.0)
 
     return passes
 
@@ -238,7 +225,7 @@ def _spectral_interval(model: DiscreteModel) -> tuple[float, float]:
         off += float(np.linalg.norm(model.detector_factors, 2)
                      * np.linalg.norm(model.channel_mu))
     passes = _inertia_test(model)
-    chunk = max(1, CHUNK_VALUES // max(1, model.n_modes))
+    chunk = _chunk_points(model)
     top = _spectrum_top(passes, 1.0, hi, hi + off, chunk)
     bottom = -_spectrum_top(passes, -1.0, -lo, -lo + off, chunk)
     half = 0.5 * (top - bottom)

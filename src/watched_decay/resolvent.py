@@ -69,48 +69,60 @@ def _check_poles(s_arr: np.ndarray, omegas: np.ndarray):
             raise PoleError(f"s = {s} hits a propagator pole")
 
 
-#: Complex values one chunk of the transform holds per array: a chunk of
-#: b points keeps b (K (1 + A) + A^2 + C) of them for its mode propagators,
+#: Complex values one chunk of mode sums holds per array: a chunk of b
+#: points keeps b (K (1 + A) + A^2 + C) of them for its mode propagators,
 #: the propagator-scaled factors behind G, G and channel propagators, so
-#: memory stays bounded whatever the model and n.
+#: memory stays bounded whatever the model and n.  ``_chunk_points`` gives
+#: b, for the transform and for the inertia test of dynamics alike.
 CHUNK_VALUES = 1 << 19
+
+
+def _chunk_points(model: DiscreteModel) -> int:
+    a = model.n_atoms
+    per_point = model.n_modes * (1 + a) + a * a + model.n_channels
+    return max(1, CHUNK_VALUES // max(1, per_point))
+
+
+def _mode_sums(denom: np.ndarray, model: DiscreteModel):
+    """K, J_ac, J_ca and G over a block of propagators denom[b, k] = d_k:
+
+    K      = sum_k |alpha_k|^2 d_k
+    J_ac_i = sum_k alpha_k conj(f_ki) d_k      (atom <- channel)
+    J_ca_i = sum_k conj(alpha_k) f_ki d_k      (channel <- atom)
+    G_ij   = sum_k f_ki conj(f_kj) d_k         (detector self-term)
+
+    J_ac, J_ca and G are None without detector atoms or channels.
+    """
+    alpha = model.mode_alphas
+    k = denom @ (np.abs(alpha) ** 2)
+    if not (model.n_atoms and model.n_channels):
+        return k, None, None, None
+    f = model.detector_factors
+    fc = np.conj(f)
+    return (k, (denom * alpha) @ fc, (denom * np.conj(alpha)) @ f,
+            (denom[:, None, :] * f.T) @ fc)
 
 
 def _sigma_and_k(s_arr: np.ndarray, model: DiscreteModel):
     """Self-energy and its detector-free part K over an array of s.
 
-    One pass over chunks of s sums
-
-    K      = sum_k |alpha_k|^2 / (s + i w_k)
-    J_ac_i = sum_k alpha_k conj(f_ki) / (s + i w_k)      (atom <- channel)
-    J_ca_i = sum_k conj(alpha_k) f_ki / (s + i w_k)      (channel <- atom)
-    G_ij   = sum_k f_ki conj(f_kj) / (s + i w_k)         (detector self-term)
-    L      = sum_c m_c^2 / (s + i w_c)
-
-    and subtracts the deficit J_ac . X with (1 + L G) X = L J_ca.
+    Over chunks of s, takes ``_mode_sums`` at d_k = 1 / (s + i w_k) and
+    L = sum_c m_c^2 / (s + i w_c), and subtracts the deficit J_ac . X
+    with (1 + L G) X = L J_ca.
     """
     _check_poles(s_arr, model.mode_omegas)
     _check_poles(s_arr, model.channel_omegas)
-    n_modes, n_atoms = model.n_modes, model.n_atoms
-    detector = n_atoms > 0 and model.n_channels > 0
-    chunk = max(1, CHUNK_VALUES // max(
-        1, n_modes * (1 + n_atoms) + n_atoms**2 + model.n_channels))
+    chunk = _chunk_points(model)
     sigma = np.empty(s_arr.size, dtype=complex)
     K = np.empty(s_arr.size, dtype=complex)
-    f = model.detector_factors
-    fc = np.conj(f)
-    alpha = model.mode_alphas
-    alpha_sq = np.abs(alpha) ** 2
     mu_sq = model.channel_mu**2
-    eye = np.eye(n_atoms)
+    eye = np.eye(model.n_atoms)
     for lo in range(0, s_arr.size, chunk):
         block = s_arr[lo:lo + chunk, None]
-        denom = 1.0 / (block + 1j * model.mode_omegas)
-        k = K[lo:lo + chunk] = denom @ alpha_sq
-        if detector:
-            J_ac = (denom * alpha) @ fc
-            J_ca = (denom * np.conj(alpha)) @ f
-            G = (denom[:, None, :] * f.T) @ fc
+        k, J_ac, J_ca, G = _mode_sums(
+            1.0 / (block + 1j * model.mode_omegas), model)
+        K[lo:lo + chunk] = k
+        if G is not None:
             L = np.sum(mu_sq / (block + 1j * model.channel_omegas), axis=1)
             mat = eye[None, :, :] + L[:, None, None] * G
             X = np.linalg.solve(mat, (L[:, None] * J_ca)[..., None])[..., 0]

@@ -38,6 +38,7 @@ from watched_decay.discretize import (
 from watched_decay.dynamics import (
     SolverSpec,
     _generator_product,
+    _inertia_test,
     _moments,
     _series,
     _spectral_interval,
@@ -368,6 +369,38 @@ def test_norm_monitor_is_norm_of_series_on_random_models():
         _, norm = _series(_moments(model, c, r, n), x)
         assert np.max(np.abs(exact - 1.0)) > 0.1
         np.testing.assert_allclose(norm, exact, rtol=0.0, atol=1e-12)
+
+
+def test_inertia_test_matches_eigenvalues_on_random_models():
+    # Point by point across each end's bracket, from the diagonal's range
+    # to Weyl's bound: lam I - sign H is positive definite exactly when
+    # its least eigenvalue, lam - max(sign spec H), is positive.  Below the
+    # top of the mode-channel block the channels' I - g G is not positive
+    # definite, and the test must fail there on that branch alone.
+    rng = np.random.default_rng(29)
+    tested = indefinite = 0
+    for _ in range(20):
+        model = random_discrete_model(rng)
+        H = hermitian_generator(model) - OMEGA0 * np.eye(model.size)
+        spec = np.linalg.eigvalsh(H)
+        r = 0.5 * (spec[-1] - spec[0])
+        off = np.linalg.norm(model.mode_alphas)
+        if model.n_atoms and model.n_channels:
+            off += (np.linalg.norm(model.detector_factors, 2)
+                    * np.linalg.norm(model.channel_mu))
+        passes = _inertia_test(model)
+        for sign in (1.0, -1.0):
+            top = np.max(sign * np.diag(H).real)
+            lam = top + off * np.linspace(0.0, 1.0, 66)[1:-1]
+            lam = lam[np.min(np.abs(lam[:, None] - sign * spec), axis=1)
+                      > 1e-9 * r]
+            least = lam - np.max(sign * spec)
+            np.testing.assert_array_equal(passes(lam, sign), least > 0.0)
+            # The mode-channel block alone, where I - g G decides.
+            block = np.linalg.eigvalsh(sign * H[1:, 1:])[-1]
+            tested += lam.size
+            indefinite += int(np.sum(lam < block))
+    assert tested > 2000 and indefinite > 0
 
 
 def test_laplace_route_on_random_models():

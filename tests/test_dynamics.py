@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from scipy.special import jv
 
-from watched_decay import dynamics
+from watched_decay import dynamics, resolvent
 from watched_decay.discretize import (
     DiscreteModel,
     GridSpec,
@@ -226,6 +226,32 @@ def test_integrate_memory_is_bounded():
         tracemalloc.stop()
     assert traj.metadata["n_terms"] > 300
     assert peak < 24e6
+
+
+def test_spectral_interval_memory_is_bounded():
+    # The inertia test takes its mode sums in the resolvent's chunks, so a
+    # many-atom model (K = 600, A = 60, C = 4) stays within two arrays of
+    # CHUNK_VALUES complex values; a K x A^2 table of per-mode terms would
+    # take 35 MB.
+    rng = np.random.default_rng(4)
+    n_modes, n_atoms, n_channels = 600, 60, 4
+    model = DiscreteModel(
+        mode_omegas=np.sort(rng.uniform(0.2, 3.0, n_modes)),
+        mode_alphas=(np.sqrt(0.01 / n_modes)
+                     * np.exp(2j * np.pi * rng.random(n_modes))),
+        detector_factors=0.05 * (rng.normal(size=(n_modes, n_atoms))
+                                 + 1j * rng.normal(size=(n_modes, n_atoms))),
+        channel_omegas=rng.uniform(0.5, 2.5, n_channels),
+        channel_mu=rng.uniform(0.05, 0.3, n_channels),
+        t_rec=math.inf, meta={}, omega_a=1.0)
+    tracemalloc.start()
+    try:
+        c, r = _spectral_interval(model)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert r > 0.0
+    assert peak < 2 * 16 * resolvent.CHUNK_VALUES
 
 
 def test_vacuum_survival_tracks_exponential():
