@@ -231,8 +231,7 @@ def test_integrate_memory_is_bounded():
 def test_spectral_interval_memory_is_bounded():
     # The inertia test takes its mode sums in the resolvent's chunks, so a
     # many-atom model (K = 600, A = 60, C = 4) stays within two arrays of
-    # CHUNK_VALUES complex values; a K x A^2 table of per-mode terms would
-    # take 35 MB.
+    # CHUNK_VALUES complex values, below one K x A^2 array (35 MB).
     rng = np.random.default_rng(4)
     n_modes, n_atoms, n_channels = 600, 60, 4
     model = DiscreteModel(
