@@ -73,7 +73,8 @@ def _check_poles(s_arr: np.ndarray, omegas: np.ndarray):
 #: points keeps b (K (1 + A) + A^2 + C) of them for its mode propagators,
 #: the propagator-scaled factors behind G, G and channel propagators, so
 #: memory stays bounded whatever the model and n.  ``_chunk_points`` gives
-#: b, for the transform and for the inertia test of dynamics alike.
+#: b for the transform; the inertia test of dynamics takes one point at a
+#: time.
 CHUNK_VALUES = 1 << 19
 
 
@@ -129,17 +130,6 @@ def _sigma_and_k(s_arr: np.ndarray, model: DiscreteModel):
             k = k - np.einsum("bi,bi->b", J_ac, X)
         sigma[lo:lo + chunk] = k
     return sigma, K
-
-
-def self_energy(s, model: DiscreteModel):
-    """K(s) minus the detector deficit: the full denominator correction.
-
-    K(s) = sum_k |alpha_k|^2 / (s + i omega_k) is the self-energy of a
-    model without detector atoms.
-    """
-    s_arr, scalar = _as_s_array(s)
-    sigma, _ = _sigma_and_k(s_arr, model)
-    return complex(sigma[0]) if scalar else sigma
 
 
 def resolvent_a0_discrete(s, model: DiscreteModel):

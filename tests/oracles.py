@@ -6,7 +6,8 @@ sum with an explicit basis, the raw spherical integral behind
 ``geometry.d_oracle`` direction by direction, the isotropic average of
 l^2 by product quadrature or Monte Carlo, and the excited-state resolvent
 by a dense solve over the full channel block instead of the rank-per-atom
-elimination.
+elimination.  ``self_energy`` is no oracle: it exposes the package's own
+rank-per-atom self-energy, which only the tests need on its own.
 """
 
 import math
@@ -18,6 +19,7 @@ from scipy.integrate import quad
 from watched_decay.discretize import DiscreteModel
 from watched_decay.geometry import TWO_PI, DipoleGeometry, _orthonormal_transverse
 from watched_decay.model import _as_unit_vector
+from watched_decay.resolvent import _as_s_array, _sigma_and_k
 
 
 def s_func_quadrature(z: float) -> float:
@@ -154,3 +156,14 @@ def resolvent_a0_dense(s: complex, model: DiscreteModel) -> complex:
     # denominator (the elimination is exact, not a first-order expansion).
     a_c = np.linalg.solve(np.diag(diag) + N, -M_ca)
     return 1.0 / (s + 1j * model.omega_a + K + M_ac @ a_c)
+
+
+def self_energy(s, model: DiscreteModel):
+    """K(s) minus the detector deficit: the full denominator correction.
+
+    K(s) = sum_k |alpha_k|^2 / (s + i omega_k) is the self-energy of a
+    model without detector atoms.
+    """
+    s_arr, scalar = _as_s_array(s)
+    sigma, _ = _sigma_and_k(s_arr, model)
+    return complex(sigma[0]) if scalar else sigma

@@ -23,9 +23,10 @@ from oracles import (
     polarization_sum,
     resolvent_a0_dense,
     s_func_quadrature,
+    self_energy,
     t_func_quadrature,
 )
-from watched_decay import analytic, resolvent
+from watched_decay import analytic, dynamics, resolvent
 from watched_decay.discretize import (
     OMEGA_CUT,
     DiscreteModel,
@@ -60,7 +61,6 @@ from watched_decay.model import (
 from watched_decay.resolvent import (
     TOL,
     resolvent_a0_discrete,
-    self_energy,
     ww_pole,
 )
 
@@ -401,6 +401,44 @@ def test_inertia_test_matches_eigenvalues_on_random_models():
             tested += lam.size
             indefinite += int(np.sum(lam < block))
     assert tested > 2000 and indefinite > 0
+
+
+def test_spectral_interval_bisects_to_certified_ends(monkeypatch):
+    # The interval tests at most INTERVAL_STEPS points per end, one by one,
+    # and each end it returns is Weyl's bound or a point the inertia test
+    # passed for that end, up to the rounding of c and r.
+    calls = []
+
+    def counting(model):
+        passes = _inertia_test(model)
+
+        def tested(lam, sign):
+            ok = passes(lam, sign)
+            calls.extend((float(x), sign, bool(y)) for x, y in zip(lam, ok))
+            return ok
+        return tested
+
+    monkeypatch.setattr(dynamics, "_inertia_test", counting)
+    rng = np.random.default_rng(31)
+    tested_ends = 0
+    for _ in range(10):
+        model = random_discrete_model(rng)
+        calls.clear()
+        c, r = _spectral_interval(model)
+        assert len(calls) <= 2 * dynamics.INTERVAL_STEPS
+        diag = np.diag(hermitian_generator(model)).real - OMEGA0
+        off = np.linalg.norm(model.mode_alphas)
+        if model.n_atoms and model.n_channels:
+            off += (np.linalg.norm(model.detector_factors, 2)
+                    * np.linalg.norm(model.channel_mu))
+        for sign, end in ((1.0, c + r), (-1.0, r - c)):
+            weyl = np.max(sign * diag) + off
+            passed = [x for x, s, ok in calls if s == sign and ok]
+            nearest = min(passed + [weyl], key=lambda x: abs(x - end))
+            assert abs(nearest - end) <= 4.0 * np.finfo(float).eps * (
+                abs(c) + r)
+            tested_ends += nearest != weyl
+    assert tested_ends > 0
 
 
 def test_laplace_route_on_random_models():

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from numpy.polynomial.legendre import leggauss
 
+from oracles import self_energy
 from watched_decay.discretize import (
     DETECTOR_BAND,
     OMEGA_CUT,
@@ -176,7 +177,6 @@ def test_toy_zero_detector_coupling():
 def test_toy_k_large_s_limit():
     # K(s) -> sum |alpha|^2 / s (real, positive) for large real s; K is the
     # self-energy of the toy without ionization channels.
-    from watched_decay.resolvent import self_energy
     model = build_scalar_toy(ToySpec(n_channels=0))
     total = float(np.sum(np.abs(model.mode_alphas) ** 2))
     k = self_energy(1e6 + 0.0j, model)

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from oracles import resolvent_a0_dense
+from oracles import resolvent_a0_dense, self_energy
 from watched_decay import resolvent
 from watched_decay.discretize import (
     DiscreteModel,
@@ -21,7 +21,6 @@ from watched_decay.resolvent import (
     _phase_sums,
     invert_laplace,
     resolvent_a0_discrete,
-    self_energy,
     ww_pole,
 )
 
