@@ -33,7 +33,7 @@ from .geometry import (
     dipole_factor_l,
     s_func,
 )
-from .model import DetectorAtom
+from .model import DetectorAtom, _check_beta
 
 #: Printed coefficient of the single-detector deficit.
 DEFICIT_COEFF = 9.0 / (64.0 * math.pi**2)
@@ -79,12 +79,6 @@ class ReductionReport:
     #: d_oracle_raw / d_printed where d_printed is nonzero (else nan);
     #: constant only channel-by-channel, which is the point of reporting it.
     oracle_ratio: float = float("nan")
-
-
-def _check_beta(beta: float) -> None:
-    """Refuse beta < 0, written so that NaN fails too."""
-    if not beta >= 0.0:
-        raise ValueError(f"beta must satisfy beta >= 0, got {beta!r}")
 
 
 def _check_radius(radius_z: float) -> None:

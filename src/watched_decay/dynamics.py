@@ -12,8 +12,9 @@ a0(t) = <0|exp(-i H t)|0>.  In the frame rotating at w0 (every frequency
 replaced by its detuning) the spectrum of H lies in [c - r, c + r].
 Each end is bisected between the diagonal and Weyl's bound on an inertia
 test over the Schur complements of the channel, mode and atom blocks,
-which puts it at most 2^-13 of that bracket past an extreme eigenvalue,
-so the series is no longer than the spectrum needs.  The amplitude is the
+which the resolvent's own elimination gives at s = -i E.  That puts each
+end at most 2^-13 of its bracket past an extreme eigenvalue, so the
+series is no longer than the spectrum needs.  The amplitude is the
 Chebyshev series of Tal-Ezer & Kosloff (J. Chem. Phys. 81, 3967, 1984)
 
     a0(t) = exp(-i (w0 + c) t) sum_k (2 - delta_k0) (-i)^k J_k(r t) mu_k
@@ -35,9 +36,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import resolvent
 from .discretize import DiscreteModel, RecurrenceError
 from .model import OMEGA0
-from .resolvent import _mode_sums
 
 
 #: Every Bessel function past the series cut is below this at r t_max.
@@ -151,32 +152,27 @@ def _inertia_test(model: DiscreteModel):
 
     Returns passes(lam, sign): for each lam above every diagonal entry of
     sign H, whether sign (E - H) is positive definite, with
-    E = sign lam + omega0 in the lab frame.  By Haynsworth's inertia
-    additivity over the Schur complements of the channel, mode and atom
-    blocks, that holds exactly when two tests pass.  The channels leave
-    the mode block S = D - g conj(F) F^T, D = diag(E - w_k), and sign S is
-    positive definite when I - g G is, g = sum_c m_c^2 / (E - w_c).  The
-    atom's complement, by Woodbury E - omega_a - K - g v^H (I - g G)^-1 v,
-    must then have the sign of sign.  K, v = J_ca and G are
-    resolvent._mode_sums at the real propagators d_k = 1 / (E - w_k):
-    the sums the resolvent takes at s = -i E, divided by i.
+    E = sign lam + omega0 in the lab frame.  At s = -i E every propagator
+    of the resolvent is i times a real one, so its elimination,
+    resolvent._eliminate, gives the Schur complements of the channel,
+    mode and atom blocks: 1 + L G is I - g G, g = sum_c m_c^2 / (E - w_c),
+    and the atom's complement is E - omega_a - Im sigma(-i E).  By
+    Haynsworth's inertia additivity sign (E - H) is positive definite
+    exactly when I - g G is and sign times the atom's complement is
+    positive.  A singular I - g G fails the test.
     """
-    eye = np.eye(model.n_atoms)
-
     def passes(lam, sign):
         E = sign * lam + OMEGA0
-        K, _, v, G = _mode_sums(1.0 / (E[:, None] - model.mode_omegas),
-                                model)
-        schur = E - model.omega_a - K
-        if G is None:
-            return sign * schur > 0.0
-        g = (1.0 / (E[:, None] - model.channel_omegas)) @ model.channel_mu**2
-        e, vec = np.linalg.eigh(eye - g[:, None, None] * G)
-        ok = np.all(e > 0.0, axis=1)
-        proj = np.einsum("bji,bj->bi", np.conj(vec), v)   # in the eigenbasis
-        schur -= g * np.sum(np.abs(proj) ** 2
-                            / np.where(ok[:, None], e, 1.0), axis=1)
-        return ok & (sign * schur > 0.0)
+        try:
+            _, sigma, mat = resolvent._eliminate(-1j * E[:, None], model)
+        except np.linalg.LinAlgError:
+            if lam.size == 1:
+                return np.array([False])
+            return np.concatenate([passes(x, sign) for x in lam[:, None]])
+        ok = sign * (E - model.omega_a - sigma.imag) > 0.0
+        if mat is None:
+            return ok
+        return ok & np.all(np.linalg.eigvalsh(mat) > 0.0, axis=1)
 
     return passes
 
@@ -498,22 +494,20 @@ def compare_routes(model: DiscreteModel, t_grid) -> RouteComparison:
     generator M = -i (H - w0) that the propagator expands, one generator
     product each.
     """
-    from .resolvent import REF_ORDER, invert_laplace, resolvent_a0_discrete
-
     t_grid = np.asarray(t_grid, dtype=float)
     traj = integrate(model, float(t_grid[-1]), t_eval=t_grid)
 
     def shifted(s_arr):
-        return resolvent_a0_discrete(s_arr - 1j * OMEGA0, model)
+        return resolvent.resolvent_a0_discrete(s_arr - 1j * OMEGA0, model)
 
     apply = _generator_product(model)
     y = np.zeros(model.size, dtype=complex)
     y[0] = 1.0
     moments = [y[0]]
-    for _ in range(REF_ORDER):
+    for _ in range(resolvent.REF_ORDER):
         y = -1j * apply(y)
         moments.append(y[0])
-    rotated, info = invert_laplace(shifted, moments, t_grid)
+    rotated, info = resolvent.invert_laplace(shifted, moments, t_grid)
     a0_res = rotated * np.exp(-1j * OMEGA0 * t_grid)
     diff = float(np.max(np.abs(traj.a0 - a0_res)))
     return RouteComparison(times=t_grid, a0_ode=traj.a0,

@@ -89,6 +89,12 @@ class DetectorAtom:
         return self.position / r
 
 
+def _check_beta(beta: float) -> None:
+    """Refuse beta < 0, written so that NaN fails too."""
+    if not beta >= 0.0:
+        raise ValueError(f"beta must satisfy beta >= 0, got {beta!r}")
+
+
 def _default_dipole() -> AtomDipole:
     return AtomDipole(np.array([0.0, 0.0, 1.0]))
 
@@ -119,8 +125,7 @@ class PhysicalSystem:
         if not 0.0 < self.omega_i < OMEGA0:
             raise ValueError(f"omega_i must satisfy 0 < omega_i < omega0, "
                              f"got {self.omega_i!r}")
-        if not self.beta >= 0.0:
-            raise ValueError(f"beta must satisfy beta >= 0, got {self.beta!r}")
+        _check_beta(self.beta)
         object.__setattr__(self, "detector_atoms", tuple(self.detector_atoms))
 
     @property

@@ -69,8 +69,8 @@ def _check_poles(s_arr: np.ndarray, omegas: np.ndarray):
             raise PoleError(f"s = {s} hits a propagator pole")
 
 
-#: Complex values one chunk of mode sums holds per array: a chunk of b
-#: points keeps b (K (1 + A) + A^2 + C) of them for its mode propagators,
+#: Complex values one chunk of the elimination holds per array: a chunk of
+#: b points keeps b (K (1 + A) + A^2 + C) of them for its mode propagators,
 #: the propagator-scaled factors behind G, G and channel propagators, so
 #: memory stays bounded whatever the model and n.  ``_chunk_points`` gives
 #: b for the transform; the inertia test of dynamics takes one point at a
@@ -84,59 +84,54 @@ def _chunk_points(model: DiscreteModel) -> int:
     return max(1, CHUNK_VALUES // max(1, per_point))
 
 
-def _mode_sums(denom: np.ndarray, model: DiscreteModel):
-    """K, J_ac, J_ca and G over a block of propagators denom[b, k] = d_k:
+def _eliminate(block: np.ndarray, model: DiscreteModel):
+    """K, the self-energy sigma and 1 + L G over a column block[b, 0] of s.
+
+    With the propagators d_k = 1 / (s + i w_k) it forms the mode sums
 
     K      = sum_k |alpha_k|^2 d_k
     J_ac_i = sum_k alpha_k conj(f_ki) d_k      (atom <- channel)
     J_ca_i = sum_k conj(alpha_k) f_ki d_k      (channel <- atom)
     G_ij   = sum_k f_ki conj(f_kj) d_k         (detector self-term)
 
-    J_ac, J_ca and G are None without detector atoms or channels.
+    and L = sum_c m_c^2 / (s + i w_c), and eliminates the channels and
+    detector atoms: sigma = K - J_ac . X with (1 + L G) X = L J_ca.
+    Without detector atoms or channels sigma is K and 1 + L G is None.
+    Raises numpy.linalg.LinAlgError where 1 + L G is singular.
     """
     alpha = model.mode_alphas
+    denom = 1.0 / (block + 1j * model.mode_omegas)
     k = denom @ (np.abs(alpha) ** 2)
     if not (model.n_atoms and model.n_channels):
-        return k, None, None, None
+        return k, k, None
     f = model.detector_factors
     fc = np.conj(f)
-    return (k, (denom * alpha) @ fc, (denom * np.conj(alpha)) @ f,
-            (denom[:, None, :] * f.T) @ fc)
+    J_ac = (denom * alpha) @ fc
+    J_ca = (denom * np.conj(alpha)) @ f
+    G = (denom[:, None, :] * f.T) @ fc
+    L = np.sum(model.channel_mu**2 / (block + 1j * model.channel_omegas),
+               axis=1)
+    mat = np.eye(model.n_atoms) + L[:, None, None] * G
+    X = np.linalg.solve(mat, (L[:, None] * J_ca)[..., None])[..., 0]
+    return k, k - np.einsum("bi,bi->b", J_ac, X), mat
 
 
-def _sigma_and_k(s_arr: np.ndarray, model: DiscreteModel):
-    """Self-energy and its detector-free part K over an array of s.
-
-    Over chunks of s, takes ``_mode_sums`` at d_k = 1 / (s + i w_k) and
-    L = sum_c m_c^2 / (s + i w_c), and subtracts the deficit J_ac . X
-    with (1 + L G) X = L J_ca.
-    """
+def _sigma(s_arr: np.ndarray, model: DiscreteModel) -> np.ndarray:
+    """Self-energy over an array of s, by ``_eliminate`` over chunks."""
     _check_poles(s_arr, model.mode_omegas)
     _check_poles(s_arr, model.channel_omegas)
     chunk = _chunk_points(model)
     sigma = np.empty(s_arr.size, dtype=complex)
-    K = np.empty(s_arr.size, dtype=complex)
-    mu_sq = model.channel_mu**2
-    eye = np.eye(model.n_atoms)
     for lo in range(0, s_arr.size, chunk):
-        block = s_arr[lo:lo + chunk, None]
-        k, J_ac, J_ca, G = _mode_sums(
-            1.0 / (block + 1j * model.mode_omegas), model)
-        K[lo:lo + chunk] = k
-        if G is not None:
-            L = np.sum(mu_sq / (block + 1j * model.channel_omegas), axis=1)
-            mat = eye[None, :, :] + L[:, None, None] * G
-            X = np.linalg.solve(mat, (L[:, None] * J_ca)[..., None])[..., 0]
-            k = k - np.einsum("bi,bi->b", J_ac, X)
-        sigma[lo:lo + chunk] = k
-    return sigma, K
+        sigma[lo:lo + chunk] = _eliminate(s_arr[lo:lo + chunk, None],
+                                          model)[1]
+    return sigma
 
 
 def resolvent_a0_discrete(s, model: DiscreteModel):
     """A0(s) via the rank-per-atom elimination (vectorized over s)."""
     s_arr, scalar = _as_s_array(s)
-    sigma, _ = _sigma_and_k(s_arr, model)
-    out = 1.0 / (s_arr + 1j * model.omega_a + sigma)
+    out = 1.0 / (s_arr + 1j * model.omega_a + _sigma(s_arr, model))
     return complex(out[0]) if scalar else out
 
 
@@ -154,8 +149,8 @@ def ww_pole(model: DiscreteModel) -> dict:
     """
     gamma = model.meta.get("gamma", 0.0)
     gamma_eval = max(0.5 * gamma, 2.0 * TWO_PI / model.t_rec, 1e-6)
-    s0 = np.array([-1j * OMEGA0 + gamma_eval])
-    sigma, k_val = (complex(v[0]) for v in _sigma_and_k(s0, model))
+    s0 = np.array([[-1j * OMEGA0 + gamma_eval]])
+    k_val, sigma = (complex(v[0]) for v in _eliminate(s0, model)[:2])
     rate = 2.0 * sigma.real
     vacuum_rate = 2.0 * k_val.real
     return {"rate": rate, "shift": sigma.imag,

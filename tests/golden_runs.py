@@ -67,6 +67,14 @@ def versions() -> dict:
             "blas": f"{blas.get('name')} {blas.get('version')}"}
 
 
+def versions_note() -> str:
+    """Both sets of versions when this run's differ from VERSIONS, else ""."""
+    recorded = json.loads((GOLDEN_DIR / "VERSIONS").read_text())
+    here = versions()
+    return "" if recorded == here else (
+        f"\n(golden files made with {recorded}, this run uses {here})")
+
+
 def produce(name: str, out_dir: Path) -> tuple[str, dict]:
     """Run one contract run into out_dir: its summary.json text and the
     SHA-256 of each hashed artifact."""

@@ -19,7 +19,7 @@ from scipy.integrate import quad
 from watched_decay.discretize import DiscreteModel
 from watched_decay.geometry import TWO_PI, DipoleGeometry, _orthonormal_transverse
 from watched_decay.model import _as_unit_vector
-from watched_decay.resolvent import _as_s_array, _sigma_and_k
+from watched_decay.resolvent import _as_s_array, _sigma
 
 
 def s_func_quadrature(z: float) -> float:
@@ -165,5 +165,5 @@ def self_energy(s, model: DiscreteModel):
     model without detector atoms.
     """
     s_arr, scalar = _as_s_array(s)
-    sigma, _ = _sigma_and_k(s_arr, model)
+    sigma = _sigma(s_arr, model)
     return complex(sigma[0]) if scalar else sigma

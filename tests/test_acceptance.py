@@ -18,6 +18,7 @@ import pytest
 from scipy.integrate import quad
 from scipy.special import jv
 
+from golden_runs import GOLDEN_DIR, versions_note
 from oracles import (
     angular_average_l2,
     polarization_sum,
@@ -80,9 +81,14 @@ SWEEP_Z = (2.3, math.pi, 4.6, 2.0 * math.pi)
 NODE_Z = (math.pi, 2.0 * math.pi)
 
 
+#: Each criterion's line as ``report`` printed it in this session.
+CRITERION_LINES = {}
+
+
 def report(num: int, ok: bool, detail: str):
     line = f"criterion {num}: {'PASS' if ok else 'FAIL'} - {detail}"
     print(line)
+    CRITERION_LINES[num] = line
     assert ok, line
 
 
@@ -403,6 +409,30 @@ def test_inertia_test_matches_eigenvalues_on_random_models():
     assert tested > 2000 and indefinite > 0
 
 
+def test_atom_complement_matches_dense_resolvent_on_random_models():
+    # The value the inertia test reads, not only its sign: at s = -i E the
+    # elimination gives the atom's Schur complement E - omega_a -
+    # Im sigma(-i E), which is 1 / [(E - H)^-1]_00 for the dense lab-frame
+    # H at every E away from the spectra of H and of its mode-channel block.
+    rng = np.random.default_rng(37)
+    tested = 0
+    for _ in range(10):
+        model = random_discrete_model(rng)
+        H = hermitian_generator(model)
+        poles = np.concatenate([np.linalg.eigvalsh(H),
+                                np.linalg.eigvalsh(H[1:, 1:])])
+        E = np.linspace(poles.min() - 0.5, poles.max() + 0.5, 400)
+        E = E[np.min(np.abs(E[:, None] - poles), axis=1) > 1e-3]
+        _, sigma, _ = resolvent._eliminate(-1j * E[:, None], model)
+        unit = np.eye(model.size)[0]
+        dense = [1.0 / np.linalg.solve(x * np.eye(model.size) - H, unit)[0]
+                 for x in E]
+        np.testing.assert_allclose(E - model.omega_a - sigma.imag, dense,
+                                   rtol=1e-10, atol=0.0)
+        tested += E.size
+    assert tested > 2000
+
+
 def test_spectral_interval_bisects_to_certified_ends(monkeypatch):
     # The interval tests at most INTERVAL_STEPS points per end, one by one,
     # and each end it returns is Weyl's bound or a point the inertia test
@@ -629,3 +659,19 @@ def test_criterion_9_normalization_report(capsys, full3d_runs):
            f"report generated for z = 0.05, 10; fitted U {u_fitted:.5f} vs "
            f"oracle U {u_oracle:.5f} (|diff| = {abs(u_fitted - u_oracle):.1e},"
            f" need < 5e-3)")
+
+
+def test_criterion_lines_match_golden():
+    # The criterion lines are half of the behaviour contract: each line the
+    # criteria above printed must match tests/golden/criteria.txt byte for
+    # byte.  Runs last, after the criteria it reads.
+    if not CRITERION_LINES:
+        pytest.skip("no criterion ran in this session")
+    golden = {}
+    for line in (GOLDEN_DIR / "criteria.txt").read_text().splitlines():
+        golden[int(line.split(":")[0].removeprefix("criterion "))] = line
+    moves = [f"criterion {num}:\n    was {golden.get(num)}\n    now {line}"
+             for num, line in sorted(CRITERION_LINES.items())
+             if golden.get(num) != line]
+    assert not moves, ("criterion lines moved:\n  " + "\n  ".join(moves)
+                       + versions_note())

@@ -203,6 +203,27 @@ def test_degenerate_models_integrate_without_float_errors(model):
     assert np.max(np.abs(traj.a0 - exact)) <= traj.metadata["error_bound"]
 
 
+def test_inertia_test_fails_where_channel_block_is_singular():
+    # One mode and one channel at 0.5, with f = m = 0.5: at lam = -0.25,
+    # above every detuning, E = 0.75 gives g = G = 1, so I - g G is exactly
+    # zero, and E is an eigenvalue of the mode-channel block, which lies
+    # below the top of the spectrum.  The point fails, alone or among
+    # others, and the singular solve does not escape.
+    model = DiscreteModel(
+        mode_omegas=np.array([0.5]), mode_alphas=np.array([0.1 + 0j]),
+        detector_factors=np.array([[0.5 + 0j]]),
+        channel_omegas=np.array([0.5]), channel_mu=np.array([0.5]),
+        t_rec=math.inf, meta={}, omega_a=0.6)
+    H = np.column_stack([_generator_product(model)(v)
+                         for v in np.eye(model.size, dtype=complex)])
+    top = np.linalg.eigvalsh(H)[-1]
+    assert -0.25 < top < 0.3
+    passes = dynamics._inertia_test(model)
+    np.testing.assert_array_equal(passes(np.array([-0.25]), 1.0), [False])
+    np.testing.assert_array_equal(passes(np.array([-0.25, 0.3]), 1.0),
+                                  [False, True])
+
+
 def test_undersized_interval_raises(monkeypatch):
     model = build_scalar_toy(ToySpec())
     c, r = _spectral_interval(model)

@@ -9,14 +9,7 @@ import json
 import pytest
 
 from golden_runs import GOLDEN_DIR, HASHED, RUNS, moved, produce, \
-    read_sums, versions
-
-
-def _versions_note() -> str:
-    recorded = json.loads((GOLDEN_DIR / "VERSIONS").read_text())
-    here = versions()
-    return "" if recorded == here else (
-        f"\n(golden files made with {recorded}, this run uses {here})")
+    read_sums, versions_note
 
 
 @pytest.mark.parametrize("name", list(RUNS))
@@ -25,13 +18,13 @@ def test_run_matches_golden(name, tmp_path):
     golden = (GOLDEN_DIR / name / "summary.json").read_text()
     moves = moved(json.loads(golden), json.loads(summary))
     assert not moves, (f"{name}: summary.json moved:\n  "
-                       + "\n  ".join(moves) + _versions_note())
+                       + "\n  ".join(moves) + versions_note())
     assert summary == golden, f"{name}: summary.json text differs"
     sums = read_sums()
     for f in HASHED:
         assert digests[f] == sums[f"{name}/{f}"], (
             f"{name}/{f} differs from its SHA-256 in SHA256SUMS"
-            + _versions_note())
+            + versions_note())
 
 
 def test_golden_files_cover_every_run():
