@@ -16,6 +16,7 @@ discrete atom kernel reproduce Re K(-i omega0 + 0) = gamma/2.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -149,6 +150,15 @@ class DiscreteModel:
         return 1 + self.n_modes + self.n_atoms * self.n_channels
 
 
+@functools.lru_cache(maxsize=None)
+def _leggauss(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """leggauss(n), computed once per order and returned read-only."""
+    x, w = leggauss(n)
+    x.setflags(write=False)
+    w.setflags(write=False)
+    return x, w
+
+
 def _gauss_panels(edges: list[float], n_total: int) -> tuple[np.ndarray, np.ndarray]:
     """Gauss-Legendre nodes/weights on consecutive panels, n_total overall."""
     n_panels = len(edges) - 1
@@ -156,7 +166,7 @@ def _gauss_panels(edges: list[float], n_total: int) -> tuple[np.ndarray, np.ndar
     nodes, weights = [], []
     for i in range(n_panels):
         n = base + (1 if i < extra else 0)
-        x, w = leggauss(n)
+        x, w = _leggauss(n)
         a, b = edges[i], edges[i + 1]
         nodes.append(0.5 * (b - a) * x + 0.5 * (a + b))
         weights.append(0.5 * (b - a) * w)
@@ -306,7 +316,7 @@ def build_full_3d(system: PhysicalSystem, grid: GridSpec) -> DiscreteModel:
     if not system.detector_atoms:
         raise GridError("full-3d model needs at least one detector atom")
     om_r, w_r = _frequency_grid(grid.scheme, 0.0, OMEGA_CUT, grid.n_modes)
-    x, w_x = leggauss(grid.n_theta)
+    x, w_x = _leggauss(grid.n_theta)
     phis = TWO_PI * np.arange(grid.n_phi) / grid.n_phi
     w_phi = TWO_PI / grid.n_phi
 

@@ -22,7 +22,9 @@ Chebyshev series of Tal-Ezer & Kosloff (J. Chem. Phys. 81, 3967, 1984)
 over the moments mu_k = <0|T_k((H - c) / r)|0>, in the moment form of
 the kernel polynomial method (Weisse et al., Rev. Mod. Phys. 78, 275,
 2006): one recursion of N generator products gives the 2N + 1 moments
-that serve every output time at once.  The series stops where every
+that serve every output time at once.  Each step of the recursion is one
+call of the one generator product, t_k+1 = (2 / r) (H - c) t_k - t_k-1,
+from arrays scaled by 2 / r once per model.  The series stops where every
 later |J_k(r t_max)| is below ``TAIL_TOL``, so its error has a bound.
 The norm, which the same moments give, is exact up to that tail and
 rounding and so indicates the propagator's health.  The stored
@@ -105,43 +107,52 @@ class RateFit:
     r_squared: float
 
 
-def _generator_product(model: DiscreteModel):
-    """The product v -> H v with the rotating-frame generator.
+def _generator_product(model: DiscreteModel, c: float = 0.0,
+                       r: float = 2.0):
+    """The product v -> (2 / r) (H - c) v - prev with the rotating-frame
+    generator H; the defaults give H itself.
 
-    Returns apply(v, out=None), which writes H v into out (a new array
-    when out is None; out must not be v) and returns it.  Its scratch
-    buffers are allocated once, here.
+    Returns apply(v, out=None, prev=None), which writes the product into
+    out (a new array when out is None; out must be neither v nor prev)
+    and returns it.  Its arrays are scaled by 2 / r once, here: the
+    diagonal over every amplitude (the channel detunings repeated per
+    atom) and one K x (1 + A) coupling matrix F = (2 / r) [alpha, f], the
+    atom in column 0.  a_k F gives the atom row and the channel sources,
+    and with y = [a0, a_c m] the mode rows are conj(F conj(y)).
     """
+    scale = 2.0 / r
+    n_modes, n_atoms = model.detector_factors.shape
+    n_channels = model.n_channels
     # Bare atom frequency (with its level-shift counterterm); the frame
     # still rotates at the dressed omega0 on every tier.
-    w0 = model.omega_a - OMEGA0
-    wk = model.mode_omegas - OMEGA0
-    wc = model.channel_omegas - OMEGA0
-    alpha = model.mode_alphas
-    alpha_c = np.conj(alpha)
-    f = model.detector_factors
-    fc = np.conj(f)
-    m = model.channel_mu
-    n_modes, n_atoms = f.shape
-    detector = n_atoms > 0 and m.size > 0
+    diag = scale * (np.concatenate((
+        [model.omega_a], model.mode_omegas,
+        np.tile(model.channel_omegas, n_atoms))) - OMEGA0 - c)
+    coupling = scale * np.column_stack((model.mode_alphas,
+                                        model.detector_factors))
+    m = model.channel_mu.astype(complex)
+    detector = n_atoms > 0 and n_channels > 0
+    y, sources = np.zeros((2, 1 + n_atoms), dtype=complex)
     mode_tmp = np.empty(n_modes, dtype=complex)
-    channel_tmp = np.empty((n_atoms, m.size), dtype=complex)
+    channel_tmp = np.empty((n_atoms, n_channels), dtype=complex)
 
-    def apply(v, out=None):
+    def apply(v, out=None, prev=None):
         if out is None:
             out = np.empty_like(v)
-        a0 = v[0]
-        ak = v[1:1 + n_modes]
-        hk = out[1:1 + n_modes]
-        out[0] = w0 * a0 + alpha @ ak
-        np.multiply(wk, ak, out=hk)
-        hk += np.multiply(alpha_c, a0, out=mode_tmp)
+        np.multiply(diag, v, out=out)
+        if prev is not None:
+            out -= prev
+        np.matmul(v[1:1 + n_modes], coupling, out=sources)
+        out[0] += sources[0]
+        y[0] = v[0]
         if detector:
-            ac = v[1 + n_modes:].reshape(n_atoms, -1)
-            hk += np.matmul(fc, ac @ m, out=mode_tmp)
-            hc = out[1 + n_modes:].reshape(n_atoms, -1)
-            np.multiply(wc, ac, out=hc)
-            hc += np.multiply((f.T @ ak)[:, None], m, out=channel_tmp)
+            ac = v[1 + n_modes:].reshape(n_atoms, n_channels)
+            np.matmul(ac, m, out=y[1:])
+            hc = out[1 + n_modes:].reshape(n_atoms, n_channels)
+            hc += np.multiply(sources[1:, None], m, out=channel_tmp)
+        np.conjugate(y, out=y)
+        np.matmul(coupling, y, out=mode_tmp)
+        out[1:1 + n_modes] += np.conjugate(mode_tmp, out=mode_tmp)
         return out
 
     return apply
@@ -235,26 +246,17 @@ def _moments(model: DiscreteModel, c: float, r: float, n: int) -> np.ndarray:
     (T_k+l + T_|k-l|) / 2 gives mu_2k = 2 <t_k|t_k> - mu_0 and
     mu_2k-1 = 2 <t_k|t_k-1> - mu_1.
     """
-    apply = _generator_product(model)
-    scale, shift = 2.0 / r, 2.0 * c / r
-    prev, cur, nxt, tmp = (np.zeros(model.size, dtype=complex)
-                           for _ in range(4))
-
-    def step(v, out):  # out = 2 (H - c) / r v
-        apply(v, out)
-        out *= scale
-        out -= np.multiply(v, shift, out=tmp)
-
+    apply = _generator_product(model, c, r)
+    prev, cur, nxt = (np.zeros(model.size, dtype=complex) for _ in range(3))
     mu = np.empty(2 * n + 1)
     prev[0] = 1.0
-    step(prev, cur)
+    apply(prev, cur)
     cur *= 0.5
     mu[0], mu[1] = 1.0, cur[0].real
     limit = 1.0 + MOMENT_SLACK
     for k in range(1, n + 1):                 # cur = t_k, prev = t_k-1
         if k > 1:
-            step(cur, nxt)
-            nxt -= prev
+            apply(cur, nxt, prev)
             prev, cur, nxt = cur, nxt, prev
         mu[2 * k - 1] = 2.0 * np.vdot(cur, prev).real - mu[1]
         mu[2 * k] = 2.0 * np.vdot(cur, cur).real - mu[0]
@@ -312,9 +314,11 @@ def _bessel_table(n: int, x) -> np.ndarray:
     """J_k(x) for k = 0 .. n (rows) at each x >= 0 (columns).
 
     Miller's backward recurrence J_k-1 = (2k / x) J_k - J_k+1 (DLMF
-    10.74(iv)), one vector step per order over every x.  Each column
-    starts from ``MILLER_SEED`` at its own Kapteyn order for
-    ``MILLER_TOL`` and is normalized by J_0 + 2 sum_k J_2k = 1.
+    10.74(iv)), three vector steps per order over every x, each order
+    written straight into its row; orders above n go through three
+    rolling rows.  Each column starts from ``MILLER_SEED`` at its own
+    Kapteyn order for ``MILLER_TOL`` and is normalized by
+    J_0 + 2 sum_k J_2k = 1, the rows up to n summed once at the end.
     """
     x = np.atleast_1d(np.asarray(x, dtype=float))
     zero = x == 0.0
@@ -326,23 +330,25 @@ def _bessel_table(n: int, x) -> np.ndarray:
     seeds = {k: order[i:j]                    # the columns that start at k
              for k, i, j in zip(starts.tolist(), first.tolist(), ends)}
     two_over_x = 2.0 / x
-    table = np.zeros((n + 1, x.size))
-    total = np.zeros(x.size)
-    above = np.zeros(x.size)                  # J_k+1
-    here = np.zeros(x.size)                   # J_k
-    below = np.empty(x.size)                  # J_k-1, and scratch
-    for k in range(int(starts[-1]), -1, -1):
+    top = int(starts[-1])
+    # Rows 0 .. n are the table; row e, the first even row above them,
+    # sums the even orders past n, so that one strided sum adds every even
+    # order top down, in the recurrence's order.
+    e = n + 2 - n % 2
+    tall = np.zeros((e + 1, x.size))
+    table = tall[:n + 1]
+    spare = np.zeros((3, x.size))             # the orders above n
+    row = [table[k] if k <= n else spare[k % 3] for k in range(top + 2)]
+    for k in range(top, 0, -1):
+        here, below = row[k], row[k - 1]
         if k in seeds:
             here[seeds[k]] = MILLER_SEED
-        if k <= n:
-            table[k] = here
-        if k % 2 == 0:
-            total += here if k == 0 else np.multiply(here, 2.0, out=below)
+        if k > n and k % 2 == 0:
+            tall[e] += here
         np.multiply(two_over_x, k, out=below)
         below *= here
-        below -= above
-        above, here, below = here, below, above
-    table /= total
+        below -= row[k + 1]
+    table /= 2.0 * tall[e:0:-2].sum(axis=0) + table[0]
     table[:, zero] = 0.0
     table[0, zero] = 1.0
     return table

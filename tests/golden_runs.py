@@ -1,8 +1,12 @@
-"""The behaviour contract: eleven CLI runs and their checked-in artifacts.
+"""The behaviour contract: eleven CLI runs and their checked-in artifacts,
+and the work counters of four models.
 
 For each run, ``tests/golden/<name>/summary.json`` holds the summary.json
 it writes, verbatim, and ``tests/golden/SHA256SUMS`` the SHA-256 of its
 results.csv and report.txt, in the format ``sha256sum`` writes.
+``tests/golden/work.json`` holds, for each model of ``WORK_MODELS``, the
+propagator's series length and generator products and the Bromwich
+route's contour nodes and transform points (see ``work_counters``).
 ``tests/golden/VERSIONS`` records the numpy and BLAS the files were made
 with, since a different build may move the last digits.
 
@@ -11,7 +15,8 @@ Regenerate every file after a change that moves an artifact on purpose:
     PYTHONPATH=src python tests/golden_runs.py
 
 and say in CHANGES.md why.  Before it writes, the script prints each
-summary key that moved and each hashed artifact whose SHA-256 changed.
+summary key and work counter that moved and each hashed artifact whose
+SHA-256 changed.
 """
 
 from __future__ import annotations
@@ -22,10 +27,21 @@ import math
 import tempfile
 import warnings
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 
+from watched_decay import resolvent
 from watched_decay.cli import RunConfig, run
+from watched_decay.discretize import (
+    GridSpec,
+    ToySpec,
+    build_full_3d,
+    build_radial_vacuum,
+    build_scalar_toy,
+)
+from watched_decay.dynamics import compare_routes, integrate
+from watched_decay.model import AtomDipole, DetectorAtom, PhysicalSystem
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 HASHED = ("results.csv", "report.txt")
@@ -58,6 +74,64 @@ RUNS = {
     "sweep-n_atoms": _sweep("n_atoms", [10, 50, 100, 200]),
     "sweep-n_modes": _sweep("n_modes", [200, 300, 400]),
 }
+
+
+#: The README quick-start's grid, which criterion 3 and the benchmark use.
+ACCEPTANCE_GRID = GridSpec(n_modes=320, scheme="uniform", n_theta=12,
+                           n_phi=8, n_channels=100, channel_scheme="uniform")
+ZHAT = np.array([0.0, 0.0, 1.0])
+
+
+def _detector_system(beta: float, positions, dipoles) -> PhysicalSystem:
+    atoms = tuple(DetectorAtom(position=p, dipole_dir=d)
+                  for p, d in zip(positions, dipoles))
+    return PhysicalSystem(gamma=0.01, omega_i=0.3, beta=beta,
+                          atom_dipole=AtomDipole(ZHAT), detector_atoms=atoms)
+
+
+def _shell_10() -> PhysicalSystem:
+    """Ten detectors at uniform random points of the sphere z = pi/2 with
+    uniform random dipoles, placement seed 5, beta = 0.01."""
+    v = np.random.default_rng(5).normal(size=(2, 10, 3))
+    v /= np.linalg.norm(v, axis=2, keepdims=True)
+    return _detector_system(0.01, 0.5 * math.pi * v[0], v[1])
+
+
+WORK_MODELS = {
+    "quick-start": lambda: build_full_3d(
+        _detector_system(0.05, [[0.5 * math.pi, 0.0, 0.0]], [ZHAT]),
+        ACCEPTANCE_GRID),
+    "vacuum": lambda: build_radial_vacuum(RUNS["vacuum"].build_system(),
+                                          GridSpec()),
+    "toy": lambda: build_scalar_toy(ToySpec()),
+    "shell-10": lambda: build_full_3d(_shell_10(), ACCEPTANCE_GRID),
+}
+
+
+def work_counters(model, t_max: float = 200.0) -> dict:
+    """Deterministic work of both routes on one model.
+
+    ``n_terms`` and ``nfev`` come from ``integrate`` to
+    min(t_max, 0.9 t_rec), the trajectory scenarios' horizon;
+    ``contour_nodes`` and ``transform_points`` (the s values at which the
+    resolvent is evaluated) from ``compare_routes`` on 201 times to
+    min(t_max, 0.8 t_rec), the ``compare-routes`` scenario's grid, which
+    the default toy's counters therefore give.
+    """
+    meta = integrate(model, min(t_max, 0.9 * model.t_rec)).metadata
+    with mock.patch.object(resolvent, "resolvent_a0_discrete",
+                           wraps=resolvent.resolvent_a0_discrete) as spy:
+        comp = compare_routes(model, np.linspace(
+            0.0, min(t_max, 0.8 * model.t_rec), 201))
+    return {"n_terms": meta["n_terms"], "nfev": meta["nfev"],
+            "contour_nodes": comp.inversion_info["n_nodes"],
+            "transform_points": sum(int(np.size(call.args[0]))
+                                    for call in spy.call_args_list)}
+
+
+def work() -> dict:
+    """{model: its work counters} over ``WORK_MODELS``."""
+    return {name: work_counters(build()) for name, build in WORK_MODELS.items()}
 
 
 def versions() -> dict:
@@ -118,8 +192,8 @@ def moved(expected, actual, path: str = "") -> list[str]:
 
 def regenerate() -> None:
     """Rewrite every golden file, printing first, run by run, what moves:
-    the summary keys that ``moved`` finds and each hashed artifact whose
-    SHA-256 changed."""
+    the summary keys and work counters that ``moved`` finds and each
+    hashed artifact whose SHA-256 changed."""
     old_sums = read_sums() if (GOLDEN_DIR / "SHA256SUMS").exists() else {}
     sums = []
     with tempfile.TemporaryDirectory() as tmp:
@@ -137,6 +211,12 @@ def regenerate() -> None:
             path.write_text(summary)
             sums += [f"{digests[f]}  {name}/{f}" for f in HASHED]
     (GOLDEN_DIR / "SHA256SUMS").write_text("\n".join(sums) + "\n")
+    counters = work()
+    path = GOLDEN_DIR / "work.json"
+    if path.exists():
+        for line in moved(json.loads(path.read_text()), counters):
+            print(f"work: {line}")
+    path.write_text(json.dumps(counters, indent=2) + "\n")
     (GOLDEN_DIR / "VERSIONS").write_text(
         json.dumps(versions(), indent=2, sort_keys=True) + "\n")
 

@@ -320,12 +320,15 @@ def test_route_monitors_bound_exact_error(route_runs, name):
     assert ode_err <= 1e-12
 
 
-def random_discrete_model(rng):
+def random_discrete_model(rng, n_atoms=None, n_channels=None):
     """A small model with 0-3 detector atoms, random coupling phases and
-    omega^3 or flat profiles, omega_a detuned from omega0 by about 0.05."""
+    omega^3 or flat profiles, omega_a detuned from omega0 by about 0.05.
+    The atom and channel counts are drawn unless given."""
     n_modes = int(rng.integers(5, 61))
-    n_atoms = int(rng.integers(0, 4))
-    n_channels = int(rng.integers(1, 21)) if n_atoms else 0
+    if n_atoms is None:
+        n_atoms = int(rng.integers(0, 4))
+    if n_channels is None:
+        n_channels = int(rng.integers(1, 21)) if n_atoms else 0
     n_channels = min(n_channels, (124 - n_modes) // max(n_atoms, 1))
     omegas = np.sort(rng.uniform(0.2, 3.0, n_modes))
     profile = omegas**3 if rng.random() < 0.5 else np.ones(n_modes)
@@ -338,6 +341,32 @@ def random_discrete_model(rng):
         channel_omegas=rng.uniform(0.5, 2.5, n_channels),
         channel_mu=rng.uniform(0.05, 0.3, n_channels),
         t_rec=math.inf, meta={}, omega_a=1.0 + rng.normal(scale=0.05))
+
+
+@pytest.mark.parametrize("n_atoms, n_channels", [
+    (0, None), (1, None), (3, None), (2, 0)])
+def test_scaled_product_matches_dense_generator(n_atoms, n_channels):
+    # The recursion's one product, (2 / r) (H - c) v - prev, against the
+    # dense rotating-frame generator.  With atoms but no channels the
+    # model has 1 + K amplitudes: there a channel diagonal that is not
+    # repeated per atom would not fit.
+    rng = np.random.default_rng(41 + n_atoms)
+    for _ in range(5):
+        model = random_discrete_model(rng, n_atoms, n_channels)
+        assert model.n_atoms == n_atoms
+        if n_channels == 0:
+            assert model.size == 1 + model.n_modes
+        H = hermitian_generator(model) - OMEGA0 * np.eye(model.size)
+        c, r = rng.normal(scale=0.1), rng.uniform(0.5, 3.0)
+        v, prev = (rng.normal(size=model.size)
+                   + 1j * rng.normal(size=model.size) for _ in range(2))
+        expected = (2.0 / r) * (H @ v - c * v) - prev
+        apply = _generator_product(model, c, r)
+        np.testing.assert_allclose(apply(v, prev=prev), expected,
+                                   rtol=0.0, atol=1e-12)
+        out = np.empty_like(v)
+        assert apply(v, out, prev) is out
+        np.testing.assert_allclose(out, expected, rtol=0.0, atol=1e-12)
 
 
 def test_integrate_within_error_bound_on_random_models():

@@ -17,6 +17,7 @@ from watched_decay.discretize import (
     ToySpec,
     _detector_form_factor,
     _frequency_grid,
+    _leggauss,
     build_full_3d,
     build_radial_vacuum,
     build_scalar_toy,
@@ -71,6 +72,24 @@ def test_vacuum_sum_rule(scheme):
         win = np.abs(w - 1.0) <= 0.025 * (1.0 + 1e-9)
         exact = abs(np.sum(w[win] ** 3 * dw[win]) / np.sum(dw[win]) - 1.0)
         assert dev == pytest.approx(exact, rel=1e-12)
+
+
+def test_gauss_rule_is_cached_and_read_only():
+    # Every build takes the same rule, equal to leggauss's, so two builds
+    # give equal models; no caller can write into the shared arrays.
+    x, w = _leggauss(200)
+    ref_x, ref_w = leggauss(200)
+    np.testing.assert_array_equal(x, ref_x)
+    np.testing.assert_array_equal(w, ref_w)
+    assert _leggauss(200)[0] is x
+    for arr in (x, w):
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0] = 0.0
+    first, second = (build_radial_vacuum(make_system(beta=0.0), GridSpec())
+                     for _ in range(2))
+    np.testing.assert_array_equal(first.mode_omegas, second.mode_omegas)
+    np.testing.assert_array_equal(first.mode_alphas, second.mode_alphas)
+    assert first.omega_a == second.omega_a
 
 
 def test_vacuum_rejects_coarse_grid():

@@ -1,4 +1,5 @@
-"""The eleven contract runs rerun in-process and match tests/golden/.
+"""The eleven contract runs and the work counters, recomputed in-process,
+match tests/golden/.
 
 See tests/golden_runs.py for the runs and for how to regenerate the files
 after a change that moves an artifact on purpose.
@@ -9,7 +10,7 @@ import json
 import pytest
 
 from golden_runs import GOLDEN_DIR, HASHED, RUNS, moved, produce, \
-    read_sums, versions_note
+    read_sums, versions_note, work
 
 
 @pytest.mark.parametrize("name", list(RUNS))
@@ -32,3 +33,12 @@ def test_golden_files_cover_every_run():
         f"{name}/{f}" for name in RUNS for f in HASHED)
     assert sorted(p.name for p in GOLDEN_DIR.iterdir() if p.is_dir()) \
         == sorted(RUNS)
+
+
+def test_work_counters_match_golden():
+    # Series length, generator products, contour nodes and transform
+    # points are deterministic: a change that adds work fails here.
+    golden = json.loads((GOLDEN_DIR / "work.json").read_text())
+    moves = moved(golden, work())
+    assert not moves, ("work counters moved:\n  " + "\n  ".join(moves)
+                       + versions_note())
