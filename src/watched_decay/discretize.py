@@ -317,35 +317,23 @@ def build_full_3d(system: PhysicalSystem, grid: GridSpec) -> DiscreteModel:
         raise GridError("full-3d model needs at least one detector atom")
     om_r, w_r = _frequency_grid(grid.scheme, 0.0, OMEGA_CUT, grid.n_modes)
     x, w_x = _leggauss(grid.n_theta)
-    phis = TWO_PI * np.arange(grid.n_phi) / grid.n_phi
-    w_phi = TWO_PI / grid.n_phi
-
-    p_a = system.atom_dipole.dipole_dir
+    phis = np.tile(TWO_PI * np.arange(grid.n_phi) / grid.n_phi, grid.n_theta)
+    sin_theta = np.repeat(np.sqrt(1.0 - x * x), grid.n_phi)
     atoms = system.detector_atoms
     n_atoms = len(atoms)
 
     # Direction-dependent factors are the same for every radial node, so
-    # precompute them per (theta, phi, polarization) and take the outer
-    # product with the radial profile.
-    dir_atom = []       # (p_a . eps) per direction/pol
-    dir_det = []        # (p_d_i . eps) per direction/pol, shape (A,)
-    k_hats = []
-    dir_weights = []
-    for xi, wxi in zip(x, w_x):
-        st = math.sqrt(max(0.0, 1.0 - xi * xi))
-        for phi in phis:
-            k_hat = np.array([st * math.cos(phi), st * math.sin(phi), xi])
-            eps1, eps2 = _orthonormal_transverse(k_hat)
-            for eps in (eps1, eps2):
-                dir_atom.append(float(np.dot(p_a, eps)))
-                dir_det.append([float(np.dot(atom.dipole_dir, eps))
-                                for atom in atoms])
-                k_hats.append(k_hat)
-                dir_weights.append(wxi * w_phi)
-    dir_atom = np.asarray(dir_atom)                     # (D,)
-    dir_det = np.asarray(dir_det)                       # (D, A)
-    k_hats = np.asarray(k_hats)                         # (D, 3)
-    dir_weights = np.asarray(dir_weights)               # (D,)
+    # take them once per direction-polarization row (theta, then phi, with
+    # the polarization fastest; D = 2 n_theta n_phi rows) and form their
+    # outer product with the radial profile.
+    k_hats = np.column_stack((sin_theta * np.cos(phis),
+                              sin_theta * np.sin(phis),
+                              np.repeat(x, grid.n_phi)))
+    eps = np.stack(_orthonormal_transverse(k_hats), axis=1).reshape(-1, 3)
+    k_hats = np.repeat(k_hats, 2, axis=0)                          # (D, 3)
+    dir_weights = np.repeat(w_x * (TWO_PI / grid.n_phi), 2 * grid.n_phi)
+    dir_atom = eps @ system.atom_dipole.dipole_dir                 # (D,)
+    dir_det = eps @ np.array([atom.dipole_dir for atom in atoms]).T  # (D, A)
 
     radial = np.sqrt(om_r**3 * w_r / (4.0 * math.pi**2))   # (R,)
     amp = radial[:, None] * np.sqrt(dir_weights)[None, :]   # (R, D)

@@ -158,11 +158,11 @@ def _generator_product(model: DiscreteModel, c: float = 0.0,
     return apply
 
 
-def _inertia_test(model: DiscreteModel):
+def _inertia_test(model: DiscreteModel, lam: float, sign: float) -> bool:
     """The test of lam I - sign H > 0 for the rotating-frame generator H.
 
-    Returns passes(lam, sign): for each lam above every diagonal entry of
-    sign H, whether sign (E - H) is positive definite, with
+    For lam above every diagonal entry of sign H it returns
+    whether sign (E - H) is positive definite, with
     E = sign lam + omega0 in the lab frame.  At s = -i E every propagator
     of the resolvent is i times a real one, so its elimination,
     resolvent._eliminate, gives the Schur complements of the channel,
@@ -172,23 +172,18 @@ def _inertia_test(model: DiscreteModel):
     exactly when I - g G is and sign times the atom's complement is
     positive.  A singular I - g G fails the test.
     """
-    def passes(lam, sign):
-        E = sign * lam + OMEGA0
-        try:
-            _, sigma, mat = resolvent._eliminate(-1j * E[:, None], model)
-        except np.linalg.LinAlgError:
-            if lam.size == 1:
-                return np.array([False])
-            return np.concatenate([passes(x, sign) for x in lam[:, None]])
-        ok = sign * (E - model.omega_a - sigma.imag) > 0.0
-        if mat is None:
-            return ok
-        return ok & np.all(np.linalg.eigvalsh(mat) > 0.0, axis=1)
-
-    return passes
+    E = sign * lam + OMEGA0
+    try:
+        _, sigma, mat = resolvent._eliminate(np.array([[-1j * E]]), model)
+    except np.linalg.LinAlgError:
+        return False
+    complement = sign * (E - model.omega_a - sigma[0].imag)
+    return bool(complement > 0.0) and (
+        mat is None or bool(np.all(np.linalg.eigvalsh(mat[0]) > 0.0)))
 
 
-def _spectrum_top(passes, sign: float, lo: float, hi: float) -> float:
+def _spectrum_top(model: DiscreteModel, sign: float, lo: float,
+                  hi: float) -> float:
     """Least tested lam above every eigenvalue of sign H.
 
     lo is the largest diagonal entry of sign H, at or below its top
@@ -204,7 +199,7 @@ def _spectrum_top(passes, sign: float, lo: float, hi: float) -> float:
         mid = 0.5 * (lo + hi)
         if not lo < mid < hi:
             break
-        if passes(np.array([mid]), sign)[0]:
+        if _inertia_test(model, mid, sign):
             hi = mid
         else:
             lo = mid
@@ -220,7 +215,7 @@ def _spectral_interval(model: DiscreteModel) -> tuple[float, float]:
     bound, that range widened by the norm of the off-diagonal part: at
     most |alpha|_2 + |F|_2 |m|_2, since the mode-channel block is
     conj(F) kron m^T.  ``_spectrum_top`` bisects the bracket on the
-    inertia test of ``_inertia_test``, at most 2 ``INTERVAL_STEPS``
+    inertia test ``_inertia_test``, at most 2 ``INTERVAL_STEPS``
     points in all, so each end is either Weyl's bound or a point shown
     to lie beyond the spectrum.
     """
@@ -231,9 +226,8 @@ def _spectral_interval(model: DiscreteModel) -> tuple[float, float]:
     if model.n_atoms and model.n_channels:
         off += float(np.linalg.norm(model.detector_factors, 2)
                      * np.linalg.norm(model.channel_mu))
-    passes = _inertia_test(model)
-    top = _spectrum_top(passes, 1.0, hi, hi + off)
-    bottom = -_spectrum_top(passes, -1.0, -lo, -lo + off)
+    top = _spectrum_top(model, 1.0, hi, hi + off)
+    bottom = -_spectrum_top(model, -1.0, -lo, -lo + off)
     half = 0.5 * (top - bottom)
     # A generator with a single eigenvalue is c itself; any r serves.
     return 0.5 * (top + bottom), half if half > 0.0 else 1.0

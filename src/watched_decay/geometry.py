@@ -130,12 +130,12 @@ def d_func(geom: DipoleGeometry) -> float:
 
 
 def _orthonormal_transverse(k_hat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Two unit polarization vectors spanning the plane transverse to k_hat."""
+    """Two unit polarization vectors spanning the plane transverse to k_hat,
+    for one unit 3-vector or for each row of an (N, 3) array of them."""
     # Pick the axis least aligned with k_hat to seed the cross products.
-    seed = np.zeros(3)
-    seed[int(np.argmin(np.abs(k_hat)))] = 1.0
+    seed = np.eye(3)[np.argmin(np.abs(k_hat), axis=-1)]
     e1 = np.cross(k_hat, seed)
-    e1 /= np.linalg.norm(e1)
+    e1 /= np.linalg.norm(e1, axis=-1, keepdims=True)
     e2 = np.cross(k_hat, e1)
     return e1, e2
 

@@ -1,5 +1,5 @@
 """The behaviour contract: eleven CLI runs and their checked-in artifacts,
-and the work counters of four models.
+the work counters of four models and the acceptance criteria's lines.
 
 For each run, ``tests/golden/<name>/summary.json`` holds the summary.json
 it writes, verbatim, and ``tests/golden/SHA256SUMS`` the SHA-256 of its
@@ -7,16 +7,19 @@ results.csv and report.txt, in the format ``sha256sum`` writes.
 ``tests/golden/work.json`` holds, for each model of ``WORK_MODELS``, the
 propagator's series length and generator products and the Bromwich
 route's contour nodes and transform points (see ``work_counters``).
-``tests/golden/VERSIONS`` records the numpy and BLAS the files were made
-with, since a different build may move the last digits.
+``tests/golden/criteria.txt`` holds the nine ``criterion N:`` lines that
+the acceptance tests print.  ``tests/golden/VERSIONS`` records the numpy
+and BLAS the files were made with, since a different build may move the
+last digits.
 
 Regenerate every file after a change that moves an artifact on purpose:
 
     PYTHONPATH=src python tests/golden_runs.py
 
 and say in CHANGES.md why.  Before it writes, the script prints each
-summary key and work counter that moved and each hashed artifact whose
-SHA-256 changed.
+criterion line, summary key and work counter that moved and each hashed
+artifact whose SHA-256 changed.  It writes nothing when an acceptance
+criterion fails.
 """
 
 from __future__ import annotations
@@ -30,6 +33,7 @@ from pathlib import Path
 from unittest import mock
 
 import numpy as np
+import pytest
 
 from watched_decay import resolvent
 from watched_decay.cli import RunConfig, run
@@ -161,6 +165,35 @@ def produce(name: str, out_dir: Path) -> tuple[str, dict]:
     return (out_dir / "summary.json").read_text(), digests
 
 
+def read_criteria() -> dict:
+    """{N: line} from criteria.txt."""
+    lines = (GOLDEN_DIR / "criteria.txt").read_text().splitlines()
+    return {int(line.split(":")[0].removeprefix("criterion ")): line
+            for line in lines}
+
+
+def criteria_moved(expected: dict, actual: dict) -> list[str]:
+    """The old and new text of each criterion line of ``actual`` that
+    differs from ``expected``."""
+    return [f"criterion {num}:\n    was {expected.get(num)}\n    now {line}"
+            for num, line in sorted(actual.items())
+            if expected.get(num) != line]
+
+
+def criteria() -> dict:
+    """{N: line} of the lines the acceptance criteria print, from a run of
+    their tests; SystemExit when one of them fails."""
+    code = pytest.main(["-q", "-o", "addopts=", "-p", "no:cacheprovider",
+                        "-k", "criterion_ and not lines_match_golden",
+                        str(Path(__file__).parent / "test_acceptance.py")])
+    if code != pytest.ExitCode.OK:
+        raise SystemExit(f"acceptance criteria not passed ({code!r}); "
+                         "no golden file written")
+    # The module pytest loaded, whose criteria have just filled the dict.
+    from test_acceptance import CRITERION_LINES
+    return dict(CRITERION_LINES)
+
+
 def read_sums() -> dict:
     """{"<run>/<file>": sha256} from SHA256SUMS."""
     sums = {}
@@ -192,8 +225,14 @@ def moved(expected, actual, path: str = "") -> list[str]:
 
 def regenerate() -> None:
     """Rewrite every golden file, printing first, run by run, what moves:
-    the summary keys and work counters that ``moved`` finds and each
-    hashed artifact whose SHA-256 changed."""
+    the criterion lines, the summary keys and work counters that ``moved``
+    finds and each hashed artifact whose SHA-256 changed."""
+    lines = criteria()
+    old = read_criteria() if (GOLDEN_DIR / "criteria.txt").exists() else {}
+    for line in criteria_moved(old, lines):
+        print(line)
+    (GOLDEN_DIR / "criteria.txt").write_text(
+        "".join(line + "\n" for _, line in sorted(lines.items())))
     old_sums = read_sums() if (GOLDEN_DIR / "SHA256SUMS").exists() else {}
     sums = []
     with tempfile.TemporaryDirectory() as tmp:

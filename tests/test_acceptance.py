@@ -18,7 +18,7 @@ import pytest
 from scipy.integrate import quad
 from scipy.special import jv
 
-from golden_runs import GOLDEN_DIR, versions_note
+from golden_runs import criteria_moved, read_criteria, versions_note
 from oracles import (
     angular_average_l2,
     polarization_sum,
@@ -423,14 +423,14 @@ def test_inertia_test_matches_eigenvalues_on_random_models():
         if model.n_atoms and model.n_channels:
             off += (np.linalg.norm(model.detector_factors, 2)
                     * np.linalg.norm(model.channel_mu))
-        passes = _inertia_test(model)
         for sign in (1.0, -1.0):
             top = np.max(sign * np.diag(H).real)
             lam = top + off * np.linspace(0.0, 1.0, 66)[1:-1]
             lam = lam[np.min(np.abs(lam[:, None] - sign * spec), axis=1)
                       > 1e-9 * r]
             least = lam - np.max(sign * spec)
-            np.testing.assert_array_equal(passes(lam, sign), least > 0.0)
+            np.testing.assert_array_equal(
+                [_inertia_test(model, x, sign) for x in lam], least > 0.0)
             # The mode-channel block alone, where I - g G decides.
             block = np.linalg.eigvalsh(sign * H[1:, 1:])[-1]
             tested += lam.size
@@ -468,14 +468,10 @@ def test_spectral_interval_bisects_to_certified_ends(monkeypatch):
     # passed for that end, up to the rounding of c and r.
     calls = []
 
-    def counting(model):
-        passes = _inertia_test(model)
-
-        def tested(lam, sign):
-            ok = passes(lam, sign)
-            calls.extend((float(x), sign, bool(y)) for x, y in zip(lam, ok))
-            return ok
-        return tested
+    def counting(model, lam, sign):
+        ok = _inertia_test(model, lam, sign)
+        calls.append((lam, sign, ok))
+        return ok
 
     monkeypatch.setattr(dynamics, "_inertia_test", counting)
     rng = np.random.default_rng(31)
@@ -696,11 +692,6 @@ def test_criterion_lines_match_golden():
     # byte.  Runs last, after the criteria it reads.
     if not CRITERION_LINES:
         pytest.skip("no criterion ran in this session")
-    golden = {}
-    for line in (GOLDEN_DIR / "criteria.txt").read_text().splitlines():
-        golden[int(line.split(":")[0].removeprefix("criterion "))] = line
-    moves = [f"criterion {num}:\n    was {golden.get(num)}\n    now {line}"
-             for num, line in sorted(CRITERION_LINES.items())
-             if golden.get(num) != line]
+    moves = criteria_moved(read_criteria(), CRITERION_LINES)
     assert not moves, ("criterion lines moved:\n  " + "\n  ".join(moves)
                        + versions_note())

@@ -205,11 +205,13 @@ def test_toy_k_large_s_limit():
 
 # -- full 3d ---------------------------------------------------------------
 
+SMALL_GRID = GridSpec(n_modes=60, scheme="uniform", n_theta=6, n_phi=4,
+                      n_channels=20, channel_scheme="uniform")
+
+
 @pytest.fixture(scope="module")
 def small_full3d():
-    grid = GridSpec(n_modes=60, scheme="uniform", n_theta=6, n_phi=4,
-                    n_channels=20, channel_scheme="uniform")
-    return build_full_3d(detector_system(), grid), grid
+    return build_full_3d(detector_system(), SMALL_GRID), SMALL_GRID
 
 
 def test_full3d_requires_detector():
@@ -323,9 +325,25 @@ def shell_grams(model):
     return om, gram
 
 
-def test_full3d_matches_per_direction_oracle(small_full3d):
-    model, grid = small_full3d
-    omegas, alphas, factors = per_direction_modes(detector_system(), grid)
+def three_detector_system():
+    """Three detectors at distinct, non-collinear positions with distinct
+    dipoles: a dipole paired with another atom's position, or a (D, A)
+    table read transposed, changes the couplings here, where with one
+    detector it cannot."""
+    atoms = tuple(DetectorAtom(position=np.array(r),
+                               dipole_dir=np.array(p) / np.linalg.norm(p))
+                  for r, p in (([1.5, 0.0, 0.0], [0.0, 0.0, 1.0]),
+                               ([-0.4, 1.1, 0.3], [1.0, 1.0, 0.0]),
+                               ([0.2, -0.7, -1.3], [0.3, -0.5, 0.8])))
+    return make_system(atom_dipole=AtomDipole(ZHAT), detector_atoms=atoms)
+
+
+@pytest.mark.parametrize("system", [detector_system(),
+                                    three_detector_system()],
+                         ids=["one-detector", "three-detectors"])
+def test_full3d_matches_per_direction_oracle(system):
+    model = build_full_3d(system, SMALL_GRID)
+    omegas, alphas, factors = per_direction_modes(system, SMALL_GRID)
     oracle = dataclasses.replace(model, mode_omegas=omegas,
                                  mode_alphas=alphas, detector_factors=factors)
     assert model.n_modes < oracle.n_modes
@@ -349,8 +367,7 @@ def test_full3d_collinear_couplings_keep_one_mode_per_shell():
     # A detector at the emitter with the same dipole couples through the
     # emitter's own vector, so each shell's Gram matrix has rank one and the
     # rank cutoff must drop the rounding-level second eigenvalue.
-    grid = GridSpec(n_modes=60, scheme="uniform", n_theta=6, n_phi=4,
-                    n_channels=20, channel_scheme="uniform")
+    grid = SMALL_GRID
     system = make_system(atom_dipole=AtomDipole(ZHAT), detector_atoms=(
         DetectorAtom(position=np.zeros(3), dipole_dir=ZHAT),))
     model = build_full_3d(system, grid)

@@ -207,8 +207,8 @@ def test_inertia_test_fails_where_channel_block_is_singular():
     # One mode and one channel at 0.5, with f = m = 0.5: at lam = -0.25,
     # above every detuning, E = 0.75 gives g = G = 1, so I - g G is exactly
     # zero, and E is an eigenvalue of the mode-channel block, which lies
-    # below the top of the spectrum.  The point fails, alone or among
-    # others, and the singular solve does not escape.
+    # below the top of the spectrum.  The point fails, and the singular
+    # solve does not escape; lam = 0.3, above the spectrum, passes.
     model = DiscreteModel(
         mode_omegas=np.array([0.5]), mode_alphas=np.array([0.1 + 0j]),
         detector_factors=np.array([[0.5 + 0j]]),
@@ -218,10 +218,8 @@ def test_inertia_test_fails_where_channel_block_is_singular():
                          for v in np.eye(model.size, dtype=complex)])
     top = np.linalg.eigvalsh(H)[-1]
     assert -0.25 < top < 0.3
-    passes = dynamics._inertia_test(model)
-    np.testing.assert_array_equal(passes(np.array([-0.25]), 1.0), [False])
-    np.testing.assert_array_equal(passes(np.array([-0.25, 0.3]), 1.0),
-                                  [False, True])
+    assert dynamics._inertia_test(model, -0.25, 1.0) is False
+    assert dynamics._inertia_test(model, 0.3, 1.0) is True
 
 
 def test_undersized_interval_raises(monkeypatch):
