@@ -161,8 +161,8 @@ def _generator_product(model: DiscreteModel, c: float = 0.0,
 def _inertia_test(model: DiscreteModel, lam: float, sign: float) -> bool:
     """The test of lam I - sign H > 0 for the rotating-frame generator H.
 
-    For lam above every diagonal entry of sign H it returns
-    whether sign (E - H) is positive definite, with
+    For lam above every diagonal entry of sign H it returns whether
+    sign (E - H) is positive definite, with
     E = sign lam + omega0 in the lab frame.  At s = -i E every propagator
     of the resolvent is i times a real one, so its elimination,
     resolvent._eliminate, gives the Schur complements of the channel,
@@ -215,7 +215,7 @@ def _spectral_interval(model: DiscreteModel) -> tuple[float, float]:
     bound, that range widened by the norm of the off-diagonal part: at
     most |alpha|_2 + |F|_2 |m|_2, since the mode-channel block is
     conj(F) kron m^T.  ``_spectrum_top`` bisects the bracket on the
-    inertia test ``_inertia_test``, at most 2 ``INTERVAL_STEPS``
+    inertia test of ``_inertia_test``, at most 2 ``INTERVAL_STEPS``
     points in all, so each end is either Weyl's bound or a point shown
     to lie beyond the spectrum.
     """
