@@ -225,11 +225,12 @@ def invert_laplace(f: Callable[[np.ndarray], np.ndarray], moments,
     e^(sigma t_max) |g(sigma + i omega_max)| omega_max / ((P + 1) pi), the
     bound on the dropped tail at the last time, is below TOL / 4; the sum
     is taken again on a doubled omega_max while its error estimate exceeds
-    TOL and the contour fits in MAX_NODES.  Returns
-    (values, info); info carries the contour settings, the reference and
-    a self-reported error estimate, the sum of a truncation estimate from
-    comparing two truncations and an alias estimate.  Raises
-    InversionError when that estimate exceeds 50 TOL.
+    TOL and the contour fits in MAX_NODES, with f evaluated only at the
+    nodes the last sum did not have.  Returns (values, info); info carries
+    the contour settings, the reference and a self-reported error
+    estimate, the sum of a truncation estimate from comparing two
+    truncations and an alias estimate.  Raises InversionError when that
+    estimate exceeds 50 TOL.
     """
     t = np.asarray(t_grid, dtype=float)
     if np.any(t < 0.0):
@@ -283,7 +284,10 @@ def invert_laplace(f: Callable[[np.ndarray], np.ndarray], moments,
     alias_est = math.exp(-sigma * (2.0 * period - t_max))
     # The probe bounds the tail only once |g| falls as 1/|s|^(P+2); while
     # the summed estimate still exceeds TOL, sum again on a doubled
-    # contour, up to MAX_NODES.
+    # contour, up to MAX_NODES.  h stays, so the nodes summed so far are
+    # the inner ones of the doubled contour, and g is evaluated only at
+    # the nodes beyond them.
+    g_vals = np.empty(0, dtype=complex)
     while True:
         n_half = int(math.ceil(omega_max / h))
         capped = 2 * n_half + 1 > MAX_NODES
@@ -291,7 +295,12 @@ def invert_laplace(f: Callable[[np.ndarray], np.ndarray], moments,
             n_half = (MAX_NODES - 1) // 2
             omega_max = n_half * h
         n_nodes = 2 * n_half + 1
-        g_vals = g(sigma + 1j * ((np.arange(n_nodes) - n_half) * h))
+        j = np.arange(n_nodes) - n_half
+        fresh = np.abs(j) > (g_vals.size - 1) // 2
+        vals = np.empty(n_nodes, dtype=complex)
+        vals[~fresh] = g_vals
+        vals[fresh] = g(sigma + 1j * (j[fresh] * h))
+        g_vals = vals
         g_vals[[0, -1]] *= 0.5                 # trapezoid end weights
         result_inner, result_outer = _phase_sums(g_vals, h, t,
                                                  0.5 * omega_max)
@@ -300,6 +309,7 @@ def invert_laplace(f: Callable[[np.ndarray], np.ndarray], moments,
         err_est = trunc_est + alias_est
         if err_est <= TOL or capped:
             break
+        g_vals[[0, -1]] *= 2.0                 # inner on the doubled one
         omega_max *= 2.0
 
     reference = np.exp(-c_ref * t) * sum(

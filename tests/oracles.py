@@ -6,8 +6,12 @@ sum with an explicit basis, the raw spherical integral behind
 ``geometry.d_oracle`` direction by direction, the isotropic average of
 l^2 by product quadrature or Monte Carlo, and the excited-state resolvent
 by a dense solve over the full channel block instead of the rank-per-atom
-elimination.  ``self_energy`` is no oracle: it exposes the package's own
-rank-per-atom self-energy, which only the tests need on its own.
+elimination.  ``chebyshev_moments`` runs the propagator's moment
+recursion one order at a time, with a dot product pair per order, and
+``bromwich_fresh_sum`` takes the Bromwich inversion's sum on its final
+contour in one pass.  ``self_energy`` is no oracle: it exposes the
+package's own rank-per-atom self-energy, which only the tests need on its
+own.
 """
 
 import math
@@ -17,9 +21,14 @@ from numpy.polynomial.legendre import leggauss
 from scipy.integrate import quad
 
 from watched_decay.discretize import DiscreteModel
+from watched_decay.dynamics import (
+    MOMENT_SLACK,
+    IntegrationError,
+    _generator_product,
+)
 from watched_decay.geometry import TWO_PI, DipoleGeometry, _orthonormal_transverse
 from watched_decay.model import _as_unit_vector
-from watched_decay.resolvent import _as_s_array, _sigma
+from watched_decay.resolvent import _as_s_array, _phase_sums, _sigma
 
 
 def s_func_quadrature(z: float) -> float:
@@ -167,3 +176,66 @@ def self_energy(s, model: DiscreteModel):
     s_arr, scalar = _as_s_array(s)
     sigma = _sigma(s_arr, model)
     return complex(sigma[0]) if scalar else sigma
+
+
+def chebyshev_moments(model: DiscreteModel, c: float, r: float,
+                      n: int) -> np.ndarray:
+    """mu_0 .. mu_2n of (H - c) / r, one order at a time.
+
+    The recursion t_k+1 = (2 / r) (H - c) t_k - t_k-1 through three
+    vectors, with mu_2k-1 = 2 Re <t_k|t_k-1> - mu_1 and
+    mu_2k = 2 <t_k|t_k> - mu_0 from ``np.vdot`` at each order.  Raises
+    IntegrationError, as the propagator does, at the first order whose
+    moments leave [-1, 1] by more than MOMENT_SLACK.
+    """
+    apply = _generator_product(model, c, r)
+    prev, cur, nxt = (np.zeros(model.size, dtype=complex) for _ in range(3))
+    mu = np.empty(2 * n + 1)
+    prev[0] = 1.0
+    apply(prev, cur)
+    cur *= 0.5
+    mu[0], mu[1] = 1.0, cur[0].real
+    limit = 1.0 + MOMENT_SLACK
+    for k in range(1, n + 1):                 # cur = t_k, prev = t_k-1
+        if k > 1:
+            apply(cur, nxt, prev)
+            prev, cur, nxt = cur, nxt, prev
+        mu[2 * k - 1] = 2.0 * np.vdot(cur, prev).real - mu[1]
+        mu[2 * k] = 2.0 * np.vdot(cur, cur).real - mu[0]
+        if not (abs(mu[2 * k - 1]) <= limit and abs(mu[2 * k]) <= limit):
+            raise IntegrationError(
+                f"Chebyshev moments {2 * k - 1} and {2 * k} are "
+                f"{mu[2 * k - 1]:.3g} and {mu[2 * k]:.3g}, outside "
+                f"[-1, 1]: the spectral interval c = {c:.6g}, "
+                f"r = {r:.6g} is too small")
+    return mu
+
+
+def bromwich_fresh_sum(f, moments, t, info: dict) -> np.ndarray:
+    """The trapezoidal Bromwich sum on the contour ``info`` describes,
+    with f evaluated at every node in one call.
+
+    info is what ``resolvent.invert_laplace`` returns for f, moments and
+    t.  The reference sum_p b_p / (s + c)^(p+1), b_p the moments
+    re-expanded about -c = -info["c_ref"], is inverted in closed form and
+    its remainder summed with the inversion's own phase sum, so this is
+    the inversion's result when it takes no value from an earlier
+    contour.
+    """
+    t = np.asarray(t, dtype=float)
+    m = np.asarray(moments, dtype=complex)
+    c, h, sigma = info["c_ref"], info["h"], info["sigma"]
+    b = [sum(math.comb(p, k) * c ** (p - k) * m[k] for k in range(p + 1))
+         for p in range(m.size)]
+    n_half = (info["n_nodes"] - 1) // 2
+    s = sigma + 1j * ((np.arange(info["n_nodes"]) - n_half) * h)
+    u = 1.0 / (s + c)
+    ref = np.zeros_like(u)
+    for b_p in b[::-1]:
+        ref = u * (b_p + ref)
+    g = np.asarray(f(s)) - ref
+    g[[0, -1]] *= 0.5
+    inner, outer = _phase_sums(g, h, t, 0.5 * info["omega_max"])
+    reference = np.exp(-c * t) * sum(
+        b_p * t**p / math.factorial(p) for p, b_p in enumerate(b))
+    return reference + (h / TWO_PI) * np.exp(sigma * t) * (inner + outer)

@@ -12,6 +12,7 @@ discrepancy (see the notes in ``analytic`` and ``geometry``).
 
 import math
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -21,6 +22,8 @@ from scipy.special import jv
 from golden_runs import criteria_moved, read_criteria, versions_note
 from oracles import (
     angular_average_l2,
+    bromwich_fresh_sum,
+    chebyshev_moments,
     polarization_sum,
     resolvent_a0_dense,
     s_func_quadrature,
@@ -38,9 +41,11 @@ from watched_decay.discretize import (
     build_scalar_toy,
 )
 from watched_decay.dynamics import (
+    TAIL_TOL,
     SolverSpec,
     _generator_product,
     _inertia_test,
+    _kapteyn_order,
     _moments,
     _series,
     _spectral_interval,
@@ -61,6 +66,7 @@ from watched_decay.model import (
 )
 from watched_decay.resolvent import (
     TOL,
+    invert_laplace,
     resolvent_a0_discrete,
     ww_pole,
 )
@@ -369,6 +375,28 @@ def test_scaled_product_matches_dense_generator(n_atoms, n_channels):
         np.testing.assert_allclose(out, expected, rtol=0.0, atol=1e-12)
 
 
+def test_moments_match_reference_recursion(full3d_runs, monkeypatch):
+    # The block-wise recursion against one dot product pair per order, on
+    # the quick-start model and on random models with 0, 1 and 3 detector
+    # atoms, each in one block; blocks of 2, 3 and 7 orders, which carry
+    # their last two vectors into the next block, give the same moments.
+    rng = np.random.default_rng(23)
+    cases = [(full3d_runs["offnode"]["model"], FULL3D_T)]
+    cases += [(random_discrete_model(rng, n_atoms), 60.0)
+              for n_atoms in (0, 1, 3)]
+    for model, t_max in cases:
+        c, r = _spectral_interval(model)
+        n = int(_kapteyn_order(r * t_max, TAIL_TOL)) - 1
+        assert n <= dynamics.CHUNK_VALUES // model.size
+        mu = _moments(model, c, r, n)
+        np.testing.assert_allclose(mu, chebyshev_moments(model, c, r, n),
+                                   rtol=0.0, atol=1e-13)
+        for block in (2, 3, 7):
+            monkeypatch.setattr(dynamics, "CHUNK_VALUES", block * model.size)
+            np.testing.assert_array_equal(_moments(model, c, r, n), mu)
+        monkeypatch.undo()
+
+
 def test_integrate_within_error_bound_on_random_models():
     rng = np.random.default_rng(11)
     sizes = []
@@ -537,6 +565,41 @@ def test_contour_doubles_until_estimate_meets_tol(route_runs, monkeypatch):
     assert info["ref_order"] == 9
     assert info["omega_max"] > 16.0
     assert info["error_estimate"] <= TOL
+
+
+def test_contour_summed_again_evaluates_only_new_nodes(route_runs,
+                                                       monkeypatch):
+    # On vacuum-1d at order 9 the contour of 1,601 nodes is summed again on
+    # one of 3,201 with the same h: its 1,601 inner nodes are the old ones,
+    # so the transform is evaluated only at the 1,600 beyond them, and the
+    # result is the sum with every node evaluated afresh.
+    monkeypatch.setattr(resolvent, "REF_ORDER", 9)
+    model, comp = route_runs["vacuum-1d"]
+    apply = _generator_product(model)
+    y = np.zeros(model.size, dtype=complex)
+    y[0] = 1.0
+    moments = [y[0]]
+    for _ in range(9):
+        y = -1j * apply(y)
+        moments.append(y[0])
+
+    def shifted(s):
+        return resolvent.resolvent_a0_discrete(s - 1j * OMEGA0, model)
+
+    with mock.patch.object(resolvent, "resolvent_a0_discrete",
+                           wraps=resolvent.resolvent_a0_discrete) as spy:
+        values, info = invert_laplace(shifted, moments, comp.times)
+    sums = [call.args[0] for call in spy.call_args_list
+            if np.size(call.args[0]) > 1]
+    assert [s.size for s in sums] == [1_601, 1_600]
+    nodes = np.concatenate(sums)
+    n_half = (info["n_nodes"] - 1) // 2
+    contour = (info["sigma"] + 1j * (np.arange(-n_half, n_half + 1)
+                                     * info["h"]) - 1j * OMEGA0)
+    np.testing.assert_array_equal(np.sort_complex(nodes),
+                                  np.sort_complex(contour))
+    fresh = bromwich_fresh_sum(shifted, moments, comp.times, info)
+    assert np.max(np.abs(values - fresh)) <= 1e-14 * np.max(np.abs(fresh))
 
 
 def test_bromwich_initial_value(route_runs):

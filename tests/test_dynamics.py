@@ -1,10 +1,12 @@
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
 from scipy.special import jv
 
+from oracles import chebyshev_moments
 from watched_decay import dynamics, resolvent
 from watched_decay.discretize import (
     DiscreteModel,
@@ -229,6 +231,30 @@ def test_undersized_interval_raises(monkeypatch):
                         lambda model: (c, 0.5 * r))
     with pytest.raises(IntegrationError, match="too small"):
         integrate(model, 100.0)
+
+
+@pytest.mark.parametrize("shrink", [0.5, 0.05, 0.005])
+def test_undersized_interval_raises_as_reference(monkeypatch, shrink):
+    # However far the series diverges within a block, integrate raises the
+    # error of the first order out of [-1, 1], as the order-by-order
+    # recursion does, and no floating-point warning escapes.  The default
+    # toy to t = 100 stays finite; an 11-amplitude model to t = 1e4
+    # overflows within its first block.
+    toy = build_scalar_toy(ToySpec())
+    small = random_model(np.random.default_rng(5))
+    for model, t_max in ((toy, 100.0), (small, 1e4)):
+        c, r = _spectral_interval(model)
+        r *= shrink
+        n = max(2, int(_kapteyn_order(r * t_max, TAIL_TOL))) - 1
+        with pytest.raises(IntegrationError) as reference:
+            chebyshev_moments(model, c, r, n)
+        monkeypatch.setattr(dynamics, "_spectral_interval",
+                            lambda model: (c, r))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(IntegrationError) as raised:
+                integrate(model, t_max)
+        assert str(raised.value) == str(reference.value)
 
 
 def test_integrate_memory_is_bounded():
