@@ -16,7 +16,6 @@ object on stderr.
 
 from __future__ import annotations
 
-import argparse
 import csv
 import json
 import math
@@ -545,6 +544,10 @@ def run(config: RunConfig, out_dir: Path, jobs: int = 1) -> dict:
 
 
 def _parse_args(argv):
+    # Imported here, its only use: a plain import of this module then
+    # skips argparse and the gettext it loads.
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="watched-decay",
         description="Decay of an excited atom watched by an ionizable "

@@ -12,25 +12,30 @@ a0(t) = <0|exp(-i H t)|0>.  In the frame rotating at w0 (every frequency
 replaced by its detuning) the spectrum of H lies in [c - r, c + r].
 Each end is bisected between the diagonal and Weyl's bound on an inertia
 test over the Schur complements of the channel, mode and atom blocks,
-which the resolvent's own elimination gives at s = -i E.  That puts each
-end at most 2^-13 of its bracket past an extreme eigenvalue, so the
-series is no longer than the spectrum needs.  The amplitude is the
+which the resolvent's own elimination gives at s = -i E; both ends go in
+lockstep, their two midpoints in one elimination.  That puts each end at
+most 2^-13 of its bracket past an extreme eigenvalue, so the series is
+no longer than the spectrum needs.  The amplitude is the
 Chebyshev series of Tal-Ezer & Kosloff (J. Chem. Phys. 81, 3967, 1984)
 
     a0(t) = exp(-i (w0 + c) t) sum_k (2 - delta_k0) (-i)^k J_k(r t) mu_k
 
 over the moments mu_k = <0|T_k((H - c) / r)|0>, in the moment form of
 the kernel polynomial method (Weisse et al., Rev. Mod. Phys. 78, 275,
-2006): one recursion of N generator products gives the 2N + 1 moments
-that serve every output time at once.  Each step of the recursion is one
-call of the one generator product, t_k+1 = (2 / r) (H - c) t_k - t_k-1,
-from arrays scaled by 2 / r once per model.  The steps go a block of
-orders at a time, and each block's moments come from two row-wise dot
-products over its vectors rather than from two dot products per step.
-The series stops where every later |J_k(r t_max)| is below ``TAIL_TOL``,
-so its error has a bound.  The norm, which the same moments give, is
-exact up to that tail and rounding and so indicates the propagator's
-health.  The stored trajectory is in the lab frame.
+2006): by its doubling identities one recursion of N generator products
+gives the 2N + 1 moments that serve every output time at once.  Each
+step of the recursion is one call of the one generator product,
+t_k+1 = (2 / r) (H - c) t_k - t_k-1, from arrays scaled by 2 / r once per
+model, on views of the recursion's vectors made once per recursion.  The
+steps go a block of orders at a time, and each block's moments come from
+two row-wise dot products over its vectors rather than from two dot
+products per step.  The series stops where every later |J_k(r t_max)| is
+below ``TAIL_TOL``, so its error has a bound.  The series of order N
+reads mu_0 .. mu_N, which ceil(N / 2) products give; the norm, which
+needs all 2N + 1, is exact up to that tail and rounding and so indicates
+the propagator's health.  ``integrate`` reports it, and
+``compare_routes``, which reads only a0, takes the half recursion.  The
+stored trajectory is in the lab frame.
 """
 
 from __future__ import annotations
@@ -63,6 +68,10 @@ MILLER_SEED = 1e-250
 #: from 10.7 to 20.3 MB, and moves their amplitudes by 5e-16, since the
 #: split of the times sets the rounding.
 CHUNK_VALUES = 1 << 18
+#: Orders in the moment recursion's first block; each next block holds
+#: twice as many, up to the ``CHUNK_VALUES`` budget, so a diverging
+#: series raises within a few orders of where it leaves [-1, 1].
+FIRST_BLOCK = 8
 #: With the spectrum inside the interval every |mu_k| <= 1; a moment past
 #: 1 + this means the interval is too small and the series diverges.
 MOMENT_SLACK = 1e-9
@@ -111,23 +120,19 @@ class RateFit:
     r_squared: float
 
 
-def _generator_product(model: DiscreteModel, c: float = 0.0,
-                       r: float = 2.0):
-    """The product v -> (2 / r) (H - c) v - prev with the rotating-frame
-    generator H; the defaults give H itself.
+def _operands(model: DiscreteModel, c: float, r: float) -> tuple:
+    """The arrays of the product v -> (2 / r) (H - c) v - prev, scaled by
+    2 / r once, and its scratch.
 
-    Returns apply(v, out=None, prev=None), which writes the product into
-    out (a new array when out is None; out must be neither v nor prev)
-    and returns it.  Its arrays are scaled by 2 / r once, here: the
-    diagonal over every amplitude (the channel detunings repeated per
-    atom), stored complex so that no call casts it, and one K x (1 + A)
-    coupling matrix F = (2 / r) [alpha, f], the atom in column 0, with
-    its conjugate.  a_k F gives the atom row and the channel sources,
-    and with y = [a0, a_c m] the mode rows are conj(F) y.
+    The diagonal runs over every amplitude (the channel detunings repeated
+    per atom) and is stored complex, so that no call casts it; the
+    coupling matrix F = (2 / r) [alpha, f] is K x (1 + A), the atom in
+    column 0, stored with its conjugate.  a_k F gives the atom row and the
+    channel sources, and with y = [a0, a_c m] the mode rows are conj(F) y.
+    The channel weights m are None without detector atoms or channels.
     """
     scale = 2.0 / r
     n_modes, n_atoms = model.detector_factors.shape
-    n_channels = model.n_channels
     # Bare atom frequency (with its level-shift counterterm); the frame
     # still rotates at the dressed omega0 on every tier.
     diag = np.concatenate(([model.omega_a], model.mode_omegas,
@@ -135,36 +140,77 @@ def _generator_product(model: DiscreteModel, c: float = 0.0,
     diag = (scale * (diag - OMEGA0 - c)).astype(complex)
     coupling = scale * np.column_stack((model.mode_alphas,
                                         model.detector_factors))
-    coupling_conj = np.conj(coupling)
-    m = model.channel_mu.astype(complex)
-    detector = n_atoms > 0 and n_channels > 0
-    y, sources = np.zeros((2, 1 + n_atoms), dtype=complex)
-    mode_tmp = np.empty(n_modes, dtype=complex)
-    channel_tmp = np.empty((n_atoms, n_channels), dtype=complex)
+    m = None
+    if n_atoms and model.n_channels:
+        m = model.channel_mu.astype(complex)
+    sources, y = np.zeros((2, 1 + n_atoms), dtype=complex)
+    return (diag, coupling, np.conj(coupling), m, sources, sources[1:, None],
+            y, y[1:], np.empty(n_modes, dtype=complex),
+            np.empty((n_atoms, model.n_channels), dtype=complex))
+
+
+def _views(model: DiscreteModel, rows: np.ndarray) -> list:
+    """Each of the vectors in rows with views of its mode entries and of
+    its channels as an A x C block: the parts ``_product`` reads and
+    writes."""
+    k = model.n_modes
+    return list(zip(rows, rows[:, 1:1 + k],
+                    rows[:, 1 + k:].reshape(len(rows), model.n_atoms,
+                                            model.n_channels)))
+
+
+def _product(ops: tuple, src: tuple, dst: tuple, prev) -> None:
+    """dst = (2 / r) (H - c) src - prev, src and dst given by their
+    ``_views``, ops by ``_operands``; prev is an array or None.
+
+    The one generator product: ten numpy calls or fewer, on views made
+    beforehand and into scratch made beforehand, with ``np.dot`` (a
+    lighter call than ``np.matmul``) and every ``out`` positional.
+    """
+    (diag, coupling, coupling_conj, m, sources, channel_sources, y,
+     y_channels, mode_tmp, channel_tmp) = ops
+    v, v_modes, v_channels = src
+    out, out_modes, out_channels = dst
+    np.multiply(diag, v, out)
+    if prev is not None:
+        np.subtract(out, prev, out)
+    np.dot(v_modes, coupling, sources)
+    out[0] += sources[0]
+    y[0] = v[0]
+    if m is not None:
+        np.dot(v_channels, m, y_channels)
+        np.multiply(channel_sources, m, channel_tmp)
+        np.add(out_channels, channel_tmp, out_channels)
+    np.dot(coupling_conj, y, mode_tmp)
+    np.add(out_modes, mode_tmp, out_modes)
+
+
+def _generator_product(model: DiscreteModel, c: float = 0.0,
+                       r: float = 2.0):
+    """The product v -> (2 / r) (H - c) v - prev with the rotating-frame
+    generator H; the defaults give H itself.
+
+    Returns apply(v, out=None, prev=None), which writes the product into
+    out (a new array when out is None; out must be neither v nor prev)
+    and returns it.  It is a thin wrapper of ``_product``, which makes
+    the views of v and out on every call; ``_moments`` makes them once.
+    """
+    ops = _operands(model, c, r)
 
     def apply(v, out=None, prev=None):
         if out is None:
             out = np.empty_like(v)
-        np.multiply(diag, v, out=out)
-        if prev is not None:
-            out -= prev
-        np.matmul(v[1:1 + n_modes], coupling, out=sources)
-        out[0] += sources[0]
-        y[0] = v[0]
-        if detector:
-            ac = v[1 + n_modes:].reshape(n_atoms, n_channels)
-            np.matmul(ac, m, out=y[1:])
-            hc = out[1 + n_modes:].reshape(n_atoms, n_channels)
-            hc += np.multiply(sources[1:, None], m, out=channel_tmp)
-        np.matmul(coupling_conj, y, out=mode_tmp)
-        out[1:1 + n_modes] += mode_tmp
+        (src,), (dst,) = _views(model, v[None]), _views(model, out[None])
+        _product(ops, src, dst, prev)
         return out
 
     return apply
 
 
-def _inertia_test(model: DiscreteModel, lam: float, sign: float) -> bool:
-    """The test of lam I - sign H > 0 for the rotating-frame generator H.
+def _inertia_tests(model: DiscreteModel, lam: np.ndarray,
+                   sign: np.ndarray) -> np.ndarray:
+    """The test of lam I - sign H > 0 for the rotating-frame generator H,
+    at each point lam[i] for sign[i].
 
     For lam above every diagonal entry of sign H it returns whether
     sign (E - H) is positive definite, with
@@ -175,40 +221,37 @@ def _inertia_test(model: DiscreteModel, lam: float, sign: float) -> bool:
     and the atom's complement is E - omega_a - Im sigma(-i E).  By
     Haynsworth's inertia additivity sign (E - H) is positive definite
     exactly when I - g G is and sign times the atom's complement is
-    positive.  A singular I - g G fails the test.
+    positive.  A singular I - g G fails the test.  The points go through
+    one elimination where the transform's chunk (resolvent._chunk_points)
+    holds them all; otherwise, or where one point's I - g G is singular,
+    which fails the whole solve, they go one by one.
     """
     E = sign * lam + OMEGA0
-    try:
-        _, sigma, mat = resolvent._eliminate(np.array([[-1j * E]]), model)
-    except np.linalg.LinAlgError:
-        return False
-    complement = sign * (E - model.omega_a - sigma[0].imag)
-    return bool(complement > 0.0) and (
-        mat is None or bool(np.all(np.linalg.eigvalsh(mat[0]) > 0.0)))
+
+    def definite(sl):
+        _, sigma, mat = resolvent._eliminate(-1j * E[sl, None], model)
+        ok = sign[sl] * (E[sl] - model.omega_a - sigma.imag) > 0.0
+        if mat is not None:
+            ok &= np.all(np.linalg.eigvalsh(mat) > 0.0, axis=1)
+        return ok
+
+    if 1 < E.size <= resolvent._chunk_points(model):
+        try:
+            return definite(slice(None))
+        except np.linalg.LinAlgError:
+            pass                              # so one by one
+    ok = np.zeros(E.size, dtype=bool)
+    for i in range(E.size):
+        try:
+            ok[i] = definite(slice(i, i + 1))[0]
+        except np.linalg.LinAlgError:
+            pass                              # a singular I - g G fails
+    return ok
 
 
-def _spectrum_top(model: DiscreteModel, sign: float, lo: float,
-                  hi: float) -> float:
-    """Least tested lam above every eigenvalue of sign H.
-
-    lo is the largest diagonal entry of sign H, at or below its top
-    eigenvalue, and hi Weyl's bound, at or above it.  Above the diagonal
-    the inertia test passes exactly above the spectrum, so each of
-    ``INTERVAL_STEPS`` steps tests the midpoint and keeps the half that
-    brackets the top eigenvalue; hi stays Weyl's bound until a point
-    passes.  It stops early once the midpoint is no longer strictly
-    inside (lo, hi): without coupling lo = hi is a diagonal entry, where
-    the test would divide by zero.
-    """
-    for _ in range(INTERVAL_STEPS):
-        mid = 0.5 * (lo + hi)
-        if not lo < mid < hi:
-            break
-        if _inertia_test(model, mid, sign):
-            hi = mid
-        else:
-            lo = mid
-    return hi
+def _inertia_test(model: DiscreteModel, lam: float, sign: float) -> bool:
+    """``_inertia_tests`` at the one point lam for sign."""
+    return bool(_inertia_tests(model, np.array([lam]), np.array([sign]))[0])
 
 
 def _spectral_interval(model: DiscreteModel) -> tuple[float, float]:
@@ -219,20 +262,35 @@ def _spectral_interval(model: DiscreteModel) -> tuple[float, float]:
     detunings), which the extreme eigenvalues reach at least, and Weyl's
     bound, that range widened by the norm of the off-diagonal part: at
     most |alpha|_2 + |F|_2 |m|_2, since the mode-channel block is
-    conj(F) kron m^T.  ``_spectrum_top`` bisects the bracket on the
-    inertia test of ``_inertia_test``, at most 2 ``INTERVAL_STEPS``
-    points in all, so each end is either Weyl's bound or a point shown
-    to lie beyond the spectrum.
+    conj(F) kron m^T.  Both ends, as tops of sign H for sign = +1 and -1,
+    are bisected in lockstep on the inertia test of ``_inertia_tests``,
+    their two midpoints in one call.  Above the diagonal the test passes
+    exactly above the spectrum, so each of ``INTERVAL_STEPS`` steps keeps
+    the half of each bracket that holds its end; the upper bound stays
+    Weyl's until a point passes.  An end stops early once its midpoint is
+    no longer strictly inside its bracket: without coupling the bracket
+    shrinks to a diagonal entry, where the test would divide by zero.  So
+    at most 2 ``INTERVAL_STEPS`` points are tested, and each end is
+    either Weyl's bound or a point shown to lie beyond the spectrum.
     """
     diag = np.concatenate(([model.omega_a], model.mode_omegas,
                            model.channel_omegas)) - OMEGA0
-    lo, hi = float(np.min(diag)), float(np.max(diag))
     off = float(np.linalg.norm(model.mode_alphas))
     if model.n_atoms and model.n_channels:
         off += float(np.linalg.norm(model.detector_factors, 2)
                      * np.linalg.norm(model.channel_mu))
-    top = _spectrum_top(model, 1.0, hi, hi + off)
-    bottom = -_spectrum_top(model, -1.0, -lo, -lo + off)
+    top, bottom = float(np.max(diag)), -float(np.min(diag))
+    ends = [[top, top + off, 1.0], [bottom, bottom + off, -1.0]]  # lo, hi
+    for _ in range(INTERVAL_STEPS):
+        live = [(end, 0.5 * (end[0] + end[1])) for end in ends]
+        live = [(end, mid) for end, mid in live if end[0] < mid < end[1]]
+        if not live:
+            break
+        passed = _inertia_tests(model, np.array([mid for _, mid in live]),
+                                np.array([end[2] for end, _ in live]))
+        for (end, mid), ok in zip(live, passed):
+            end[1 if ok else 0] = mid
+    top, bottom = ends[0][1], -ends[1][1]
     half = 0.5 * (top - bottom)
     # A generator with a single eigenvalue is c itself; any r serves.
     return 0.5 * (top + bottom), half if half > 0.0 else 1.0
@@ -243,31 +301,39 @@ def _moments(model: DiscreteModel, c: float, r: float, n: int) -> np.ndarray:
 
     With t_k = T_k((H - c) / r)|0> and H Hermitian, T_k T_l =
     (T_k+l + T_|k-l|) / 2 gives mu_2k = 2 <t_k|t_k> - mu_0 and
-    mu_2k-1 = 2 <t_k|t_k-1> - mu_1.  The recursion writes a block of up to
-    ``CHUNK_VALUES`` / size orders into the rows of a ring behind the two
-    vectors it carries from the block before, and the block's moments
-    come from two row-wise dot products of the real views, since
-    Re <a|b> = Re a . Re b + Im a . Im b.  The first order whose moments
-    leave [-1, 1] by more than ``MOMENT_SLACK`` raises IntegrationError;
-    the rest of its block may overflow on the way, which is not reported.
+    mu_2k-1 = 2 <t_k|t_k-1> - mu_1, the doubling identities of the kernel
+    polynomial method: n products give 2n + 1 moments, and so the
+    amplitude's mu_0 .. mu_n need only ceil(n / 2).  Each moment comes
+    from its own two vectors, so the moments do not depend on n.  The
+    recursion writes blocks of orders into the rows of a ring behind the
+    two vectors it carries from the block before, calling ``_product`` on
+    views of the rows made once per call.  The first block holds
+    ``FIRST_BLOCK`` orders, and each next one twice as many, up to
+    ``CHUNK_VALUES`` / size.  A block's moments come from two row-wise dot
+    products of the real views, since Re <a|b> = Re a . Re b + Im a . Im b.
+    The first order whose moments leave [-1, 1] by more than
+    ``MOMENT_SLACK`` raises IntegrationError; a diverging recursion so
+    stops within FIRST_BLOCK + 2 k products of that order k, and the rest
+    of its block may overflow on the way, which is not reported.
     """
-    apply = _generator_product(model, c, r)
-    block = max(2, min(n, CHUNK_VALUES // model.size))
-    ring = np.zeros((2 + block, model.size), dtype=complex)
+    ops = _operands(model, c, r)
+    cap = max(2, min(n, CHUNK_VALUES // model.size))
+    ring = np.zeros((2 + cap, model.size), dtype=complex)
     rows = ring.view(float)
+    views = _views(model, ring)
     mu = np.empty(2 * n + 1)
     limit = 1.0 + MOMENT_SLACK
     ring[0, 0] = 1.0                          # t_0
-    apply(ring[0], ring[1])
+    _product(ops, views[0], views[1], None)
     ring[1] *= 0.5                            # t_1, half the product
     mu[0], mu[1] = 1.0, ring[1, 0].real
     # Row 0 holds t_base, and the moments are due from row first on.
-    base, first = 0, 1
+    base, first, block = 0, 1, min(FIRST_BLOCK, cap)
     with np.errstate(over="ignore", invalid="ignore"):
         while True:
             m = min(2 + block, n + 1 - base)      # rows t_base .. t_top
             for j in range(2, m):
-                apply(ring[j - 1], ring[j], ring[j - 2])
+                _product(ops, views[j - 1], views[j], views[j - 2][0])
             lo, top = base + first, base + m - 1
             pairs = mu[2 * lo - 1:2 * top + 1].reshape(-1, 2)
             cur, prev = rows[first:m], rows[first - 1:m - 1]
@@ -284,7 +350,7 @@ def _moments(model: DiscreteModel, c: float, r: float, n: int) -> np.ndarray:
             if top == n:
                 return mu
             ring[:2] = ring[m - 2:m]
-            base, first = top - 1, 2
+            base, first, block = top - 1, 2, min(2 * block, cap)
 
 
 def _log_kapteyn(k, x):
@@ -394,22 +460,26 @@ def _norm_form(mu: np.ndarray, first: int, m: int):
             0.5 * weight * np.fft.rfft(g_circ).real)
 
 
-def _series(mu: np.ndarray, x: np.ndarray):
-    """The rotating-frame series at each x = r t, and its norm squared.
+def _series(mu: np.ndarray, x: np.ndarray, norm: bool = True):
+    """The rotating-frame series of order n at each x = r t, and its norm
+    squared.
 
-    With w_k = (2 - delta_k0) J_k(x) and v_k = (-1)^(k // 2) w_k, the
+    mu holds mu_0 .. mu_2n; with norm=False it holds only mu_0 .. mu_n,
+    all the amplitude reads, and the norm is None.  With
+    w_k = (2 - delta_k0) J_k(x) and v_k = (-1)^(k // 2) w_k, the
     amplitude is sum_even v_k mu_k - i sum_odd v_k mu_k.  In the norm
     sum_kl conj(c_k) c_l (mu_k+l + mu_|k-l|) / 2, with c_k = (-i)^k w_k,
     the terms with k - l odd cancel in pairs, which leaves one real
     quadratic form in v per parity.  The times go in chunks of
     ``CHUNK_VALUES`` table entries.
     """
-    n = (mu.size - 1) // 2
+    n = (mu.size - 1) // 2 if norm else mu.size - 1
     scale = np.where(np.arange(n + 1) % 4 < 2, 2.0, -2.0)
     scale[0] = 1.0
-    forms = [_norm_form(mu, 0, n // 2 + 1), _norm_form(mu, 2, (n + 1) // 2)]
+    forms = [_norm_form(mu, 0, n // 2 + 1),
+             _norm_form(mu, 2, (n + 1) // 2)] if norm else []
     amp = np.empty(x.size, dtype=complex)
-    norm = np.zeros(x.size)
+    total = np.zeros(x.size) if norm else None
     chunk = max(1, CHUNK_VALUES // (n + 1))
     for lo in range(0, x.size, chunk):
         sl = slice(lo, lo + chunk)
@@ -417,9 +487,44 @@ def _series(mu: np.ndarray, x: np.ndarray):
         amp[sl] = mu[0:n + 1:2] @ v[0::2] - 1j * (mu[1:n + 1:2] @ v[1::2])
         for p, (size, a, b) in enumerate(forms):
             spec = np.fft.rfft(np.ascontiguousarray(v[p::2].T), size)
-            norm[sl] += (spec**2 @ a).real + (spec.real**2
-                                              + spec.imag**2) @ b
-    return amp, norm
+            total[sl] += (spec**2 @ a).real + (spec.real**2
+                                               + spec.imag**2) @ b
+    return amp, total
+
+
+def _propagate(model: DiscreteModel, t_max: float, t_eval, norm: bool):
+    """``integrate``'s work: the sampled times, the lab-frame a0 there,
+    its norm squared (None without norm) and the metadata.
+
+    Without the norm only mu_0 .. mu_n are computed, from ceil(n / 2)
+    generator products, and the metadata count those products as nfev.
+    """
+    if not 0.0 <= t_max < math.inf:
+        raise ValueError(f"t_max must be finite and >= 0, got {t_max}")
+    if t_max > model.t_rec:
+        raise RecurrenceError(
+            f"t_max = {t_max:.3g} exceeds grid recurrence time "
+            f"{model.t_rec:.3g}")
+    if t_eval is None:
+        t_eval = np.linspace(0.0, t_max, 301)
+    t_eval = np.array(t_eval, dtype=float)
+    if t_eval.size and not (t_eval.min() >= 0.0 and t_eval.max() <= t_max):
+        raise ValueError("t_eval must lie within [0, t_max]")
+
+    c, r = _spectral_interval(model)
+    x_max = r * t_max
+    n_terms = max(2, int(_kapteyn_order(x_max, TAIL_TOL)))
+    n = n_terms - 1
+    products = n if norm else (n + 1) // 2
+    mu = _moments(model, c, r, products)
+    rotated, total = _series(mu if norm else mu[:n + 1], r * t_eval, norm)
+    a0 = rotated * np.exp(-1j * (OMEGA0 + c) * t_eval)
+
+    tail = 2.0 * _kapteyn_tail(n_terms, x_max)
+    rounding = np.finfo(float).eps * (2.0 * n**1.5
+                                      + (OMEGA0 + abs(c)) * t_max)
+    return t_eval, a0, total, {"nfev": products, "n_terms": n_terms,
+                               "error_bound": float(tail + rounding)}
 
 
 def integrate(model: DiscreteModel, t_max: float,
@@ -438,36 +543,13 @@ def integrate(model: DiscreteModel, t_max: float,
     as rounding does in a stable three-term recursion, |d mu_k| <= k eps,
     against series weights whose absolute sum is at most sqrt(2 (N + 1))
     (Cauchy-Schwarz with sum_k w_k^2 <= 2); its second part is the
-    rounding of the phase exp(-i (omega0 + c) t).
+    rounding of the phase exp(-i (omega0 + c) t).  The norm drift needs
+    mu_0 .. mu_2N, so this takes N products, twice what a0 alone needs.
     ``solver`` is unused.
     """
-    if not 0.0 <= t_max < math.inf:
-        raise ValueError(f"t_max must be finite and >= 0, got {t_max}")
-    if t_max > model.t_rec:
-        raise RecurrenceError(
-            f"t_max = {t_max:.3g} exceeds grid recurrence time "
-            f"{model.t_rec:.3g}")
-    if t_eval is None:
-        t_eval = np.linspace(0.0, t_max, 301)
-    t_eval = np.array(t_eval, dtype=float)
-    if t_eval.size and not (t_eval.min() >= 0.0 and t_eval.max() <= t_max):
-        raise ValueError("t_eval must lie within [0, t_max]")
-
-    c, r = _spectral_interval(model)
-    x_max = r * t_max
-    n_terms = max(2, int(_kapteyn_order(x_max, TAIL_TOL)))
-    n = n_terms - 1
-    mu = _moments(model, c, r, n)
-    rotated, norm = _series(mu, r * t_eval)
-    a0 = rotated * np.exp(-1j * (OMEGA0 + c) * t_eval)
-
-    tail = 2.0 * _kapteyn_tail(n_terms, x_max)
-    rounding = np.finfo(float).eps * (2.0 * n**1.5
-                                      + (OMEGA0 + abs(c)) * t_max)
-    return Trajectory(
-        times=t_eval, a0=a0, survival=np.abs(a0) ** 2, norm_drift=norm - 1.0,
-        metadata={"nfev": n, "n_terms": n_terms,
-                  "error_bound": float(tail + rounding)})
+    t_eval, a0, norm, meta = _propagate(model, t_max, t_eval, norm=True)
+    return Trajectory(times=t_eval, a0=a0, survival=np.abs(a0) ** 2,
+                      norm_drift=norm - 1.0, metadata=meta)
 
 
 def fit_decay_rate(traj: Trajectory, gamma_expected: float) -> RateFit:
@@ -512,14 +594,17 @@ class RouteComparison:
 def compare_routes(model: DiscreteModel, t_grid) -> RouteComparison:
     """Chebyshev propagation vs resolvent inversion on the same model.
 
-    The inversion runs on the rotated resolvent A0(s - i w0) so the contour
-    sees only detuning-scale oscillations; the comparison is in the lab
-    frame.  Its moments <0|M^n|0> at infinity come from the rotating-frame
+    The propagation is ``integrate``'s without the norm, which nothing
+    here reads: its a0 is ``integrate``'s bit for bit, from ceil(n / 2)
+    generator products where ``integrate`` takes n.  The inversion runs
+    on the rotated resolvent A0(s - i w0) so the contour sees only
+    detuning-scale oscillations; the comparison is in the lab frame.
+    Its moments <0|M^n|0> at infinity come from the rotating-frame
     generator M = -i (H - w0) that the propagator expands, one generator
     product each.
     """
     t_grid = np.asarray(t_grid, dtype=float)
-    traj = integrate(model, float(t_grid[-1]), t_eval=t_grid)
+    a0_ode = _propagate(model, float(t_grid[-1]), t_grid, norm=False)[1]
 
     def shifted(s_arr):
         return resolvent.resolvent_a0_discrete(s_arr - 1j * OMEGA0, model)
@@ -533,7 +618,7 @@ def compare_routes(model: DiscreteModel, t_grid) -> RouteComparison:
         moments.append(y[0])
     rotated, info = resolvent.invert_laplace(shifted, moments, t_grid)
     a0_res = rotated * np.exp(-1j * OMEGA0 * t_grid)
-    diff = float(np.max(np.abs(traj.a0 - a0_res)))
-    return RouteComparison(times=t_grid, a0_ode=traj.a0,
+    diff = float(np.max(np.abs(a0_ode - a0_res)))
+    return RouteComparison(times=t_grid, a0_ode=a0_ode,
                            a0_resolvent=a0_res, max_abs_diff=diff,
                            inversion_info=info)

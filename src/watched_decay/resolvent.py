@@ -72,8 +72,9 @@ def _check_poles(s_arr: np.ndarray, omegas: np.ndarray):
 #: Complex values one chunk of the elimination holds per array: a chunk of
 #: b points keeps b (K (1 + A) + A^2 + C) of them for its mode propagators,
 #: the propagator-scaled factors behind G, G and channel propagators.
-#: ``_chunk_points`` gives b for the transform; the inertia test of
-#: dynamics takes one point at a time.  b is floored at one point, so the
+#: ``_chunk_points`` gives b for the transform; the spectral interval of
+#: dynamics tests its two ends' points in one call where b >= 2, and one
+#: at a time otherwise.  b is floored at one point, so the
 #: budget holds whatever n but not whatever the model: one point needs
 #: K (1 + A) + A^2 + C values, 761,330 for a 300-detector shell (K = 2,230),
 #: where the spectral interval's tracemalloc peak is 23.6 MB.  Summing over

@@ -9,7 +9,10 @@ by a dense solve over the full channel block instead of the rank-per-atom
 elimination.  ``chebyshev_moments`` runs the propagator's moment
 recursion one order at a time, with a dot product pair per order, and
 ``bromwich_fresh_sum`` takes the Bromwich inversion's sum on its final
-contour in one pass.  ``self_energy`` is no oracle: it exposes the
+contour in one pass.  ``spectral_interval_by_ends`` bisects the
+propagator's spectral interval one end after the other, one inertia
+test per call, where the package bisects both ends in lockstep.
+``self_energy`` is no oracle: it exposes the
 package's own rank-per-atom self-energy, which only the tests need on its
 own.
 """
@@ -22,12 +25,14 @@ from scipy.integrate import quad
 
 from watched_decay.discretize import DiscreteModel
 from watched_decay.dynamics import (
+    INTERVAL_STEPS,
     MOMENT_SLACK,
     IntegrationError,
     _generator_product,
+    _inertia_test,
 )
 from watched_decay.geometry import TWO_PI, DipoleGeometry, _orthonormal_transverse
-from watched_decay.model import _as_unit_vector
+from watched_decay.model import OMEGA0, _as_unit_vector
 from watched_decay.resolvent import _as_s_array, _phase_sums, _sigma
 
 
@@ -209,6 +214,42 @@ def chebyshev_moments(model: DiscreteModel, c: float, r: float,
                 f"[-1, 1]: the spectral interval c = {c:.6g}, "
                 f"r = {r:.6g} is too small")
     return mu
+
+
+def _spectrum_top(model: DiscreteModel, sign: float, lo: float,
+                  hi: float) -> float:
+    """Least tested lam above every eigenvalue of sign H, bisected from
+    the bracket (lo, hi) one inertia test at a time; it stops early once
+    the midpoint is no longer strictly inside the bracket."""
+    for _ in range(INTERVAL_STEPS):
+        mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            break
+        if _inertia_test(model, mid, sign):
+            hi = mid
+        else:
+            lo = mid
+    return hi
+
+
+def spectral_interval_by_ends(model: DiscreteModel) -> tuple[float, float]:
+    """Centre c and half-width r of the propagator's spectral interval,
+    with the top end bisected to the end before the bottom one starts.
+
+    Each end's bracket runs from the diagonal's range to Weyl's bound, as
+    in ``dynamics._spectral_interval``.
+    """
+    diag = np.concatenate(([model.omega_a], model.mode_omegas,
+                           model.channel_omegas)) - OMEGA0
+    lo, hi = float(np.min(diag)), float(np.max(diag))
+    off = float(np.linalg.norm(model.mode_alphas))
+    if model.n_atoms and model.n_channels:
+        off += float(np.linalg.norm(model.detector_factors, 2)
+                     * np.linalg.norm(model.channel_mu))
+    top = _spectrum_top(model, 1.0, hi, hi + off)
+    bottom = -_spectrum_top(model, -1.0, -lo, -lo + off)
+    half = 0.5 * (top - bottom)
+    return 0.5 * (top + bottom), half if half > 0.0 else 1.0
 
 
 def bromwich_fresh_sum(f, moments, t, info: dict) -> np.ndarray:

@@ -19,7 +19,8 @@ import pytest
 from scipy.integrate import quad
 from scipy.special import jv
 
-from golden_runs import criteria_moved, read_criteria, versions_note
+from golden_runs import WORK_MODELS, criteria_moved, read_criteria, \
+    versions_note
 from oracles import (
     angular_average_l2,
     bromwich_fresh_sum,
@@ -28,8 +29,10 @@ from oracles import (
     resolvent_a0_dense,
     s_func_quadrature,
     self_energy,
+    spectral_interval_by_ends,
     t_func_quadrature,
 )
+from test_dynamics import singular_channel_model
 from watched_decay import analytic, dynamics, resolvent
 from watched_decay.discretize import (
     OMEGA_CUT,
@@ -491,24 +494,31 @@ def test_atom_complement_matches_dense_resolvent_on_random_models():
 
 
 def test_spectral_interval_bisects_to_certified_ends(monkeypatch):
-    # The interval tests at most INTERVAL_STEPS points per end, one by one,
-    # and each end it returns is Weyl's bound or a point the inertia test
-    # passed for that end, up to the rounding of c and r.
+    # The interval tests at most INTERVAL_STEPS points per end, both ends'
+    # midpoints in one call, and each end it returns is Weyl's bound or a
+    # point the inertia test passed for that end, up to the rounding of c
+    # and r.
     calls = []
+    batches = []
+    real = dynamics._inertia_tests
 
     def counting(model, lam, sign):
-        ok = _inertia_test(model, lam, sign)
-        calls.append((lam, sign, ok))
+        ok = real(model, lam, sign)
+        calls.extend(zip(lam, sign, ok))
+        batches.append(lam.size)
         return ok
 
-    monkeypatch.setattr(dynamics, "_inertia_test", counting)
+    monkeypatch.setattr(dynamics, "_inertia_tests", counting)
     rng = np.random.default_rng(31)
     tested_ends = 0
     for _ in range(10):
         model = random_discrete_model(rng)
         calls.clear()
+        batches.clear()
         c, r = _spectral_interval(model)
         assert len(calls) <= 2 * dynamics.INTERVAL_STEPS
+        assert len(batches) <= dynamics.INTERVAL_STEPS
+        assert max(batches) <= 2
         diag = np.diag(hermitian_generator(model)).real - OMEGA0
         off = np.linalg.norm(model.mode_alphas)
         if model.n_atoms and model.n_channels:
@@ -522,6 +532,89 @@ def test_spectral_interval_bisects_to_certified_ends(monkeypatch):
                 abs(c) + r)
             tested_ends += nearest != weyl
     assert tested_ends > 0
+
+
+def tiny_free_model(alpha, factors=None):
+    """Two modes, 0.9 and 60, the far one uncoupled, and a detector atom
+    with one channel where factors are given."""
+    channels = {} if factors is None else {
+        "channel_omegas": np.array([0.9]), "channel_mu": np.array([0.2])}
+    return DiscreteModel(
+        mode_omegas=np.array([0.9, 60.0]),
+        mode_alphas=np.array([alpha, 0.0], dtype=complex),
+        detector_factors=(np.zeros((2, 0), complex) if factors is None
+                          else np.array(factors, complex).reshape(2, 1)),
+        channel_omegas=channels.get("channel_omegas", np.zeros(0)),
+        channel_mu=channels.get("channel_mu", np.zeros(0)),
+        t_rec=math.inf, meta={}, omega_a=1.0)
+
+
+def test_spectral_interval_matches_bisection_by_ends(route_runs,
+                                                     monkeypatch):
+    # Both ends bisected in lockstep, their midpoints in one elimination,
+    # give the c and r of one end bisected after the other, one point per
+    # call, bit for bit; so do single points, where the transform's chunk
+    # holds one.  The models: work.json's, criterion 3's (the routes_cli
+    # workload's), the random models of the inertia test, two
+    # coupling-free ones, where both ends stop before any test, one whose
+    # top end runs out of floats after 7 steps while the bottom takes 13,
+    # and the one whose channel block is singular at a point below its top.
+    models = [build() for build in WORK_MODELS.values()]
+    models += [model for model, _ in route_runs.values()]
+    rng = np.random.default_rng(29)
+    models += [random_discrete_model(rng) for _ in range(20)]
+    models += [tiny_free_model(0.0), tiny_free_model(0.0, [0.0, 0.0]),
+               tiny_free_model(1e-12), singular_channel_model()]
+    eliminations = []
+    real = resolvent._eliminate
+
+    def spy(block, model):
+        eliminations.append(block.shape[0])
+        return real(block, model)
+
+    monkeypatch.setattr(resolvent, "_eliminate", spy)
+    for model in models:
+        expected = spectral_interval_by_ends(model)
+        eliminations.clear()
+        assert _spectral_interval(model) == expected
+        assert len(eliminations) <= dynamics.INTERVAL_STEPS
+        if model is models[-2]:
+            assert eliminations.count(2) == 7 and len(eliminations) == 13
+        with monkeypatch.context() as single:
+            single.setattr(resolvent, "_chunk_points", lambda model: 1)
+            eliminations.clear()
+            assert _spectral_interval(model) == expected
+            assert set(eliminations) <= {1}
+
+
+@pytest.mark.parametrize("name", list(WORK_MODELS))
+def test_compare_routes_takes_half_the_products(name, monkeypatch):
+    # compare_routes reads only a0, which mu_0 .. mu_n give: ceil(n / 2)
+    # products give them, bit for bit the first 2 ceil(n / 2) + 1 of the
+    # moments of integrate's n products, so its a0 is integrate's bit for
+    # bit.  The routes agree on every work.json model, the 10-detector
+    # shell included.
+    model = WORK_MODELS[name]()
+    t_grid = np.linspace(0.0, min(FULL3D_T, 0.8 * model.t_rec), 201)
+    traj = integrate(model, float(t_grid[-1]), t_eval=t_grid)
+    n = traj.metadata["nfev"]
+    half = (n + 1) // 2
+    c, r = _spectral_interval(model)
+    np.testing.assert_array_equal(_moments(model, c, r, half),
+                                  _moments(model, c, r, n)[:2 * half + 1])
+    products = []
+    real = dynamics._product
+
+    def counting(*args):
+        products.append(None)
+        return real(*args)
+
+    monkeypatch.setattr(dynamics, "_product", counting)
+    comp = compare_routes(model, t_grid)
+    # REF_ORDER more products give the Laplace route's moments at infinity.
+    assert len(products) == half + resolvent.REF_ORDER
+    np.testing.assert_array_equal(comp.a0_ode, traj.a0)
+    assert comp.max_abs_diff < 1e-6
 
 
 def test_laplace_route_on_random_models():

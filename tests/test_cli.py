@@ -60,8 +60,8 @@ def test_module_entry_point_runs_without_runpy_warning():
 
 def test_import_loads_neither_scipy_nor_process_pool():
     # Every CLI call is a fresh process that pays for what cli imports:
-    # scipy is not a run-time dependency, and only a pooled sweep needs
-    # multiprocessing.
+    # scipy is not a run-time dependency, only a pooled sweep needs
+    # multiprocessing, and only main's argument parsing needs argparse.
     env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
     code = ("import json, sys, watched_decay.cli; "
             "print(json.dumps(sorted(sys.modules)))")
@@ -72,6 +72,7 @@ def test_import_loads_neither_scipy_nor_process_pool():
     assert "watched_decay.cli" in loaded
     assert [m for m in loaded if m == "scipy" or m.startswith("scipy.")] == []
     assert "concurrent.futures.process" not in loaded
+    assert "argparse" not in loaded
 
 
 # -- configuration ---------------------------------------------------------

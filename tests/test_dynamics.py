@@ -58,6 +58,16 @@ def random_model(rng, n_modes=7, n_channels=3):
         factors=rng.normal(size=n_modes) + 1j * rng.normal(size=n_modes))
 
 
+def singular_channel_model():
+    """One mode and one channel at 0.5, with f = m = 0.5: at lam = -0.25
+    (E = 0.75) the channel block's I - g G is exactly zero."""
+    return DiscreteModel(
+        mode_omegas=np.array([0.5]), mode_alphas=np.array([0.1 + 0j]),
+        detector_factors=np.array([[0.5 + 0j]]),
+        channel_omegas=np.array([0.5]), channel_mu=np.array([0.5]),
+        t_rec=math.inf, meta={}, omega_a=0.6)
+
+
 def random_state(rng, model):
     y = rng.normal(size=model.size) + 1j * rng.normal(size=model.size)
     return y / np.linalg.norm(y)
@@ -211,11 +221,7 @@ def test_inertia_test_fails_where_channel_block_is_singular():
     # zero, and E is an eigenvalue of the mode-channel block, which lies
     # below the top of the spectrum.  The point fails, and the singular
     # solve does not escape; lam = 0.3, above the spectrum, passes.
-    model = DiscreteModel(
-        mode_omegas=np.array([0.5]), mode_alphas=np.array([0.1 + 0j]),
-        detector_factors=np.array([[0.5 + 0j]]),
-        channel_omegas=np.array([0.5]), channel_mu=np.array([0.5]),
-        t_rec=math.inf, meta={}, omega_a=0.6)
+    model = singular_channel_model()
     H = np.column_stack([_generator_product(model)(v)
                          for v in np.eye(model.size, dtype=complex)])
     top = np.linalg.eigvalsh(H)[-1]
@@ -255,6 +261,73 @@ def test_undersized_interval_raises_as_reference(monkeypatch, shrink):
             with pytest.raises(IntegrationError) as raised:
                 integrate(model, t_max)
         assert str(raised.value) == str(reference.value)
+
+
+def counting_products(monkeypatch) -> list:
+    """Record each call of the one generator product, ``_product``."""
+    calls = []
+    real = dynamics._product
+
+    def counting(*args):
+        calls.append(None)
+        return real(*args)
+
+    monkeypatch.setattr(dynamics, "_product", counting)
+    return calls
+
+
+@pytest.mark.parametrize("case, shrink, t_max", [
+    ("random", 0.5, 1e4), ("toy", 0.9, 100.0), ("toy", 0.99, 100.0)])
+def test_diverging_series_stops_within_first_block_and_twice_its_order(
+        monkeypatch, case, shrink, t_max):
+    # The recursion's blocks start at FIRST_BLOCK orders and double, so it
+    # raises within FIRST_BLOCK + 2 k products of the order k at which the
+    # order-by-order reference raises, with the same message.  The
+    # 11-amplitude model has n = 19,507 at r x 0.5 to t = 1e4, where a
+    # whole first block of CHUNK_VALUES / size orders would run it all;
+    # its moments leave [-1, 1] at order 1, the toy's at orders 10 and 36.
+    if case == "random":
+        model = random_model(np.random.default_rng(5))
+    else:
+        model = build_scalar_toy(ToySpec())
+    c, r = _spectral_interval(model)
+    r *= shrink
+    n = max(2, int(_kapteyn_order(r * t_max, TAIL_TOL))) - 1
+    products = counting_products(monkeypatch)
+    with pytest.raises(IntegrationError) as reference:
+        chebyshev_moments(model, c, r, n)
+    order = len(products)
+    products.clear()
+    monkeypatch.setattr(dynamics, "_spectral_interval", lambda model: (c, r))
+    with pytest.raises(IntegrationError) as raised:
+        integrate(model, t_max)
+    assert str(raised.value) == str(reference.value)
+    assert order < len(products) <= dynamics.FIRST_BLOCK + 2 * order < n
+
+
+def test_inertia_tests_fall_back_to_one_point_per_call(monkeypatch):
+    # A singular I - g G at one point fails the batch's solve; the points
+    # are then tested one by one, and only the singular one fails.  Where
+    # the transform's chunk holds one point, each point has its own call.
+    model = singular_channel_model()
+    lam, sign = np.array([-0.25, 0.3]), np.ones(2)
+    with pytest.raises(np.linalg.LinAlgError):
+        resolvent._eliminate(-1j * (sign * lam + OMEGA0)[:, None], model)
+    np.testing.assert_array_equal(
+        dynamics._inertia_tests(model, lam, sign), [False, True])
+    sizes = []
+    real = resolvent._eliminate
+
+    def spy(block, model):
+        sizes.append(block.shape[0])
+        return real(block, model)
+
+    monkeypatch.setattr(resolvent, "_eliminate", spy)
+    monkeypatch.setattr(resolvent, "_chunk_points", lambda model: 1)
+    lam = np.array([0.3, 0.4])
+    np.testing.assert_array_equal(
+        dynamics._inertia_tests(model, lam, sign), [True, True])
+    assert sizes == [1, 1]
 
 
 def test_integrate_memory_is_bounded():
