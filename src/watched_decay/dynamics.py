@@ -11,11 +11,11 @@ that is dy/dt = -i H y with H Hermitian and constant in time, so
 a0(t) = <0|exp(-i H t)|0>.  In the frame rotating at w0 (every frequency
 replaced by its detuning) the spectrum of H lies in [c - r, c + r].
 Each end is bisected between the diagonal and Weyl's bound on an inertia
-test over the Schur complements of the channel, mode and atom blocks,
-which the resolvent's own elimination gives at s = -i E; both ends go in
-lockstep, their two midpoints in one elimination.  That puts each end at
-most 2^-13 of its bracket past an extreme eigenvalue, so the series is
-no longer than the spectrum needs.  The amplitude is the
+test, resolvent._inertia_tests, over the Schur complements of the
+channel, mode and atom blocks; both ends go in lockstep, their two
+midpoints in one call.  That puts each end at most 2^-13 of its bracket
+past an extreme eigenvalue, so the series is no longer than the
+spectrum needs.  The amplitude is the
 Chebyshev series of Tal-Ezer & Kosloff (J. Chem. Phys. 81, 3967, 1984)
 
     a0(t) = exp(-i (w0 + c) t) sum_k (2 - delta_k0) (-i)^k J_k(r t) mu_k
@@ -207,53 +207,6 @@ def _generator_product(model: DiscreteModel, c: float = 0.0,
     return apply
 
 
-def _inertia_tests(model: DiscreteModel, lam: np.ndarray,
-                   sign: np.ndarray) -> np.ndarray:
-    """The test of lam I - sign H > 0 for the rotating-frame generator H,
-    at each point lam[i] for sign[i].
-
-    For lam above every diagonal entry of sign H it returns whether
-    sign (E - H) is positive definite, with
-    E = sign lam + omega0 in the lab frame.  At s = -i E every propagator
-    of the resolvent is i times a real one, so its elimination,
-    resolvent._eliminate, gives the Schur complements of the channel,
-    mode and atom blocks: 1 + L G is I - g G, g = sum_c m_c^2 / (E - w_c),
-    and the atom's complement is E - omega_a - Im sigma(-i E).  By
-    Haynsworth's inertia additivity sign (E - H) is positive definite
-    exactly when I - g G is and sign times the atom's complement is
-    positive.  A singular I - g G fails the test.  The points go through
-    one elimination where the transform's chunk (resolvent._chunk_points)
-    holds them all; otherwise, or where one point's I - g G is singular,
-    which fails the whole solve, they go one by one.
-    """
-    E = sign * lam + OMEGA0
-
-    def definite(sl):
-        _, sigma, mat = resolvent._eliminate(-1j * E[sl, None], model)
-        ok = sign[sl] * (E[sl] - model.omega_a - sigma.imag) > 0.0
-        if mat is not None:
-            ok &= np.all(np.linalg.eigvalsh(mat) > 0.0, axis=1)
-        return ok
-
-    if 1 < E.size <= resolvent._chunk_points(model):
-        try:
-            return definite(slice(None))
-        except np.linalg.LinAlgError:
-            pass                              # so one by one
-    ok = np.zeros(E.size, dtype=bool)
-    for i in range(E.size):
-        try:
-            ok[i] = definite(slice(i, i + 1))[0]
-        except np.linalg.LinAlgError:
-            pass                              # a singular I - g G fails
-    return ok
-
-
-def _inertia_test(model: DiscreteModel, lam: float, sign: float) -> bool:
-    """``_inertia_tests`` at the one point lam for sign."""
-    return bool(_inertia_tests(model, np.array([lam]), np.array([sign]))[0])
-
-
 def _spectral_interval(model: DiscreteModel) -> tuple[float, float]:
     """Centre c and half-width r of an interval holding the spectrum of
     the rotating-frame generator.
@@ -263,11 +216,11 @@ def _spectral_interval(model: DiscreteModel) -> tuple[float, float]:
     bound, that range widened by the norm of the off-diagonal part: at
     most |alpha|_2 + |F|_2 |m|_2, since the mode-channel block is
     conj(F) kron m^T.  Both ends, as tops of sign H for sign = +1 and -1,
-    are bisected in lockstep on the inertia test of ``_inertia_tests``,
-    their two midpoints in one call.  Above the diagonal the test passes
-    exactly above the spectrum, so each of ``INTERVAL_STEPS`` steps keeps
-    the half of each bracket that holds its end; the upper bound stays
-    Weyl's until a point passes.  An end stops early once its midpoint is
+    are bisected in lockstep on ``resolvent._inertia_tests``, their two
+    midpoints in one call.  Above the diagonal the test passes exactly
+    above the spectrum, so each of ``INTERVAL_STEPS`` steps keeps the half
+    of each bracket that holds its end; the upper bound stays Weyl's until
+    a point passes.  An end stops early once its midpoint is
     no longer strictly inside its bracket: without coupling the bracket
     shrinks to a diagonal entry, where the test would divide by zero.  So
     at most 2 ``INTERVAL_STEPS`` points are tested, and each end is
@@ -286,8 +239,9 @@ def _spectral_interval(model: DiscreteModel) -> tuple[float, float]:
         live = [(end, mid) for end, mid in live if end[0] < mid < end[1]]
         if not live:
             break
-        passed = _inertia_tests(model, np.array([mid for _, mid in live]),
-                                np.array([end[2] for end, _ in live]))
+        passed = resolvent._inertia_tests(
+            model, np.array([mid for _, mid in live]),
+            np.array([end[2] for end, _ in live]))
         for (end, mid), ok in zip(live, passed):
             end[1 if ok else 0] = mid
     top, bottom = ends[0][1], -ends[1][1]

@@ -69,17 +69,15 @@ def _check_poles(s_arr: np.ndarray, omegas: np.ndarray):
             raise PoleError(f"s = {s} hits a propagator pole")
 
 
-#: Complex values one chunk of the elimination holds per array: a chunk of
+#: Complex values one chunk of kernel sums holds per array: a chunk of
 #: b points keeps b (K (1 + A) + A^2 + C) of them for its mode propagators,
 #: the propagator-scaled factors behind G, G and channel propagators.
-#: ``_chunk_points`` gives b for the transform; the spectral interval of
-#: dynamics tests its two ends' points in one call where b >= 2, and one
-#: at a time otherwise.  b is floored at one point, so the
-#: budget holds whatever n but not whatever the model: one point needs
-#: K (1 + A) + A^2 + C values, 761,330 for a 300-detector shell (K = 2,230),
-#: where the spectral interval's tracemalloc peak is 23.6 MB.  Summing over
-#: blocks of modes when one point exceeds the budget removes that floor
-#: (ROADMAP.md, "Memory bounded per point").
+#: ``_chunk_points`` gives b for the transform and the inertia test alike.
+#: b is floored at one point, so the budget holds whatever n but not
+#: whatever the model: one point needs K (1 + A) + A^2 + C values, 761,330
+#: for a 300-detector shell (K = 2,230), where the spectral interval's
+#: tracemalloc peak is 22.9 MB.  Summing over frequency shells removes
+#: that floor (ROADMAP.md, item 19).
 CHUNK_VALUES = 1 << 19
 
 
@@ -89,26 +87,24 @@ def _chunk_points(model: DiscreteModel) -> int:
     return max(1, CHUNK_VALUES // max(1, per_point))
 
 
-def _eliminate(block: np.ndarray, model: DiscreteModel):
-    """K, the self-energy sigma and 1 + L G over a column block[b, 0] of s.
+def _kernel_sums(block: np.ndarray, model: DiscreteModel):
+    """K, J_ac, J_ca, G and L over a column block[b, 0] of s.
 
-    With the propagators d_k = 1 / (s + i w_k) it forms the mode sums
+    With the propagators d_k = 1 / (s + i w_k) they are the mode sums
 
     K      = sum_k |alpha_k|^2 d_k
     J_ac_i = sum_k alpha_k conj(f_ki) d_k      (atom <- channel)
     J_ca_i = sum_k conj(alpha_k) f_ki d_k      (channel <- atom)
     G_ij   = sum_k f_ki conj(f_kj) d_k         (detector self-term)
 
-    and L = sum_c m_c^2 / (s + i w_c), and eliminates the channels and
-    detector atoms: sigma = K - J_ac . X with (1 + L G) X = L J_ca.
-    Without detector atoms or channels sigma is K and 1 + L G is None.
-    Raises numpy.linalg.LinAlgError where 1 + L G is singular.
+    and the channel sum L = sum_c m_c^2 / (s + i w_c).  Without detector
+    atoms or channels J_ac, J_ca, G and L are None.
     """
     alpha = model.mode_alphas
     denom = 1.0 / (block + 1j * model.mode_omegas)
     k = denom @ (np.abs(alpha) ** 2)
     if not (model.n_atoms and model.n_channels):
-        return k, k, None
+        return k, None, None, None, None
     f = model.detector_factors
     fc = np.conj(f)
     J_ac = (denom * alpha) @ fc
@@ -116,9 +112,58 @@ def _eliminate(block: np.ndarray, model: DiscreteModel):
     G = (denom[:, None, :] * f.T) @ fc
     L = np.sum(model.channel_mu**2 / (block + 1j * model.channel_omegas),
                axis=1)
+    return k, J_ac, J_ca, G, L
+
+
+def _eliminate(block: np.ndarray, model: DiscreteModel):
+    """K and the self-energy sigma = K - J_ac . X, (1 + L G) X = L J_ca,
+    over a column block[b, 0] of s; sigma is K without detector atoms or
+    channels.  Raises numpy.linalg.LinAlgError where 1 + L G is singular.
+    """
+    k, J_ac, J_ca, G, L = _kernel_sums(block, model)
+    if G is None:
+        return k, k
     mat = np.eye(model.n_atoms) + L[:, None, None] * G
     X = np.linalg.solve(mat, (L[:, None] * J_ca)[..., None])[..., 0]
-    return k, k - np.einsum("bi,bi->b", J_ac, X), mat
+    return k, k - np.einsum("bi,bi->b", J_ac, X)
+
+
+def _inertia_tests(model: DiscreteModel, lam: np.ndarray,
+                   sign: np.ndarray) -> np.ndarray:
+    """The test of lam I - sign H > 0 for the rotating-frame generator H,
+    at each point lam[i], above every diagonal entry of sign H, for sign[i].
+
+    At s = -i E, E = sign lam + omega0, 1 + L G is the Hermitian I - g G
+    with L = i g and sign g = |L|, so the bordered Hermitian matrix
+    [[sign (E - omega_a - Im K), b^H], [b, 1 + L G]], b = sqrt|L| J_ca,
+    has the atom's sign (E - omega_a - Im sigma(-i E)) as the Schur
+    complement of that block.  By Haynsworth's inertia additivity it is
+    positive definite exactly when sign (E - H) is, which one eigvalsh per
+    point decides with no solve; a singular I - g G fails on its zero
+    eigenvalue.  (A batched Cholesky would raise for a whole chunk at its
+    first indefinite point.)  Points go in chunks of ``_chunk_points``.
+    """
+    E = sign * lam + OMEGA0
+    chunk = _chunk_points(model)
+    return np.concatenate([_definite(E[lo:lo + chunk], sign[lo:lo + chunk],
+                                     model) for lo in range(0, E.size, chunk)])
+
+
+def _definite(E: np.ndarray, sign: np.ndarray,
+              model: DiscreteModel) -> np.ndarray:
+    """``_inertia_tests`` on one chunk of lab-frame points E; its arrays
+    are freed before the next chunk's kernel sums are formed."""
+    k, _, J_ca, G, L = _kernel_sums(-1j * E[:, None], model)
+    atom = sign * (E - model.omega_a - k.imag)
+    if G is None:                       # the matrix is the atom's entry
+        return atom > 0.0
+    a = model.n_atoms
+    # eigvalsh reads the lower triangle, so b^H is left out.
+    mat = np.zeros((E.size, 1 + a, 1 + a), dtype=complex)
+    mat[:, 0, 0] = atom
+    mat[:, 1:, 0] = np.sqrt(np.abs(L))[:, None] * J_ca
+    mat[:, 1:, 1:] = np.eye(a) + L[:, None, None] * G
+    return np.all(np.linalg.eigvalsh(mat) > 0.0, axis=1)
 
 
 def _sigma(s_arr: np.ndarray, model: DiscreteModel) -> np.ndarray:
@@ -155,7 +200,7 @@ def ww_pole(model: DiscreteModel) -> dict:
     gamma = model.meta.get("gamma", 0.0)
     gamma_eval = max(0.5 * gamma, 2.0 * TWO_PI / model.t_rec, 1e-6)
     s0 = np.array([[-1j * OMEGA0 + gamma_eval]])
-    k_val, sigma = (complex(v[0]) for v in _eliminate(s0, model)[:2])
+    k_val, sigma = (complex(v[0]) for v in _eliminate(s0, model))
     rate = 2.0 * sigma.real
     vacuum_rate = 2.0 * k_val.real
     return {"rate": rate, "shift": sigma.imag,

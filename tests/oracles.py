@@ -29,11 +29,15 @@ from watched_decay.dynamics import (
     MOMENT_SLACK,
     IntegrationError,
     _generator_product,
-    _inertia_test,
 )
 from watched_decay.geometry import TWO_PI, DipoleGeometry, _orthonormal_transverse
 from watched_decay.model import OMEGA0, _as_unit_vector
-from watched_decay.resolvent import _as_s_array, _phase_sums, _sigma
+from watched_decay.resolvent import (
+    _as_s_array,
+    _inertia_tests,
+    _phase_sums,
+    _sigma,
+)
 
 
 def s_func_quadrature(z: float) -> float:
@@ -225,7 +229,7 @@ def _spectrum_top(model: DiscreteModel, sign: float, lo: float,
         mid = 0.5 * (lo + hi)
         if not lo < mid < hi:
             break
-        if _inertia_test(model, mid, sign):
+        if _inertia_tests(model, np.array([mid]), np.array([sign]))[0]:
             hi = mid
         else:
             lo = mid

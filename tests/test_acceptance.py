@@ -47,7 +47,6 @@ from watched_decay.dynamics import (
     TAIL_TOL,
     SolverSpec,
     _generator_product,
-    _inertia_test,
     _kapteyn_order,
     _moments,
     _series,
@@ -438,11 +437,12 @@ def test_norm_monitor_is_norm_of_series_on_random_models():
 
 
 def test_inertia_test_matches_eigenvalues_on_random_models():
-    # Point by point across each end's bracket, from the diagonal's range
-    # to Weyl's bound: lam I - sign H is positive definite exactly when
-    # its least eigenvalue, lam - max(sign spec H), is positive.  Below the
-    # top of the mode-channel block the channels' I - g G is not positive
-    # definite, and the test must fail there on that branch alone.
+    # Across each end's bracket, from the diagonal's range to Weyl's bound,
+    # an end's points in one call: lam I - sign H is positive definite
+    # exactly when its least eigenvalue, lam - max(sign spec H), is
+    # positive.  Below the top of the mode-channel block the channels'
+    # I - g G is not positive definite, and the bordered matrix must fail
+    # there through that block.
     rng = np.random.default_rng(29)
     tested = indefinite = 0
     for _ in range(20):
@@ -461,7 +461,8 @@ def test_inertia_test_matches_eigenvalues_on_random_models():
                       > 1e-9 * r]
             least = lam - np.max(sign * spec)
             np.testing.assert_array_equal(
-                [_inertia_test(model, x, sign) for x in lam], least > 0.0)
+                resolvent._inertia_tests(model, lam, np.full(lam.size, sign)),
+                least > 0.0)
             # The mode-channel block alone, where I - g G decides.
             block = np.linalg.eigvalsh(sign * H[1:, 1:])[-1]
             tested += lam.size
@@ -470,10 +471,11 @@ def test_inertia_test_matches_eigenvalues_on_random_models():
 
 
 def test_atom_complement_matches_dense_resolvent_on_random_models():
-    # The value the inertia test reads, not only its sign: at s = -i E the
-    # elimination gives the atom's Schur complement E - omega_a -
-    # Im sigma(-i E), which is 1 / [(E - H)^-1]_00 for the dense lab-frame
-    # H at every E away from the spectra of H and of its mode-channel block.
+    # The transform's self-energy at real E, not only the sign the inertia
+    # test takes of it: at s = -i E the elimination gives the atom's Schur
+    # complement E - omega_a - Im sigma(-i E), which is 1 / [(E - H)^-1]_00
+    # for the dense lab-frame H at every E away from the spectra of H and
+    # of its mode-channel block.
     rng = np.random.default_rng(37)
     tested = 0
     for _ in range(10):
@@ -483,7 +485,7 @@ def test_atom_complement_matches_dense_resolvent_on_random_models():
                                 np.linalg.eigvalsh(H[1:, 1:])])
         E = np.linspace(poles.min() - 0.5, poles.max() + 0.5, 400)
         E = E[np.min(np.abs(E[:, None] - poles), axis=1) > 1e-3]
-        _, sigma, _ = resolvent._eliminate(-1j * E[:, None], model)
+        _, sigma = resolvent._eliminate(-1j * E[:, None], model)
         unit = np.eye(model.size)[0]
         dense = [1.0 / np.linalg.solve(x * np.eye(model.size) - H, unit)[0]
                  for x in E]
@@ -500,7 +502,7 @@ def test_spectral_interval_bisects_to_certified_ends(monkeypatch):
     # and r.
     calls = []
     batches = []
-    real = dynamics._inertia_tests
+    real = resolvent._inertia_tests
 
     def counting(model, lam, sign):
         ok = real(model, lam, sign)
@@ -508,7 +510,7 @@ def test_spectral_interval_bisects_to_certified_ends(monkeypatch):
         batches.append(lam.size)
         return ok
 
-    monkeypatch.setattr(dynamics, "_inertia_tests", counting)
+    monkeypatch.setattr(resolvent, "_inertia_tests", counting)
     rng = np.random.default_rng(31)
     tested_ends = 0
     for _ in range(10):
@@ -551,40 +553,41 @@ def tiny_free_model(alpha, factors=None):
 
 def test_spectral_interval_matches_bisection_by_ends(route_runs,
                                                      monkeypatch):
-    # Both ends bisected in lockstep, their midpoints in one elimination,
-    # give the c and r of one end bisected after the other, one point per
-    # call, bit for bit; so do single points, where the transform's chunk
-    # holds one.  The models: work.json's, criterion 3's (the routes_cli
-    # workload's), the random models of the inertia test, two
-    # coupling-free ones, where both ends stop before any test, one whose
-    # top end runs out of floats after 7 steps while the bottom takes 13,
-    # and the one whose channel block is singular at a point below its top.
+    # Both ends bisected in lockstep, their midpoints in one chunk of
+    # kernel sums, give the c and r of one end bisected after the other,
+    # one point per call, bit for bit; so do single points, where the
+    # transform's chunk holds one.  The models: work.json's, criterion 3's
+    # (the routes_cli workload's), the random models of the inertia test,
+    # two coupling-free ones, where both ends stop before any test, one
+    # whose top end runs out of floats after 7 steps while the bottom takes
+    # 13, and the one whose channel block is singular at a point below its
+    # top.
     models = [build() for build in WORK_MODELS.values()]
     models += [model for model, _ in route_runs.values()]
     rng = np.random.default_rng(29)
     models += [random_discrete_model(rng) for _ in range(20)]
     models += [tiny_free_model(0.0), tiny_free_model(0.0, [0.0, 0.0]),
                tiny_free_model(1e-12), singular_channel_model()]
-    eliminations = []
-    real = resolvent._eliminate
+    chunks = []
+    real = resolvent._kernel_sums
 
     def spy(block, model):
-        eliminations.append(block.shape[0])
+        chunks.append(block.shape[0])
         return real(block, model)
 
-    monkeypatch.setattr(resolvent, "_eliminate", spy)
+    monkeypatch.setattr(resolvent, "_kernel_sums", spy)
     for model in models:
         expected = spectral_interval_by_ends(model)
-        eliminations.clear()
+        chunks.clear()
         assert _spectral_interval(model) == expected
-        assert len(eliminations) <= dynamics.INTERVAL_STEPS
+        assert len(chunks) <= dynamics.INTERVAL_STEPS
         if model is models[-2]:
-            assert eliminations.count(2) == 7 and len(eliminations) == 13
+            assert chunks.count(2) == 7 and len(chunks) == 13
         with monkeypatch.context() as single:
             single.setattr(resolvent, "_chunk_points", lambda model: 1)
-            eliminations.clear()
+            chunks.clear()
             assert _spectral_interval(model) == expected
-            assert set(eliminations) <= {1}
+            assert set(chunks) <= {1}
 
 
 @pytest.mark.parametrize("name", list(WORK_MODELS))

@@ -219,15 +219,16 @@ def test_inertia_test_fails_where_channel_block_is_singular():
     # One mode and one channel at 0.5, with f = m = 0.5: at lam = -0.25,
     # above every detuning, E = 0.75 gives g = G = 1, so I - g G is exactly
     # zero, and E is an eigenvalue of the mode-channel block, which lies
-    # below the top of the spectrum.  The point fails, and the singular
-    # solve does not escape; lam = 0.3, above the spectrum, passes.
+    # below the top of the spectrum.  The point fails on the bordered
+    # matrix's zero eigenvalue; lam = 0.3, above the spectrum, passes.
     model = singular_channel_model()
     H = np.column_stack([_generator_product(model)(v)
                          for v in np.eye(model.size, dtype=complex)])
     top = np.linalg.eigvalsh(H)[-1]
     assert -0.25 < top < 0.3
-    assert dynamics._inertia_test(model, -0.25, 1.0) is False
-    assert dynamics._inertia_test(model, 0.3, 1.0) is True
+    for lam, passes in ((-0.25, False), (0.3, True)):
+        assert resolvent._inertia_tests(model, np.array([lam]),
+                                        np.ones(1)).tolist() == [passes]
 
 
 def test_undersized_interval_raises(monkeypatch):
@@ -305,28 +306,31 @@ def test_diverging_series_stops_within_first_block_and_twice_its_order(
     assert order < len(products) <= dynamics.FIRST_BLOCK + 2 * order < n
 
 
-def test_inertia_tests_fall_back_to_one_point_per_call(monkeypatch):
-    # A singular I - g G at one point fails the batch's solve; the points
-    # are then tested one by one, and only the singular one fails.  Where
-    # the transform's chunk holds one point, each point has its own call.
+def test_inertia_tests_decide_a_singular_point_within_the_batch(
+        monkeypatch):
+    # A singular I - g G at one point fails a solve over the batch; the
+    # inertia test takes no solve, so the batch goes in one call, raises
+    # nothing, and only the singular point fails.  Where the transform's
+    # chunk holds one point, each point has its own call.
     model = singular_channel_model()
     lam, sign = np.array([-0.25, 0.3]), np.ones(2)
     with pytest.raises(np.linalg.LinAlgError):
         resolvent._eliminate(-1j * (sign * lam + OMEGA0)[:, None], model)
-    np.testing.assert_array_equal(
-        dynamics._inertia_tests(model, lam, sign), [False, True])
     sizes = []
-    real = resolvent._eliminate
+    real = resolvent._kernel_sums
 
     def spy(block, model):
         sizes.append(block.shape[0])
         return real(block, model)
 
-    monkeypatch.setattr(resolvent, "_eliminate", spy)
-    monkeypatch.setattr(resolvent, "_chunk_points", lambda model: 1)
-    lam = np.array([0.3, 0.4])
+    monkeypatch.setattr(resolvent, "_kernel_sums", spy)
     np.testing.assert_array_equal(
-        dynamics._inertia_tests(model, lam, sign), [True, True])
+        resolvent._inertia_tests(model, lam, sign), [False, True])
+    assert sizes == [2]
+    sizes.clear()
+    monkeypatch.setattr(resolvent, "_chunk_points", lambda model: 1)
+    np.testing.assert_array_equal(
+        resolvent._inertia_tests(model, lam, sign), [False, True])
     assert sizes == [1, 1]
 
 
@@ -347,8 +351,9 @@ def test_integrate_memory_is_bounded():
 
 
 def test_spectral_interval_memory_is_bounded():
-    # The inertia test takes one point at a time, K (1 + A) + A^2 + C
-    # values per array, so a many-atom model (K = 600, A = 60, C = 4) stays
+    # The inertia test holds K (1 + A) + A^2 + C values per point in each
+    # array, and at most a chunk of CHUNK_VALUES of them, so a many-atom
+    # model (K = 600, A = 60, C = 4), both ends' points in one chunk, stays
     # within two arrays of CHUNK_VALUES complex values, below one K x A^2
     # array (35 MB).
     rng = np.random.default_rng(4)
