@@ -104,7 +104,16 @@ class ToySpec:
 
 @dataclass(frozen=True, eq=False)
 class DiscreteModel:
-    """Finite proxy of atom + field (+ detector) ready for both routes."""
+    """Finite proxy of atom + field (+ detector) ready for both routes.
+
+    A shell is the set of modes that share one exact frequency.  The
+    model derives its R shells from its modes once, at construction:
+    their frequencies ``shell_omegas``, the S shells with a nonzero
+    detector factor first, ``shell_weights`` = sum_{k in r} |alpha_k|^2
+    for every shell, and for the S coupled ones the (1 + A) x (1 + A)
+    blocks ``shell_blocks`` = sum_{k in r} v_k v_k^H, v_k = [alpha_k, f_k].
+    The Laplace route sums its kernels over them.
+    """
 
     mode_omegas: np.ndarray        # (K,)
     mode_alphas: np.ndarray        # (K,) complex
@@ -119,6 +128,9 @@ class DiscreteModel:
     #: rates all discard that shift.
     omega_a: float
     meta: dict = field(default_factory=dict)
+    shell_omegas: np.ndarray = field(init=False, repr=False)   # (R,)
+    shell_weights: np.ndarray = field(init=False, repr=False)  # (R,)
+    shell_blocks: np.ndarray = field(init=False, repr=False)   # (S, 1+A, 1+A)
 
     def __post_init__(self):
         for name in ("mode_omegas", "mode_alphas", "detector_factors",
@@ -131,6 +143,12 @@ class DiscreteModel:
         for name in ("mode_alphas", "detector_factors", "channel_mu"):
             if not np.all(np.isfinite(getattr(self, name))):
                 raise GridError(f"{name} must be finite")
+        shells = _shells(self.mode_omegas, self.mode_alphas,
+                         self.detector_factors)
+        for name, arr in zip(("shell_omegas", "shell_weights",
+                              "shell_blocks"), shells):
+            arr.setflags(write=False)
+            object.__setattr__(self, name, arr)
 
     @property
     def n_modes(self) -> int:
@@ -148,6 +166,36 @@ class DiscreteModel:
     def size(self) -> int:
         """Total amplitude count (excited state + modes + channels)."""
         return 1 + self.n_modes + self.n_atoms * self.n_channels
+
+
+def _shells(omegas: np.ndarray, alphas: np.ndarray, factors: np.ndarray):
+    """The shell frequencies, weights and blocks of ``DiscreteModel``.
+
+    The coupled shells' modes are gathered into one (n, m, 1 + A) stack
+    per shell size m, and each stack gives its n blocks in one batched
+    product, so no array is larger than the model's coupled rows or the
+    blocks.
+    """
+    freqs, shell = np.unique(omegas, return_inverse=True)
+    coupled = np.bincount(shell, np.any(factors != 0.0, axis=1),
+                          freqs.size) > 0
+    order = np.argsort(~coupled, kind="stable")        # coupled shells first
+    rank = np.empty_like(order)
+    rank[order] = np.arange(order.size)
+    shell = rank[shell]
+    weights = np.bincount(shell, np.abs(alphas) ** 2, freqs.size)
+    n_coupled = int(np.count_nonzero(coupled))
+    rows = np.flatnonzero(shell < n_coupled)
+    rows = rows[np.argsort(shell[rows], kind="stable")]
+    v = np.column_stack((alphas[rows], factors[rows]))
+    counts = np.bincount(shell[rows], minlength=n_coupled)
+    starts = np.cumsum(counts) - counts
+    blocks = np.empty((n_coupled,) + 2 * (v.shape[1],), dtype=complex)
+    for m in np.unique(counts):
+        sel = np.flatnonzero(counts == m)
+        stack = v[starts[sel, None] + np.arange(m)]
+        blocks[sel] = stack.transpose(0, 2, 1) @ stack.conj()
+    return freqs[order], weights, blocks
 
 
 @functools.lru_cache(maxsize=None)

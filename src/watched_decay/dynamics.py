@@ -63,10 +63,9 @@ MILLER_SEED = 1e-250
 #: spectra), so memory stays bounded whatever the series length and the
 #: number of times; it also bounds the complex values of one block of the
 #: moment recursion, floored at two orders, besides the two vectors the
-#: block carries.  It is not resolvent.CHUNK_VALUES (2^19): a 2^19
-#: chunk doubles the tracemalloc peak of 20,000 samples of the default toy,
-#: from 10.7 to 20.3 MB, and moves their amplitudes by 5e-16, since the
-#: split of the times sets the rounding.
+#: block carries.  A 2^19 chunk doubles the tracemalloc peak of 20,000
+#: samples of the default toy, from 10.7 to 20.3 MB, and moves their
+#: amplitudes by 5e-16, since the split of the times sets the rounding.
 CHUNK_VALUES = 1 << 18
 #: Orders in the moment recursion's first block; each next block holds
 #: twice as many, up to the ``CHUNK_VALUES`` budget, so a diverging

@@ -9,7 +9,10 @@ where the detector deficit follows from eliminating the ionization
 amplitudes.  With factorized couplings g_{k,c,i} = m_c f_{k,i} the channel
 block reduces to one rank per detector atom, so the elimination is an
 A x A solve (A = number of detector atoms) instead of a dense
-channel-count solve.
+channel-count solve.  Its kernels are sums over the model's frequency
+shells, not its modes: the modes of a shell share one propagator, so each
+point takes one product of its shell propagators with the (1 + A) x (1 + A)
+blocks the model forms once, and no mode x atom array.
 
 The time signal is recovered by a trapezoidal Bromwich integral on a
 vertical contour.  A reference R(s) = sum_n b_n / (s + c)^(n+1) of order
@@ -69,22 +72,25 @@ def _check_poles(s_arr: np.ndarray, omegas: np.ndarray):
             raise PoleError(f"s = {s} hits a propagator pole")
 
 
-#: Complex values one chunk of kernel sums holds per array: a chunk of
-#: b points keeps b (K (1 + A) + A^2 + C) of them for its mode propagators,
-#: the propagator-scaled factors behind G, G and channel propagators.
-#: ``_chunk_points`` gives b for the transform and the inertia test alike.
-#: b is floored at one point, so the budget holds whatever n but not
-#: whatever the model: one point needs K (1 + A) + A^2 + C values, 761,330
-#: for a 300-detector shell (K = 2,230), where the spectral interval's
-#: tracemalloc peak is 22.9 MB.  Summing over frequency shells removes
-#: that floor (ROADMAP.md, item 19).
-CHUNK_VALUES = 1 << 19
+#: Complex values one chunk of kernel sums holds in all: a chunk of b
+#: points keeps b (R + (1 + A)^2 + A^2 + C) of them for its shell
+#: propagators, its product with the shell blocks, 1 + L G and its
+#: channel propagators.  ``_chunk_points`` gives b for the transform and
+#: the inertia test alike.  b is floored at one point, which exceeds the
+#: budget only past about 360 detector atoms on the acceptance grid
+#: (R = 320, C = 100): a 300-detector shell needs 181,021 values a point,
+#: and its model carries S (1 + A)^2 = 1.45 million block values (23 MB,
+#: S = 16 coupled shells), formed once at construction.  At 2^19 the
+#: default toy's transform chunk (1,978 points) ran slower than at 2^18
+#: (989) and raised the peak RSS of perfbench's routes_cli pass by 3.7 MB.
+CHUNK_VALUES = 1 << 18
 
 
 def _chunk_points(model: DiscreteModel) -> int:
     a = model.n_atoms
-    per_point = model.n_modes * (1 + a) + a * a + model.n_channels
-    return max(1, CHUNK_VALUES // max(1, per_point))
+    per_point = (model.shell_omegas.size + (1 + a) ** 2 + a * a
+                 + model.n_channels)
+    return max(1, CHUNK_VALUES // per_point)
 
 
 def _kernel_sums(block: np.ndarray, model: DiscreteModel):
@@ -97,22 +103,27 @@ def _kernel_sums(block: np.ndarray, model: DiscreteModel):
     J_ca_i = sum_k conj(alpha_k) f_ki d_k      (channel <- atom)
     G_ij   = sum_k f_ki conj(f_kj) d_k         (detector self-term)
 
-    and the channel sum L = sum_c m_c^2 / (s + i w_c).  Without detector
+    and the channel sum L = sum_c m_c^2 / (s + i w_c).  The modes of a
+    shell share d_k, so each sum is taken over the model's shells: K
+    against the shell weights, and J_ac, J_ca and G together as the
+    [0, 1:], [1:, 0] and [1:, 1:] parts of sum_r d_r B_r, one product of
+    the coupled shells' propagators with their stacked blocks
+    B_r = sum_{k in r} v_k v_k^H, v_k = [alpha_k, f_k].  Without detector
     atoms or channels J_ac, J_ca, G and L are None.
     """
-    alpha = model.mode_alphas
-    denom = 1.0 / (block + 1j * model.mode_omegas)
-    k = denom @ (np.abs(alpha) ** 2)
+    denom = block + 1j * model.shell_omegas
+    np.reciprocal(denom, out=denom)
+    k = denom @ model.shell_weights
     if not (model.n_atoms and model.n_channels):
         return k, None, None, None, None
-    f = model.detector_factors
-    fc = np.conj(f)
-    J_ac = (denom * alpha) @ fc
-    J_ca = (denom * np.conj(alpha)) @ f
-    G = (denom[:, None, :] * f.T) @ fc
-    L = np.sum(model.channel_mu**2 / (block + 1j * model.channel_omegas),
-               axis=1)
-    return k, J_ac, J_ca, G, L
+    n_coupled, side = model.shell_blocks.shape[:2]
+    sums = (denom[:, :n_coupled]
+            @ model.shell_blocks.reshape(n_coupled, side * side)).reshape(
+                -1, side, side)
+    channel = block + 1j * model.channel_omegas
+    np.reciprocal(channel, out=channel)
+    L = channel @ model.channel_mu**2
+    return k, sums[:, 0, 1:], sums[:, 1:, 0], sums[:, 1:, 1:], L
 
 
 def _eliminate(block: np.ndarray, model: DiscreteModel):
@@ -168,7 +179,7 @@ def _definite(E: np.ndarray, sign: np.ndarray,
 
 def _sigma(s_arr: np.ndarray, model: DiscreteModel) -> np.ndarray:
     """Self-energy over an array of s, by ``_eliminate`` over chunks."""
-    _check_poles(s_arr, model.mode_omegas)
+    _check_poles(s_arr, model.shell_omegas)
     _check_poles(s_arr, model.channel_omegas)
     chunk = _chunk_points(model)
     sigma = np.empty(s_arr.size, dtype=complex)

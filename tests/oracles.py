@@ -12,9 +12,10 @@ recursion one order at a time, with a dot product pair per order, and
 contour in one pass.  ``spectral_interval_by_ends`` bisects the
 propagator's spectral interval one end after the other, one inertia
 test per call, where the package bisects both ends in lockstep.
-``self_energy`` is no oracle: it exposes the
-package's own rank-per-atom self-energy, which only the tests need on its
-own.
+``mode_sums`` takes the resolvent's kernel sums mode by mode, where the
+package takes them shell by shell.  ``self_energy`` is no oracle: it
+exposes the package's own rank-per-atom self-energy, which only the tests
+need on its own.
 """
 
 import math
@@ -174,6 +175,25 @@ def resolvent_a0_dense(s: complex, model: DiscreteModel) -> complex:
     # denominator (the elimination is exact, not a first-order expansion).
     a_c = np.linalg.solve(np.diag(diag) + N, -M_ca)
     return 1.0 / (s + 1j * model.omega_a + K + M_ac @ a_c)
+
+
+def mode_sums(block: np.ndarray, model: DiscreteModel):
+    """K, J_ac, J_ca, G and L over a column block[b, 0] of s, each a sum
+    over the model's modes (channels for L) with its own propagator
+    d_k = 1 / (s + i w_k); see ``resolvent._kernel_sums``."""
+    alpha = model.mode_alphas
+    denom = 1.0 / (block + 1j * model.mode_omegas)
+    k = denom @ (np.abs(alpha) ** 2)
+    if not (model.n_atoms and model.n_channels):
+        return k, None, None, None, None
+    f = model.detector_factors
+    fc = np.conj(f)
+    J_ac = (denom * alpha) @ fc
+    J_ca = (denom * np.conj(alpha)) @ f
+    G = (denom[:, None, :] * f.T) @ fc
+    L = np.sum(model.channel_mu**2 / (block + 1j * model.channel_omegas),
+               axis=1)
+    return k, J_ac, J_ca, G, L
 
 
 def self_energy(s, model: DiscreteModel):

@@ -25,6 +25,7 @@ from oracles import (
     angular_average_l2,
     bromwich_fresh_sum,
     chebyshev_moments,
+    mode_sums,
     polarization_sum,
     resolvent_a0_dense,
     s_func_quadrature,
@@ -35,6 +36,7 @@ from oracles import (
 from test_dynamics import singular_channel_model
 from watched_decay import analytic, dynamics, resolvent
 from watched_decay.discretize import (
+    DETECTOR_BAND,
     OMEGA_CUT,
     DiscreteModel,
     GridSpec,
@@ -588,6 +590,77 @@ def test_spectral_interval_matches_bisection_by_ends(route_runs,
             chunks.clear()
             assert _spectral_interval(model) == expected
             assert set(chunks) <= {1}
+
+
+def test_shell_sums_match_mode_sums(route_runs):
+    # K, J_ac, J_ca, G and L summed over frequency shells against the
+    # same sums mode by mode, on a Bromwich-like contour and just right
+    # of the imaginary axis, where the inertia test reads them.  The
+    # models: work.json's, criterion 3's, the 20 random models of the
+    # inertia test, the one whose channel block is singular, and two with
+    # a detector atom and a channel, one of them with no coupled shell.
+    models = [build() for build in WORK_MODELS.values()]
+    models += [model for model, _ in route_runs.values()]
+    rng = np.random.default_rng(29)
+    models += [random_discrete_model(rng) for _ in range(20)]
+    models += [singular_channel_model(), tiny_free_model(0.0, [0.0, 0.0]),
+               tiny_free_model(1e-12, [0.0, 0.3])]
+    s = np.concatenate([0.05 + 1j * np.linspace(-8.0, 8.0, 301),
+                        1e-3 - 1j * np.linspace(-4.3, 4.1, 97)])[:, None]
+    detector = 0
+    for model in models:
+        sums = resolvent._kernel_sums(s, model)
+        for got, ref in zip(sums, mode_sums(s, model)):
+            if ref is None:
+                assert got is None
+                continue
+            assert got.shape == ref.shape
+            np.testing.assert_allclose(
+                got, ref, rtol=0.0, atol=1e-13 * np.max(np.abs(ref)))
+        detector += sums[1] is not None
+    assert detector > 10
+
+
+def test_shell_blocks_sum_back_to_modes(route_runs):
+    # Each shell is one distinct mode frequency, the coupled ones first,
+    # with its modes' summed |alpha|^2 and, where coupled, the sum of
+    # v_k v_k^H, v_k = [alpha_k, f_k]; so the blocks and the uncoupled
+    # shells' weights sum back to sum_k v_k v_k^H over the modes.  The
+    # full-3d shells couple only within the detector band: 16 of them.
+    models = {name: build() for name, build in WORK_MODELS.items()}
+    models.update((name, model) for name, (model, _) in route_runs.items())
+    rng = np.random.default_rng(29)
+    models.update((f"random-{i}", random_discrete_model(rng))
+                  for i in range(20))
+    models["singular"] = singular_channel_model()
+    for name, model in models.items():
+        omegas, weights = model.shell_omegas, model.shell_weights
+        blocks = model.shell_blocks
+        n_coupled, a = blocks.shape[0], model.n_atoms
+        assert blocks.shape[1:] == (1 + a, 1 + a)
+        assert np.array_equal(np.sort(omegas), np.unique(model.mode_omegas))
+        v = np.column_stack((model.mode_alphas, model.detector_factors))
+        for r, omega in enumerate(omegas):
+            rows = v[model.mode_omegas == omega]
+            assert weights[r] == pytest.approx(
+                np.sum(np.abs(rows[:, 0]) ** 2), rel=1e-14)
+            if r < n_coupled:
+                assert np.any(rows[:, 1:] != 0.0)
+                np.testing.assert_allclose(
+                    blocks[r], rows.T @ rows.conj(), rtol=0.0,
+                    atol=1e-14 * np.max(np.abs(blocks[r])))
+            else:
+                assert not np.any(rows[:, 1:])
+        total = blocks.sum(axis=0)
+        total[0, 0] += weights[n_coupled:].sum()
+        dense = v.T @ v.conj()
+        np.testing.assert_allclose(total, dense, rtol=0.0,
+                                   atol=1e-13 * np.max(np.abs(dense)))
+    for name in ("quick-start", "shell-10"):
+        blocks = models[name].shell_blocks
+        assert blocks.shape[0] == 16
+        assert np.all(np.abs(models[name].shell_omegas[:16] - OMEGA0)
+                      < 2.0 * DETECTOR_BAND)
 
 
 @pytest.mark.parametrize("name", list(WORK_MODELS))

@@ -351,11 +351,13 @@ def test_integrate_memory_is_bounded():
 
 
 def test_spectral_interval_memory_is_bounded():
-    # The inertia test holds K (1 + A) + A^2 + C values per point in each
-    # array, and at most a chunk of CHUNK_VALUES of them, so a many-atom
-    # model (K = 600, A = 60, C = 4), both ends' points in one chunk, stays
-    # within two arrays of CHUNK_VALUES complex values, below one K x A^2
-    # array (35 MB).
+    # The inertia test holds R + (1 + A)^2 + A^2 + C values per point over
+    # its arrays, and at most a chunk of CHUNK_VALUES of them, so a
+    # many-atom model (K = 600, A = 60, C = 4), both ends' points in one
+    # chunk, stays within twice CHUNK_VALUES complex values, below one
+    # K x A^2 array (35 MB).  Its 600 distinct frequencies are all
+    # coupled, so the model carries 600 blocks of 61^2 values (36 MB),
+    # formed at construction, before the traced window.
     rng = np.random.default_rng(4)
     n_modes, n_atoms, n_channels = 600, 60, 4
     model = DiscreteModel(

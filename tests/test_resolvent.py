@@ -182,8 +182,8 @@ def test_self_energy_does_not_depend_on_chunk(model, monkeypatch):
     s = 0.05 + 1j * np.linspace(-5.0, 5.0, 1000)
     default = self_energy(s, model)
     one_by_one = np.array([self_energy(x, model) for x in s])
-    per_point = max(1, model.n_modes * (1 + model.n_atoms)
-                    + model.n_atoms**2 + model.n_channels)
+    per_point = (model.shell_omegas.size + (1 + model.n_atoms) ** 2
+                 + model.n_atoms**2 + model.n_channels)
     # 7 does not divide 1000; the last chunk holds 6 points.
     for chunk, expected in ((1, one_by_one), (7, default)):
         monkeypatch.setattr(resolvent, "CHUNK_VALUES", chunk * per_point)
